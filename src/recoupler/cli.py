@@ -37,9 +37,11 @@ _SECTORS = {"symmetric": SYMMETRIC, "antisymmetric": ANTISYMMETRIC}
 def _load_model_arg(value: str) -> ExchangeModel:
     if value.startswith("preset:"):
         parts = value.split(":")
-        name = parts[1]
-        n = int(parts[2]) if len(parts) > 2 else 4
-        return preset_model(name, n)
+        try:
+            n = int(parts[2]) if len(parts) > 2 else 4
+        except ValueError:
+            raise ValidationError(f"bad spin count {parts[2]!r} in {value!r}")
+        return preset_model(parts[1], n)
     if not os.path.exists(value):
         raise ValidationError(f"model file not found: {value}")
     return load_model(value)
@@ -92,15 +94,15 @@ def _cell(v) -> str:
 
 def _tolerances(args) -> tuple[float, float]:
     tf, tl = args.tol_fidelity, args.tol_leakage
-    if tf < 0 or tl < 0:
+    if not (tf >= 0 and tl >= 0):
         raise ValidationError("tolerances must be non-negative")
     return tf, tl
 
 
 def _ratio(args) -> float | None:
     if args.mode == "realistic":
-        if args.ratio is None or args.ratio <= 0:
-            raise ValidationError("realistic mode needs --ratio R with R > 0")
+        if args.ratio is None or not 0 < args.ratio < math.inf:
+            raise ValidationError("realistic mode needs --ratio R with 0 < R < inf")
         return args.ratio
     return None
 
@@ -198,8 +200,11 @@ def _parse_ratios(text: str) -> list[float]:
         if part.lower() in ("inf", "infinity"):
             out.append(math.inf)
             continue
-        r = float(part)
-        if r <= 0:
+        try:
+            r = float(part)
+        except ValueError:
+            raise ValidationError(f"bad ratio {part!r}")
+        if not r > 0:
             raise ValidationError(f"ratio must be positive, got {part}")
         out.append(r)
     if not out:

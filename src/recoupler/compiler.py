@@ -34,6 +34,7 @@ from .errors import (
     ConnectivityError,
     ControllabilityError,
     DegenerateSpectrumError,
+    RecouplerError,
     SectorError,
     ValidationError,
 )
@@ -66,6 +67,8 @@ class LogicalGate:
         nparams = {"rx": 1, "rz": 1, "euler": 3, "cphase": 0, "heis_zz": 1}[self.kind]
         if len(self.params) != nparams:
             raise ValidationError(f"{self.kind} takes {nparams} parameter(s)")
+        if not all(math.isfinite(p) for p in self.params):
+            raise ValidationError(f"{self.kind} parameters must be finite, got {self.params}")
         if self.kind in ("cphase", "heis_zz") and self.targets[1] != self.targets[0] + 1:
             raise ConnectivityError(
                 f"{self.kind} couples adjacent logical qubits, got {self.targets}"
@@ -93,15 +96,6 @@ def _x_handle(model: ExchangeModel, sector: str, m: int) -> TermHandle:
     if sector == SYMMETRIC:
         return j_plus(a, b)
     return j_minus(a, b)
-
-
-def _require_controllable(model: ExchangeModel, handle: TermHandle):
-    if handle.kind in TermHandle.PAIR_KINDS and not model.has_pair(handle.i, handle.j):
-        raise ConnectivityError(f"spins ({handle.i},{handle.j}) are not coupled in this model")
-    if not model.is_controllable(handle):
-        raise ControllabilityError(
-            f"handle {handle} is not controllable in model {model.name or model.kind!r}"
-        )
 
 
 def _mod_interval(value: float, period: float, positive: bool) -> float:
@@ -134,7 +128,7 @@ def compile_rx(m: int, theta: float, model: ExchangeModel, sector: str = SYMMETR
     """One-step rotation about the encoded x axis."""
     _check_logical(model, m)
     handle = _x_handle(model, sector, m)
-    _require_controllable(model, handle)
+    model.require_controllable(handle)
     meta = {"gate": "rx", "m": m, "theta": theta, "sector": sector}
     if _is_zero_mod(theta, 4 * math.pi):
         return PulseSchedule((), meta)
@@ -157,7 +151,7 @@ def compile_rz(m: int, theta: float, model: ExchangeModel, sector: str = SYMMETR
     cancels every z-type background term that anticommutes with them.
     """
     _check_logical(model, m)
-    _require_controllable(model, FREE_EVOLUTION)
+    model.require_controllable(FREE_EVOLUTION)
     coeff = _z_coeff(model, sector, m)
     if abs(coeff) < _ZERO:
         raise DegenerateSpectrumError(
@@ -177,7 +171,7 @@ def compile_rz(m: int, theta: float, model: ExchangeModel, sector: str = SYMMETR
 
     handles = [_x_handle(model, sector, k) for k in spectators]
     for h in handles:
-        _require_controllable(model, h)
+        model.require_controllable(h)
     plus = tuple(PulseStep(h, angle=math.pi / 2) for h in handles)
     minus = tuple(PulseStep(h, angle=-math.pi / 2) for h in handles)
     window = _free_window(model, coeff, theta / 4, target, math.pi)
@@ -255,10 +249,10 @@ def compile_cphase_xxz(
     jz = model.coupling(b, c).jz  # ConnectivityError if uncoupled
     if abs(jz) < _ZERO:
         raise ValidationError(f"pair ({b},{c}) has no zz coupling to recouple")
-    _require_controllable(model, FREE_EVOLUTION)
+    model.require_controllable(FREE_EVOLUTION)
     handles = [_x_handle(model, sector, m), _x_handle(model, sector, m + 1)]
     for h in handles:
-        _require_controllable(model, h)
+        model.require_controllable(h)
 
     meta = {
         "gate": "cphase",
@@ -314,12 +308,12 @@ def compile_cphase_xy(
         raise SectorError("the xy construction drives T generators (symmetric sector)")
     a, b, c = 2 * m - 1, 2 * m, 2 * m + 1
     for (i, j) in ((a, b), (b, c)):
-        _require_controllable(model, j_plus(i, j))
+        model.require_controllable(j_plus(i, j))
     if not model.has_pair(a, c):
         raise ConnectivityError(
             f"xy cphase needs the next-nearest-neighbor pair ({a},{c})"
         )
-    _require_controllable(model, j_plus(a, c))
+    model.require_controllable(j_plus(a, c))
 
     meta = {"gate": "cphase", "m": m, "angle": angle, "sector": sector, "exact": exact}
     if _is_zero_mod(angle, 2 * math.pi) and not exact:
@@ -353,9 +347,9 @@ def compile_heis_zz(m: int, t: float, model: ExchangeModel) -> PulseSchedule:
         raise ControllabilityError("heis_zz requires an isotropic-exchange model")
     a, b, c = 2 * m - 1, 2 * m, 2 * m + 1
     jz = model.coupling(b, c).jz
-    _require_controllable(model, heis(b, c))
-    _require_controllable(model, heis(a, b))
-    _require_controllable(model, FREE_EVOLUTION)
+    model.require_controllable(heis(b, c))
+    model.require_controllable(heis(a, b))
+    model.require_controllable(FREE_EVOLUTION)
     coeff = model.eps_minus(m)
     if abs(coeff) < _ZERO:
         raise DegenerateSpectrumError(
@@ -420,8 +414,9 @@ def compile_circuit(
     for idx, gate in enumerate(gates):
         try:
             compiled.append(compile_gate(gate, model, sector, parallel, exact_cphase))
-        except Exception as exc:
-            raise type(exc)(f"gate {idx} ({gate.kind}): {exc}") from exc
+        except RecouplerError as exc:
+            exc.args = (f"gate {idx} ({gate.kind}): {exc}",)
+            raise
     groups: tuple = ()
     for sched in reversed(compiled):
         groups = groups + sched.groups

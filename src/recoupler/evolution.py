@@ -16,6 +16,7 @@ term, in realistic mode the full background.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -59,6 +60,10 @@ class PulseStep:
                         f"pulse step {self.handle} needs an angle or strength and duration"
                     )
                 object.__setattr__(self, "angle", self.strength * self.duration)
+        for name in ("angle", "duration", "strength"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"step {self.handle}: {name} must be finite, got {value}")
 
     def support(self, n_spins: int) -> frozenset[int]:
         h = self.handle
@@ -123,7 +128,7 @@ def propagator(h: PauliSum | np.ndarray, t: float, n: int | None = None) -> np.n
     evals, evecs = np.linalg.eigh(mat)
     u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
     defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
-    if defect > 1e-10:
+    if not defect <= 1e-10:
         raise ValidationError(f"propagator lost unitarity (defect {defect:.2e})")
     return u
 
@@ -175,8 +180,8 @@ def _group_unitary(
         return propagator(gen, 1.0, n)
 
     # realistic: finite pulse strength, background always on
-    if ratio is None or ratio <= 0:
-        raise ValidationError("realistic mode needs a positive strength ratio")
+    if ratio is None or not 0 < ratio < math.inf:
+        raise ValidationError("realistic mode needs a finite positive strength ratio")
     strength = ratio * model.background_magnitude()
     angles = {abs(s.angle) for s in group if s.angle}
     if not angles:

@@ -10,6 +10,7 @@ for controllable ones (which rest at zero between pulses).
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Mapping
@@ -147,7 +148,6 @@ class ExchangeModel:
     epsilon: tuple[float, ...]
     couplings: Mapping[tuple[int, int], Coupling]
     controllable: frozenset[TermHandle]
-    h0_mode: str = "fixed"  # fixed | global | per_spin
     name: str = ""
 
     def __post_init__(self):
@@ -159,10 +159,12 @@ class ExchangeModel:
             raise ValidationError(
                 f"epsilon has {len(self.epsilon)} entries for {self.n_spins} spins"
             )
-        if self.h0_mode not in ("fixed", "global", "per_spin"):
-            raise ValidationError(f"bad h0_mode {self.h0_mode!r}")
+        if not all(math.isfinite(e) for e in self.epsilon):
+            raise ValidationError(f"epsilon must be finite, got {self.epsilon}")
         for (i, j), c in self.couplings.items():
             _check_pair(self.n_spins, i, j)
+            if not all(math.isfinite(v) for v in (c.jx, c.jy, c.jz)):
+                raise ValidationError(f"pair ({i},{j}): couplings must be finite (got {c})")
             self._check_kind_constraint(i, j, c)
         for h in self.controllable:
             if h.kind in TermHandle.PAIR_KINDS and (h.i, h.j) not in self.couplings:
@@ -200,6 +202,15 @@ class ExchangeModel:
     def is_controllable(self, handle: TermHandle) -> bool:
         return handle in self.controllable
 
+    def require_controllable(self, handle: TermHandle):
+        """ConnectivityError for uncoupled pairs, ControllabilityError for fixed terms."""
+        if handle.kind in TermHandle.PAIR_KINDS and not self.has_pair(handle.i, handle.j):
+            raise ConnectivityError(f"spins ({handle.i},{handle.j}) are not coupled in this model")
+        if not self.is_controllable(handle):
+            raise ControllabilityError(
+                f"handle {handle} is not controllable in model {self.name or self.kind!r}"
+            )
+
     def eps_minus(self, m: int) -> float:
         """eps_m^- = (eps_{2m-1} - eps_{2m}) / 2."""
         return (self.epsilon[2 * m - 2] - self.epsilon[2 * m - 1]) / 2
@@ -210,30 +221,37 @@ class ExchangeModel:
     def background_magnitude(self) -> float:
         """Largest magnitude among fixed energies and always-on couplings."""
         vals = [abs(e) for e in self.epsilon]
-        for (i, j), c in self.couplings.items():
-            if self.is_controllable(heis(i, j)):
-                continue
-            if c.j_plus and not self.is_controllable(j_plus(i, j)):
-                vals.append(abs(c.j_plus))
-            if c.j_minus and not self.is_controllable(j_minus(i, j)):
-                vals.append(abs(c.j_minus))
-            if c.jz and not self.is_controllable(j_z(i, j)):
-                vals.append(abs(c.jz))
+        vals += [abs(coeff) for coeff, _, _, _ in _pair_terms(self, always_on=True)]
         return max(vals) if vals else 1.0
 
 
-def build_exchange(model: ExchangeModel) -> PauliSum:
-    """H_ex = sum_{i<j} J^- R^x + J^+ T^x + J^z ZZ over the model's pairs."""
-    n = model.n_spins
-    total = PauliSum.zero(n)
+def _pair_terms(model: ExchangeModel, always_on: bool):
+    """(coefficient, builder, i, j) for every nonzero J^+ T, J^- R and J^z ZZ term.
+
+    With `always_on`, terms a controllable handle rests at zero are skipped; a
+    controllable heis(i,j) switches the whole pair term off.
+    """
     for (i, j), c in model.couplings.items():
-        if c.j_minus:
-            total = total + c.j_minus * build_R(n, i, j)
-        if c.j_plus:
-            total = total + c.j_plus * build_T(n, i, j)
-        if c.jz:
-            total = total + c.jz * build_zz(n, i, j)
+        if always_on and model.is_controllable(heis(i, j)):
+            continue
+        for coeff, handle, build in (
+            (c.j_plus, j_plus, build_T),
+            (c.j_minus, j_minus, build_R),
+            (c.jz, j_z, build_zz),
+        ):
+            if coeff and not (always_on and model.is_controllable(handle(i, j))):
+                yield coeff, build, i, j
+
+
+def _add_pair_terms(total: PauliSum, model: ExchangeModel, always_on: bool) -> PauliSum:
+    for coeff, build, i, j in _pair_terms(model, always_on):
+        total = total + coeff * build(model.n_spins, i, j)
     return total
+
+
+def build_exchange(model: ExchangeModel) -> PauliSum:
+    """H_ex = sum_{i<j} J^+ T^x + J^- R^x + J^z ZZ over the model's pairs."""
+    return _add_pair_terms(PauliSum.zero(model.n_spins), model, always_on=False)
 
 
 def background_hamiltonian(model: ExchangeModel) -> PauliSum:
@@ -242,18 +260,7 @@ def background_hamiltonian(model: ExchangeModel) -> PauliSum:
     Controllable parameters rest at zero; a controllable heis(i,j) switches the
     whole pair term off.
     """
-    n = model.n_spins
-    total = build_H0(model.epsilon)
-    for (i, j), c in model.couplings.items():
-        if model.is_controllable(heis(i, j)):
-            continue
-        if c.j_plus and not model.is_controllable(j_plus(i, j)):
-            total = total + c.j_plus * build_T(n, i, j)
-        if c.j_minus and not model.is_controllable(j_minus(i, j)):
-            total = total + c.j_minus * build_R(n, i, j)
-        if c.jz and not model.is_controllable(j_z(i, j)):
-            total = total + c.jz * build_zz(n, i, j)
-    return total
+    return _add_pair_terms(build_H0(model.epsilon), model, always_on=True)
 
 
 def toggled_generator(model: ExchangeModel, handle: TermHandle, strength: float = 1.0) -> PauliSum:
@@ -263,13 +270,8 @@ def toggled_generator(model: ExchangeModel, handle: TermHandle, strength: float 
     ControllabilityError for parameters the platform cannot pulse (the
     controllability-registry enforcement point).
     """
+    model.require_controllable(handle)
     n = model.n_spins
-    if handle.kind in TermHandle.PAIR_KINDS and not model.has_pair(handle.i, handle.j):
-        raise ConnectivityError(f"spins ({handle.i},{handle.j}) are not coupled in this model")
-    if not model.is_controllable(handle):
-        raise ControllabilityError(
-            f"handle {handle} is not controllable in model {model.name or model.kind!r}"
-        )
     k = handle.kind
     if k == "j_plus":
         return strength * build_T(n, handle.i, handle.j)
@@ -302,65 +304,64 @@ def _nnn_pairs(n):
     return [(i, i + 2) for i in range(1, n - 1)]
 
 
-def _heisenberg(n, epsilon, j=1.0, h0_mode="fixed", name=""):
+def _heisenberg(n, epsilon, j=1.0, name=""):
     v = j / 2  # per-axis couplings; the pair term is then j * (T + ZZ/2)
     pairs = {(i, k): Coupling(v, v, v) for i, k in _chain_pairs(n)}
     ctrl = {heis(i, k) for i, k in pairs} | {FREE_EVOLUTION}
-    return ExchangeModel("heisenberg", n, epsilon, pairs, frozenset(ctrl), h0_mode, name)
+    return ExchangeModel("heisenberg", n, epsilon, pairs, frozenset(ctrl), name)
 
 
-def _xy(n, epsilon, j=0.5, h0_mode="fixed", name=""):
+def _xy(n, epsilon, j=0.5, name=""):
     pairs = {(i, k): Coupling(j, j, 0.0) for i, k in _chain_pairs(n) + _nnn_pairs(n)}
     ctrl = {j_plus(i, k) for i, k in pairs} | {FREE_EVOLUTION}
-    return ExchangeModel("xy", n, epsilon, pairs, frozenset(ctrl), h0_mode, name)
+    return ExchangeModel("xy", n, epsilon, pairs, frozenset(ctrl), name)
 
 
-def _xxz_sym(n, epsilon, j=0.5, jz=0.35, h0_mode="fixed", name=""):
+def _xxz_sym(n, epsilon, j=0.5, jz=0.35, name=""):
     pairs = {(i, k): Coupling(j, j, jz) for i, k in _chain_pairs(n)}
     ctrl = {j_plus(i, k) for i, k in pairs} | {FREE_EVOLUTION}
-    return ExchangeModel("xxz_symmetric", n, epsilon, pairs, frozenset(ctrl), h0_mode, name)
+    return ExchangeModel("xxz_symmetric", n, epsilon, pairs, frozenset(ctrl), name)
 
 
-def _xxz_anti(n, epsilon, j=0.5, jz=0.35, h0_mode="fixed", name=""):
+def _xxz_anti(n, epsilon, j=0.5, jz=0.35, name=""):
     pairs = {(i, k): Coupling(j, -j, jz) for i, k in _chain_pairs(n)}
     ctrl = {j_minus(i, k) for i, k in pairs} | {FREE_EVOLUTION}
-    return ExchangeModel("xxz_antisymmetric", n, epsilon, pairs, frozenset(ctrl), h0_mode, name)
+    return ExchangeModel("xxz_antisymmetric", n, epsilon, pairs, frozenset(ctrl), name)
 
 
 def _nmr(n, epsilon, jz=0.25, name=""):
     pairs = {(i, k): Coupling(0.0, 0.0, jz) for i, k in _chain_pairs(n)}
     ctrl = {sigma_x(i) for i in range(1, n + 1)} | {FREE_EVOLUTION}
-    return ExchangeModel("nmr_ising", n, epsilon, pairs, frozenset(ctrl), "fixed", name)
+    return ExchangeModel("nmr_ising", n, epsilon, pairs, frozenset(ctrl), name)
 
 
 _PRESET_BUILDERS = {
-    # physical platforms: (builder, h0_mode)
-    "spin_dots": (_heisenberg, "fixed"),
-    "donor_atoms": (_heisenberg, "fixed"),
-    "quantum_hall": (_xy, "fixed"),
-    "cavity": (_xy, "global"),
-    "exciton_dots": (_xy, "fixed"),
-    "electrons_on_helium": (_xxz_sym, "global"),
+    # physical platforms
+    "spin_dots": _heisenberg,
+    "donor_atoms": _heisenberg,
+    "quantum_hall": _xy,
+    "cavity": _xy,
+    "exciton_dots": _xy,
+    "electrons_on_helium": _xxz_sym,
     # generic families
-    "heisenberg": (_heisenberg, "fixed"),
-    "xy": (_xy, "fixed"),
-    "xxz_symmetric": (_xxz_sym, "fixed"),
-    "xxz_antisymmetric": (_xxz_anti, "fixed"),
+    "heisenberg": _heisenberg,
+    "xy": _xy,
+    "xxz_symmetric": _xxz_sym,
+    "xxz_antisymmetric": _xxz_anti,
+    "nmr": _nmr,
 }
 
-PRESET_NAMES = tuple(_PRESET_BUILDERS) + ("nmr",)
+PRESET_NAMES = tuple(_PRESET_BUILDERS)
 
 
 def preset_model(name: str, n_spins: int = 4, epsilon=None) -> ExchangeModel:
     """Named built-in model with the platform's controllability column."""
     eps = tuple(epsilon) if epsilon is not None else default_epsilon(n_spins)
-    if name == "nmr":
-        return _nmr(n_spins, eps, name=name)
     try:
-        builder, h0_mode = _PRESET_BUILDERS[name]
+        builder = _PRESET_BUILDERS[name]
     except KeyError:
         raise ValidationError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    return builder(n_spins, eps, h0_mode=h0_mode, name=name)
+    return builder(n_spins, eps, name=name)
 
 
 # -- JSON --------------------------------------------------------------------
@@ -376,7 +377,6 @@ def model_to_dict(model: ExchangeModel) -> dict:
             for (i, j), c in sorted(model.couplings.items())
         ],
         "controllable": sorted(str(h) for h in model.controllable),
-        "h0_mode": model.h0_mode,
         "name": model.name,
     }
 
@@ -397,7 +397,6 @@ def model_from_dict(data: dict) -> ExchangeModel:
             epsilon=tuple(float(e) for e in data["epsilon"]),
             couplings=couplings,
             controllable=frozenset(TermHandle.parse(h) for h in data.get("controllable", [])),
-            h0_mode=data.get("h0_mode", "fixed"),
             name=data.get("name", ""),
         )
     except (KeyError, TypeError) as exc:

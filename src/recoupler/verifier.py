@@ -44,13 +44,16 @@ _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def fidelity(u_realized: np.ndarray, u_target: np.ndarray, spec: CodeSpec) -> float:
-    """|Tr(target^dag . restrict(u))| / 2^{n_logical}."""
-    block, _ = restrict(u_realized, spec)
+def _overlap(block: np.ndarray, u_target: np.ndarray, spec: CodeSpec) -> float:
     dim = 2**spec.n_logical
     if u_target.shape != (dim, dim):
         raise ValidationError(f"target shape {u_target.shape}, expected ({dim},{dim})")
     return float(abs(np.trace(u_target.conj().T @ block)) / dim)
+
+
+def fidelity(u_realized: np.ndarray, u_target: np.ndarray, spec: CodeSpec) -> float:
+    """|Tr(target^dag . restrict(u))| / 2^{n_logical}."""
+    return _overlap(restrict(u_realized, spec)[0], u_target, spec)
 
 
 def _embed_1q(op: np.ndarray, m: int, n_logical: int) -> np.ndarray:
@@ -148,6 +151,31 @@ class VerificationReport:
         }
 
 
+def _verdict(
+    label, subject, compile_fn, target_fn, model, sector, mode, ratio, parallel,
+    tol_fidelity, tol_leakage, exact_cphase,
+) -> VerificationReport:
+    """Compile, simulate, restrict and compare; any RecouplerError fails the verdict."""
+    mode_label = mode if mode == "ideal" else f"realistic(r={ratio:g})"
+    try:
+        schedule = compile_fn(subject, model, sector, parallel, exact_cphase)
+        u = apply_schedule(schedule, model, mode=mode, ratio=ratio)
+        spec = CodeSpec(sector, model.n_spins)
+        target = target_fn(subject, model, sector, exact_cphase)
+        block, leak = restrict(u, spec)
+        fid = _overlap(block, target, spec)
+    except RecouplerError as exc:
+        reason = f"{type(exc).__name__}: {exc}"
+        return VerificationReport(
+            label, 0.0, 1.0, 0, 0, mode_label, tol_fidelity, tol_leakage, False, reason
+        )
+    passed = fid >= 1 - tol_fidelity and leak <= tol_leakage
+    return VerificationReport(
+        label, fid, leak, schedule.step_count_serial, schedule.step_count_parallel,
+        mode_label, tol_fidelity, tol_leakage, passed,
+    )
+
+
 def verify_gate(
     gate: LogicalGate,
     model: ExchangeModel,
@@ -160,37 +188,9 @@ def verify_gate(
     exact_cphase: bool = False,
 ) -> VerificationReport:
     """Compile, simulate, restrict, and compare one gate against its target."""
-    mode_label = mode if mode == "ideal" else f"realistic(r={ratio:g})"
-    try:
-        schedule = compile_gate(gate, model, sector, parallel, exact_cphase)
-        u = apply_schedule(schedule, model, mode=mode, ratio=ratio)
-        spec = CodeSpec(sector, model.n_spins)
-        target = target_logical(gate, model, sector, exact_cphase)
-        _, leak = restrict(u, spec)
-        fid = fidelity(u, target, spec)
-    except RecouplerError as exc:
-        return VerificationReport(
-            gate=gate.describe(),
-            fidelity=0.0,
-            leakage=1.0,
-            step_count_serial=0,
-            step_count_parallel=0,
-            mode=mode_label,
-            tol_fidelity=tol_fidelity,
-            tol_leakage=tol_leakage,
-            passed=False,
-            reason=f"{type(exc).__name__}: {exc}",
-        )
-    return VerificationReport(
-        gate=gate.describe(),
-        fidelity=fid,
-        leakage=leak,
-        step_count_serial=schedule.step_count_serial,
-        step_count_parallel=schedule.step_count_parallel,
-        mode=mode_label,
-        tol_fidelity=tol_fidelity,
-        tol_leakage=tol_leakage,
-        passed=fid >= 1 - tol_fidelity and leak <= tol_leakage,
+    return _verdict(
+        gate.describe(), gate, compile_gate, target_logical, model, sector, mode, ratio,
+        parallel, tol_fidelity, tol_leakage, exact_cphase,
     )
 
 
@@ -205,38 +205,11 @@ def verify_circuit(
     tol_leakage: float = 1e-8,
     exact_cphase: bool = False,
 ) -> VerificationReport:
-    mode_label = mode if mode == "ideal" else f"realistic(r={ratio:g})"
+    """The same verdict for a gate list in time order, against the product target."""
     names = ", ".join(g.describe() for g in gates) or "<empty>"
-    try:
-        schedule = compile_circuit(gates, model, sector, parallel, exact_cphase)
-        u = apply_schedule(schedule, model, mode=mode, ratio=ratio)
-        spec = CodeSpec(sector, model.n_spins)
-        target = target_circuit(gates, model, sector, exact_cphase)
-        _, leak = restrict(u, spec)
-        fid = fidelity(u, target, spec)
-    except RecouplerError as exc:
-        return VerificationReport(
-            gate=f"circuit[{names}]",
-            fidelity=0.0,
-            leakage=1.0,
-            step_count_serial=0,
-            step_count_parallel=0,
-            mode=mode_label,
-            tol_fidelity=tol_fidelity,
-            tol_leakage=tol_leakage,
-            passed=False,
-            reason=f"{type(exc).__name__}: {exc}",
-        )
-    return VerificationReport(
-        gate=f"circuit[{names}]",
-        fidelity=fid,
-        leakage=leak,
-        step_count_serial=schedule.step_count_serial,
-        step_count_parallel=schedule.step_count_parallel,
-        mode=mode_label,
-        tol_fidelity=tol_fidelity,
-        tol_leakage=tol_leakage,
-        passed=fid >= 1 - tol_fidelity and leak <= tol_leakage,
+    return _verdict(
+        f"circuit[{names}]", gates, compile_circuit, target_circuit, model, sector, mode,
+        ratio, parallel, tol_fidelity, tol_leakage, exact_cphase,
     )
 
 

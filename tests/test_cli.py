@@ -129,6 +129,14 @@ class TestVerify:
         ])
         assert rc == 2
 
+    def test_nan_tolerance_exit_2(self, model_file, circuit_file, capsys):
+        rc = main([
+            "verify", "--model", model_file, "--circuit", circuit_file,
+            "--tol-leakage", "nan",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: tolerances must be non-negative\n"
+
     def test_realistic_without_ratio_exit_2(self, model_file, circuit_file):
         rc = main([
             "verify", "--model", model_file, "--circuit", circuit_file, "--mode", "realistic",
@@ -200,6 +208,20 @@ class TestSweep:
     def test_bad_ratio_exit_2(self, model_file):
         assert main(["sweep", "--model", model_file, "--ratios", "-3"]) == 2
 
+    def test_unparsable_ratio_exit_2(self, model_file, capsys):
+        assert main(["sweep", "--model", model_file, "--ratios", "10,abc"]) == 2
+        assert capsys.readouterr().err == "error: bad ratio 'abc'\n"
+
+    def test_nan_ratio_exit_2(self, model_file, capsys):
+        assert main(["sweep", "--model", model_file, "--ratios", "nan"]) == 2
+        assert capsys.readouterr().err == "error: ratio must be positive, got nan\n"
+
+    def test_infinity_spelling_is_ideal(self, model_file, capsys):
+        rc = main(["sweep", "--model", model_file, "--ratios", "10,INF,Infinity", "--gates", "rz"])
+        assert rc == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [r["ratio"] for r in rows] == ["10", "inf", "inf"]
+
     def test_unknown_gate_exit_2(self, model_file):
         assert main(["sweep", "--model", model_file, "--ratios", "10", "--gates", "bogus"]) == 2
 
@@ -210,3 +232,33 @@ class TestUsage:
 
     def test_verify_without_circuit_or_suite_exit_2(self, model_file):
         assert main(["verify", "--model", model_file]) == 2
+
+    def test_unparsable_spin_count_exit_2(self, capsys):
+        assert main(["cost", "--model", "preset:spin_dots:abc"]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad spin count 'abc' in 'preset:spin_dots:abc'\n"
+        )
+
+
+class TestNonFiniteInput:
+    def test_infinite_gate_angle_exit_2(self, model_file, tmp_path, capsys):
+        circ = tmp_path / "inf.json"
+        circ.write_text('[{"gate": "rz", "target": 0, "angle": Infinity}]')
+        assert main(["verify", "--model", model_file, "--circuit", str(circ)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rz parameters must be finite, got (inf,)\n"
+
+    def test_infinite_duration_exit_2(self, model_file, tmp_path, capsys):
+        sched = tmp_path / "inf.json"
+        sched.write_text('{"groups": [[{"handle": "free_evolution", "duration": Infinity}]]}')
+        assert main(["simulate", "--model", model_file, "--schedule", str(sched)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: step free_evolution: duration must be finite, got inf\n"
+
+    @pytest.mark.parametrize("ratio", ["nan", "inf"])
+    def test_non_finite_realistic_ratio_exit_2(self, model_file, circuit_file, capsys, ratio):
+        argv = ["verify", "--model", model_file, "--circuit", circuit_file]
+        assert main(argv + ["--mode", "realistic", "--ratio", ratio]) == 2
+        assert capsys.readouterr().err.startswith("error: realistic mode needs --ratio")

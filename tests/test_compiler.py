@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import recoupler.compiler
 from recoupler import (
     ANTISYMMETRIC,
     SYMMETRIC,
@@ -11,6 +12,7 @@ from recoupler import (
     DegenerateSpectrumError,
     ExchangeModel,
     LogicalGate,
+    RecouplerError,
     SectorError,
     ValidationError,
     apply_schedule,
@@ -389,3 +391,39 @@ class TestSectorIndependence:
         v_sym, v_anti = code_isometry(SPEC_SYM), code_isometry(SPEC_ANTI)
         cross = v_anti.conj().T @ u @ v_sym
         assert np.linalg.norm(cross) < 1e-12
+
+
+class _TwoArgError(RecouplerError):
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+class TestCompileCircuitErrors:
+    def test_prefix_keeps_type_and_instance(self, monkeypatch):
+        raised = _TwoArgError("boom", "pair (1,2)")
+
+        def fail(*args, **kwargs):
+            raise raised
+
+        monkeypatch.setattr(recoupler.compiler, "compile_gate", fail)
+        with pytest.raises(_TwoArgError) as exc:
+            compile_circuit([LogicalGate("rx", (1,), (0.3,))], XXZ)
+        assert exc.value is raised
+        assert str(exc.value) == "gate 0 (rx): boom at pair (1,2)"
+
+    def test_prefix_names_failing_gate(self):
+        gates = [LogicalGate("rx", (1,), (0.3,)), LogicalGate("rx", (1,), (0.3,))]
+        with pytest.raises(ControllabilityError) as exc:
+            compile_circuit(gates, XY, sector=ANTISYMMETRIC)
+        assert str(exc.value) == (
+            "gate 0 (rx): handle j_minus(1,2) is not controllable in model 'quantum_hall'"
+        )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_gate_params_rejected(self, bad):
+        with pytest.raises(ValidationError, match="parameters must be finite"):
+            LogicalGate("rz", (1,), (bad,))
+        with pytest.raises(ValidationError, match="parameters must be finite"):
+            LogicalGate("euler", (1,), (0.1, bad, 0.2))
+        with pytest.raises(ValidationError, match="parameters must be finite"):
+            circuit_from_list([{"gate": "heis_zz", "targets": [0, 1], "time": bad}])

@@ -57,6 +57,11 @@ class TestPropagator:
         with pytest.raises(ValidationError):
             propagator(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
+    def test_nan_defect_rejected(self):
+        # a NaN coefficient makes the whole propagator NaN; the unitarity guard must see it
+        with pytest.raises(ValidationError, match="lost unitarity"):
+            propagator(PauliSum(1, {"Z": float("nan")}), 1.0, 1)
+
     def test_matches_scaling_and_squaring(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
@@ -150,6 +155,13 @@ class TestApplySchedule:
         with pytest.raises(ValidationError):
             apply_schedule(sched, m, mode="realistic")
 
+    @pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan"), float("inf")])
+    def test_realistic_rejects_bad_ratio(self, ratio):
+        m = preset_model("electrons_on_helium", 4)
+        sched = PulseSchedule(((PulseStep(j_plus(1, 2), angle=0.3),),), {})
+        with pytest.raises(ValidationError, match="finite positive strength ratio"):
+            apply_schedule(sched, m, mode="realistic", ratio=ratio)
+
     def test_realistic_converges_to_ideal(self):
         m = preset_model("electrons_on_helium", 4)
         sched = PulseSchedule(((PulseStep(j_plus(1, 2), angle=0.3),),), {})
@@ -219,6 +231,25 @@ class TestScheduleJson:
             PulseStep(FREE_EVOLUTION, duration=-1.0)
         with pytest.raises(ValidationError):
             PulseStep(FREE_EVOLUTION, duration=1.0, target="bogus(1)")
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"angle": float("nan")},
+            {"angle": float("inf")},
+            {"strength": float("inf"), "duration": 1.0},
+            {"strength": 2.0, "duration": float("nan")},
+            {"strength": 1e200, "duration": 1e200},  # finite factors, infinite angle
+        ],
+    )
+    def test_non_finite_pulse_rejected(self, kwargs):
+        with pytest.raises(ValidationError, match="must be finite"):
+            PulseStep(j_plus(1, 2), **kwargs)
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_free_window_rejected(self, duration):
+        with pytest.raises(ValidationError, match="duration must be finite"):
+            schedule_from_dict({"groups": [[{"handle": "free_evolution", "duration": duration}]]})
 
     def test_strength_times_duration_equals_angle(self):
         m = preset_model("quantum_hall", 4)

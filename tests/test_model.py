@@ -141,6 +141,29 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ExchangeModel("xy", 2, (1,), {}, frozenset())
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_epsilon_rejected(self, bad):
+        with pytest.raises(ValidationError, match="epsilon must be finite"):
+            ExchangeModel("xy", 2, (1.0, bad), {}, frozenset())
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_coupling_rejected(self, bad):
+        # NaN would otherwise fail the kind constraint with a misleading message
+        with pytest.raises(ValidationError, match="couplings must be finite"):
+            ExchangeModel("heisenberg", 2, (1, 1), {(1, 2): Coupling(bad, bad, bad)}, frozenset())
+
+    def test_require_controllable_messages(self):
+        m = preset_model("electrons_on_helium", 4)
+        with pytest.raises(ConnectivityError) as exc:
+            m.require_controllable(j_plus(1, 3))
+        assert str(exc.value) == "spins (1,3) are not coupled in this model"
+        with pytest.raises(ControllabilityError) as exc:
+            m.require_controllable(j_minus(1, 2))
+        assert str(exc.value) == (
+            "handle j_minus(1,2) is not controllable in model 'electrons_on_helium'"
+        )
+        m.require_controllable(j_plus(1, 2))
+
     def test_controllable_must_reference_pairs(self):
         with pytest.raises(ValidationError):
             ExchangeModel(
@@ -327,6 +350,11 @@ class TestJson:
         m = preset_model("electrons_on_helium", 4)
         m2 = model_from_dict(json.loads(json.dumps(model_to_dict(m))))
         assert m2 == m
+
+    def test_legacy_h0_mode_key_is_ignored(self):
+        data = model_to_dict(preset_model("cavity", 4))
+        assert "h0_mode" not in data
+        assert model_from_dict({**data, "h0_mode": "global"}) == model_from_dict(data)
 
     def test_preset_shortcut(self):
         m = model_from_dict({"preset": "quantum_hall", "n_spins": 6})

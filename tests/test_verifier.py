@@ -177,3 +177,88 @@ class TestMonotoneConvergence:
         for lo, hi in zip(fids, fids[1:]):
             assert hi >= lo - 1e-6
         assert fids[-1] >= 1 - 1e-4
+
+
+CONTRACT_MODELS = [
+    ("xxz_symmetric", SYMMETRIC),
+    ("xy", SYMMETRIC),
+    ("xy", ANTISYMMETRIC),  # j_minus is not controllable: every gate fails
+    ("heisenberg", SYMMETRIC),
+]
+CONTRACT_GATES = [
+    LogicalGate("rx", (1,), (0.7,)),
+    LogicalGate("rz", (2,), (1.3,)),
+    LogicalGate("euler", (1,), (0.5, 1.2, -0.8)),
+    LogicalGate("cphase", (1, 2)),
+]
+CONTRACT_MODES = [("ideal", None), ("realistic", 100.0)]
+
+
+class TestVerdictContract:
+    """A one-gate circuit and the gate itself get the same verdict, label aside."""
+
+    @pytest.mark.parametrize("mode,ratio", CONTRACT_MODES, ids=["ideal", "realistic"])
+    @pytest.mark.parametrize("gate", CONTRACT_GATES, ids=lambda g: g.kind)
+    @pytest.mark.parametrize("preset,sector", CONTRACT_MODELS, ids=lambda v: str(v))
+    def test_one_gate_circuit_matches_gate(self, preset, sector, gate, mode, ratio):
+        model = preset_model(preset, 4)
+        kwargs = dict(sector=sector, mode=mode, ratio=ratio)
+        g = verify_gate(gate, model, **kwargs)
+        c = verify_circuit([gate], model, **kwargs)
+        assert g.gate == gate.describe()
+        assert c.gate == f"circuit[{gate.describe()}]"
+        assert c.mode == g.mode == ("ideal" if ratio is None else "realistic(r=100)")
+        assert (c.fidelity, c.leakage, c.passed) == (g.fidelity, g.leakage, g.passed)
+        assert (c.step_count_serial, c.step_count_parallel) == (
+            g.step_count_serial,
+            g.step_count_parallel,
+        )
+        if g.reason:
+            name, msg = g.reason.split(": ", 1)
+            assert not msg.startswith("gate ")
+            assert c.reason == f"{name}: gate 0 ({gate.kind}): {msg}"
+            assert (g.fidelity, g.leakage, g.step_count_serial, g.step_count_parallel) == (
+                0.0, 1.0, 0, 0,
+            )
+        else:
+            assert c.reason == ""
+            assert g.step_count_serial > 0
+
+    def test_labels(self):
+        assert verify_gate(CONTRACT_GATES[0], XXZ).gate == "rx(0.7)@(1,)"
+        rep = verify_circuit(CONTRACT_GATES[:2], XXZ)
+        assert rep.gate == "circuit[rx(0.7)@(1,), rz(1.3)@(2,)]"
+
+    def test_uncontrollable_rx_reason(self):
+        rep = verify_gate(CONTRACT_GATES[0], preset_model("xy", 4), sector=ANTISYMMETRIC)
+        assert rep.reason == "ControllabilityError: handle j_minus(1,2) is not controllable in model 'xy'"
+
+    @pytest.mark.parametrize("mode,ratio", CONTRACT_MODES, ids=["ideal", "realistic"])
+    def test_empty_circuit(self, mode, ratio):
+        rep = verify_circuit([], XXZ, mode=mode, ratio=ratio)
+        assert rep.gate == "circuit[<empty>]"
+        assert rep.passed and rep.reason == ""
+        assert (rep.step_count_serial, rep.step_count_parallel) == (0, 0)
+
+    def test_circuit_reason_names_the_failing_gate(self):
+        m = preset_model("electrons_on_helium", 4, epsilon=(1.0, 1.0, 1.5, 1.0))
+        gates = [LogicalGate("rx", (1,), (0.7,)), LogicalGate("rz", (1,), (0.7,))]
+        rep = verify_circuit(gates, m)
+        assert rep.reason.startswith("DegenerateSpectrumError: gate 1 (rz): logical qubit 1:")
+        assert (rep.step_count_serial, rep.step_count_parallel) == (0, 0)
+
+    def test_one_restrict_per_verdict(self, monkeypatch):
+        import recoupler.verifier as verifier
+
+        calls = []
+        original = verifier.restrict
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verifier, "restrict", counted)
+        verify_gate(CONTRACT_GATES[1], XXZ)
+        assert len(calls) == 1
+        verify_circuit(CONTRACT_GATES, XXZ, mode="realistic", ratio=100.0)
+        assert len(calls) == 2
