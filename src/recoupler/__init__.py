@@ -48,6 +48,7 @@ from .errors import (
 from .evolution import (
     PulseSchedule,
     PulseStep,
+    WindowTarget,
     apply_schedule,
     load_schedule,
     propagator,

@@ -28,7 +28,7 @@ from .evolution import (
     save_schedule,
     schedule_to_dict,
 )
-from .model import ExchangeModel, load_model, preset_model
+from .model import ExchangeModel, load_model, preset_model, read_json
 from .verifier import cost_report, identity_suite, verify_circuit, verify_gate
 
 _SECTORS = {"symmetric": SYMMETRIC, "antisymmetric": ANTISYMMETRIC}
@@ -50,12 +50,7 @@ def _load_model_arg(value: str) -> ExchangeModel:
 def _load_circuit(path: str) -> list[LogicalGate]:
     if not os.path.exists(path):
         raise ValidationError(f"circuit file not found: {path}")
-    with open(path) as f:
-        try:
-            records = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})")
-    return circuit_from_list(records)
+    return circuit_from_list(read_json(path))
 
 
 def _write_text(path: str | None, text: str):
@@ -242,12 +237,7 @@ def cmd_sweep(args) -> int:
             rows.append(
                 {"gate": name, "ratio": label, "fidelity": rep.fidelity, "leakage": rep.leakage}
             )
-    buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=["gate", "ratio", "fidelity", "leakage"])
-    w.writeheader()
-    for row in rows:
-        w.writerow(row)
-    _write_text(args.out, buf.getvalue())
+    _write_text(args.out, _format_rows(rows, "csv", ["gate", "ratio", "fidelity", "leakage"]))
     return 0
 
 
@@ -318,10 +308,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except RecouplerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (RecouplerError, OSError) as exc:  # OSError: writing --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

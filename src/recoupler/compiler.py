@@ -38,9 +38,10 @@ from .errors import (
     SectorError,
     ValidationError,
 )
-from .evolution import PulseSchedule, PulseStep
+from .evolution import PulseSchedule, PulseStep, WindowTarget
 from .model import (
     FREE_EVOLUTION,
+    MALFORMED_JSON,
     ExchangeModel,
     TermHandle,
     heis,
@@ -113,7 +114,7 @@ def _is_zero_mod(value: float, period: float) -> bool:
     return min(r, period - r) < _ZERO
 
 
-def _free_window(model, coeff, angle, target, period) -> PulseStep:
+def _free_window(target: WindowTarget, coeff: float, angle: float, period: float) -> PulseStep:
     """Free-evolution window of non-negative duration accumulating `angle`.
 
     `period` is the angle periodicity the surrounding construction tolerates
@@ -135,12 +136,8 @@ def compile_rx(m: int, theta: float, model: ExchangeModel, sector: str = SYMMETR
     return PulseSchedule(((PulseStep(handle, angle=theta / 2),),), meta)
 
 
-def _z_coeff(model: ExchangeModel, sector: str, m: int) -> float:
-    return model.eps_minus(m) if sector == SYMMETRIC else model.eps_plus(m)
-
-
-def _z_target(sector: str, m: int) -> str:
-    return f"t_z({m})" if sector == SYMMETRIC else f"r_z({m})"
+def _z_target(sector: str, m: int) -> WindowTarget:
+    return WindowTarget("t_z" if sector == SYMMETRIC else "r_z", m)
 
 
 def compile_rz(m: int, theta: float, model: ExchangeModel, sector: str = SYMMETRIC) -> PulseSchedule:
@@ -152,7 +149,8 @@ def compile_rz(m: int, theta: float, model: ExchangeModel, sector: str = SYMMETR
     """
     _check_logical(model, m)
     model.require_controllable(FREE_EVOLUTION)
-    coeff = _z_coeff(model, sector, m)
+    target = _z_target(sector, m)
+    coeff = target.coefficient(model)
     if abs(coeff) < _ZERO:
         raise DegenerateSpectrumError(
             f"logical qubit {m}: zero z splitting (eps_m "
@@ -161,12 +159,11 @@ def compile_rz(m: int, theta: float, model: ExchangeModel, sector: str = SYMMETR
     meta = {"gate": "rz", "m": m, "theta": theta, "sector": sector}
     if _is_zero_mod(theta, 4 * math.pi):
         return PulseSchedule((), meta)
-    target = _z_target(sector, m)
 
     spectators = [k for k in range(1, model.n_spins // 2 + 1) if k != m]
     if not spectators:
         # nothing to refocus on a single-logical-qubit register
-        window = _free_window(model, coeff, theta / 2, target, 2 * math.pi)
+        window = _free_window(target, coeff, theta / 2, 2 * math.pi)
         return PulseSchedule(((window,),), meta)
 
     handles = [_x_handle(model, sector, k) for k in spectators]
@@ -174,7 +171,7 @@ def compile_rz(m: int, theta: float, model: ExchangeModel, sector: str = SYMMETR
         model.require_controllable(h)
     plus = tuple(PulseStep(h, angle=math.pi / 2) for h in handles)
     minus = tuple(PulseStep(h, angle=-math.pi / 2) for h in handles)
-    window = _free_window(model, coeff, theta / 4, target, math.pi)
+    window = _free_window(target, coeff, theta / 4, math.pi)
     return PulseSchedule(((window,), plus, (window,), minus), meta)
 
 
@@ -246,7 +243,8 @@ def compile_cphase_xxz(
             "xy models have no sigma_z sigma_z coupling; use the xy cphase construction"
         )
     b, c = 2 * m, 2 * m + 1
-    jz = model.coupling(b, c).jz  # ConnectivityError if uncoupled
+    target = WindowTarget("zz", b, c)
+    jz = target.coefficient(model)  # ConnectivityError if uncoupled
     if abs(jz) < _ZERO:
         raise ValidationError(f"pair ({b},{c}) has no zz coupling to recouple")
     model.require_controllable(FREE_EVOLUTION)
@@ -265,7 +263,7 @@ def compile_cphase_xxz(
     if _is_zero_mod(angle, 2 * math.pi) and not exact:
         return PulseSchedule((), meta)
 
-    window = _free_window(model, jz, angle / 2, f"zz({b},{c})", math.pi)
+    window = _free_window(target, jz, angle / 2, math.pi)
     plus = tuple(PulseStep(h, angle=math.pi / 2) for h in handles)
     minus = tuple(PulseStep(h, angle=-math.pi / 2) for h in handles)
     if parallel:
@@ -350,7 +348,8 @@ def compile_heis_zz(m: int, t: float, model: ExchangeModel) -> PulseSchedule:
     model.require_controllable(heis(b, c))
     model.require_controllable(heis(a, b))
     model.require_controllable(FREE_EVOLUTION)
-    coeff = model.eps_minus(m)
+    target = _z_target(SYMMETRIC, m)
+    coeff = target.coefficient(model)
     if abs(coeff) < _ZERO:
         raise DegenerateSpectrumError(
             f"logical qubit {m}: zero z splitting; the recoupling windows are unreachable"
@@ -359,7 +358,7 @@ def compile_heis_zz(m: int, t: float, model: ExchangeModel) -> PulseSchedule:
     if abs(t) < _ZERO:
         return PulseSchedule((), meta)
     half = PulseStep(heis(b, c), angle=jz * t)
-    window = _free_window(model, coeff, math.pi, _z_target(SYMMETRIC, m), 2 * math.pi)
+    window = _free_window(target, coeff, math.pi, 2 * math.pi)
     groups = (
         (half,),
         (window,),
@@ -475,7 +474,7 @@ def gate_from_dict(data: dict) -> LogicalGate:
         if kind in ("cphase", "heis_zz") and len(targets) == 1:
             targets = (targets[0], targets[0] + 1)
         return LogicalGate(kind, targets, params)
-    except (KeyError, TypeError) as exc:
+    except MALFORMED_JSON as exc:
         raise ValidationError(f"malformed gate record {data!r}: {exc}")
 
 

@@ -25,42 +25,78 @@ import numpy as np
 from .encoding import CodeSpec, code_isometry, r_z, t_z
 from .errors import ControllabilityError, ValidationError
 from .model import (
+    MALFORMED_JSON,
     ExchangeModel,
     TermHandle,
     background_hamiltonian,
     build_zz,
+    read_json,
     toggled_generator,
 )
-from .pauli import PauliSum, max_spins, to_matrix
+from .pauli import PauliSum, to_matrix
 
 _TARGET_RE = re.compile(r"^(t_z|r_z)\((\d+)\)$|^zz\((\d+),(\d+)\)$")
 
 
 @dataclass(frozen=True)
+class WindowTarget:
+    """The one term an ideal free window keeps: t_z(m), r_z(m) or zz(i,j)."""
+
+    kind: str  # t_z | r_z (logical qubit i) | zz (spin pair i, j)
+    i: int
+    j: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("t_z", "r_z", "zz") or (self.kind == "zz") != (self.j is not None):
+            raise ValidationError(f"bad free-evolution target {self.kind}({self.i},{self.j})")
+
+    def __str__(self):
+        return f"zz({self.i},{self.j})" if self.kind == "zz" else f"{self.kind}({self.i})"
+
+    @classmethod
+    def parse(cls, text) -> "WindowTarget":
+        m = isinstance(text, str) and _TARGET_RE.match(text)
+        if not m:
+            raise ValidationError(f"bad free-evolution target {text!r}")
+        if m.group(1):
+            return cls(m.group(1), int(m.group(2)))
+        return cls("zz", int(m.group(3)), int(m.group(4)))
+
+    def coefficient(self, model: ExchangeModel) -> float:
+        """The model coefficient of the kept term: eps_m^-, eps_m^+ or J^z_ij."""
+        if self.kind == "zz":
+            return model.coupling(self.i, self.j).jz
+        if not 1 <= self.i <= model.n_spins // 2:
+            raise ValidationError(f"target {str(self)!r} outside the logical register")
+        return model.eps_minus(self.i) if self.kind == "t_z" else model.eps_plus(self.i)
+
+    def term(self, model: ExchangeModel) -> PauliSum:
+        """The kept term with its model coefficient."""
+        n, coeff = model.n_spins, self.coefficient(model)
+        if self.kind == "zz":
+            return coeff * build_zz(n, self.i, self.j)
+        return coeff * (t_z if self.kind == "t_z" else r_z)(n, self.i)
+
+
+@dataclass(frozen=True)
 class PulseStep:
     handle: TermHandle
-    angle: float | None = None  # pulses: strength x duration
+    angle: float | None = None  # pulses: rotation angle of the unit-strength generator
     duration: float | None = None  # free evolution windows
-    strength: float | None = None  # optional alternative to angle for pulses
-    target: str | None = None  # free window's targeted term, e.g. "t_z(1)"
+    target: WindowTarget | None = None  # free window's kept term in ideal mode
     mode: str = "ideal"
 
     def __post_init__(self):
         if self.mode not in ("ideal", "realistic"):
             raise ValidationError(f"bad mode {self.mode!r}")
+        if self.target is not None and not isinstance(self.target, WindowTarget):
+            raise ValidationError(f"step target must be a WindowTarget, got {self.target!r}")
         if self.handle.kind == "free_evolution":
             if self.duration is None or self.duration < 0:
                 raise ValidationError("free evolution needs duration >= 0")
-            if self.target is not None and not _TARGET_RE.match(self.target):
-                raise ValidationError(f"bad free-evolution target {self.target!r}")
-        else:
-            if self.angle is None:
-                if self.strength is None or self.duration is None:
-                    raise ValidationError(
-                        f"pulse step {self.handle} needs an angle or strength and duration"
-                    )
-                object.__setattr__(self, "angle", self.strength * self.duration)
-        for name in ("angle", "duration", "strength"):
+        elif self.angle is None:
+            raise ValidationError(f"pulse step {self.handle} needs an angle")
+        for name in ("angle", "duration"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValidationError(f"step {self.handle}: {name} must be finite, got {value}")
@@ -111,40 +147,18 @@ class PulseSchedule:
         return PulseSchedule(self.groups + other.groups, meta)
 
 
-def propagator(h: PauliSum | np.ndarray, t: float, n: int | None = None) -> np.ndarray:
-    """exp(-i h t) via Hermitian eigendecomposition; exact for the given matrix."""
-    if isinstance(h, PauliSum):
-        if not h.is_hermitian(1e-10):
-            raise ValidationError("propagator requires a Hermitian generator")
-        mat = to_matrix(h, n)
-    else:
-        mat = np.asarray(h, dtype=complex)
-        if mat.shape[0] != mat.shape[1]:
-            raise ValidationError("generator must be square")
-        if mat.shape[0] > 2 ** max_spins():
-            raise ValidationError(f"dimension {mat.shape[0]} exceeds the spin cap")
-        if not np.allclose(mat, mat.conj().T, atol=1e-10):
-            raise ValidationError("propagator requires a Hermitian generator")
-    evals, evecs = np.linalg.eigh(mat)
+def propagator(h: PauliSum, t: float, n: int | None = None) -> np.ndarray:
+    """exp(-i h t) via Hermitian eigendecomposition of the dense generator."""
+    if not isinstance(h, PauliSum):
+        raise ValidationError(f"propagator takes a PauliSum generator, got {type(h).__name__}")
+    if not h.is_hermitian(1e-10):
+        raise ValidationError("propagator requires a Hermitian generator")
+    evals, evecs = np.linalg.eigh(to_matrix(h, n))
     u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
     defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
     if not defect <= 1e-10:
         raise ValidationError(f"propagator lost unitarity (defect {defect:.2e})")
     return u
-
-
-def _free_target_term(model: ExchangeModel, target: str) -> PauliSum:
-    """The annotated term (with its model coefficient) of an ideal free window."""
-    m = _TARGET_RE.match(target)
-    if m.group(1) in ("t_z", "r_z"):
-        idx = int(m.group(2))
-        if not 1 <= idx <= model.n_spins // 2:
-            raise ValidationError(f"target {target!r} outside the logical register")
-        if m.group(1) == "t_z":
-            return model.eps_minus(idx) * t_z(model.n_spins, idx)
-        return model.eps_plus(idx) * r_z(model.n_spins, idx)
-    i, j = int(m.group(3)), int(m.group(4))
-    return model.coupling(i, j).jz * build_zz(model.n_spins, i, j)
 
 
 def _group_unitary(
@@ -167,7 +181,7 @@ def _group_unitary(
                 f"free evolution is not controllable in model {model.name or model.kind!r}"
             )
         if step_mode == "ideal" and step.target is not None:
-            gen = _free_target_term(model, step.target)
+            gen = step.target.term(model)
         else:
             gen = background
         return propagator(gen, step.duration, n)
@@ -180,8 +194,6 @@ def _group_unitary(
         return propagator(gen, 1.0, n)
 
     # realistic: finite pulse strength, background always on
-    if ratio is None or not 0 < ratio < math.inf:
-        raise ValidationError("realistic mode needs a finite positive strength ratio")
     strength = ratio * model.background_magnitude()
     angles = {abs(s.angle) for s in group if s.angle}
     if not angles:
@@ -211,6 +223,9 @@ def apply_schedule(
     if mode is not None and mode not in ("ideal", "realistic"):
         raise ValidationError(f"bad mode {mode!r}")
     schedule.validate_supports(model.n_spins)
+    modes = {mode} if mode else {s.mode for group in schedule.groups for s in group}
+    if "realistic" in modes and (ratio is None or not 0 < ratio < math.inf):
+        raise ValidationError("realistic mode needs a finite positive strength ratio")
     background = background_hamiltonian(model)
     u = np.eye(2**model.n_spins, dtype=complex)
     for group in schedule.groups:
@@ -241,24 +256,27 @@ def _step_to_dict(step: PulseStep) -> dict:
         d["angle"] = step.angle
     if step.duration is not None:
         d["duration"] = step.duration
-    if step.strength is not None:
-        d["strength"] = step.strength
     if step.target is not None:
-        d["target"] = step.target
+        d["target"] = str(step.target)
     return d
 
 
 def _step_from_dict(d: dict) -> PulseStep:
+    """One JSON step; a pulse given as strength x duration becomes its angle."""
     try:
+        handle = TermHandle.parse(d["handle"])
+        angle, duration = d.get("angle"), d.get("duration")
+        if handle.kind != "free_evolution" and angle is None and "strength" in d:
+            angle, duration = d["strength"] * duration, None
+        target = d.get("target")
         return PulseStep(
-            handle=TermHandle.parse(d["handle"]),
-            angle=d.get("angle"),
-            duration=d.get("duration"),
-            strength=d.get("strength"),
-            target=d.get("target"),
+            handle=handle,
+            angle=angle,
+            duration=duration,
+            target=None if target is None else WindowTarget.parse(target),
             mode=d.get("mode", "ideal"),
         )
-    except (KeyError, TypeError) as exc:
+    except MALFORMED_JSON as exc:
         raise ValidationError(f"malformed step {d!r}: {exc}")
 
 
@@ -274,7 +292,7 @@ def schedule_from_dict(data: dict) -> PulseSchedule:
         groups = tuple(
             tuple(_step_from_dict(s) for s in group) for group in data["groups"]
         )
-    except (KeyError, TypeError) as exc:
+    except MALFORMED_JSON as exc:
         raise ValidationError(f"malformed schedule JSON: {exc}")
     return PulseSchedule(groups, data.get("metadata", {}))
 
@@ -286,9 +304,4 @@ def save_schedule(schedule: PulseSchedule, path: str):
 
 
 def load_schedule(path: str) -> PulseSchedule:
-    with open(path) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})")
-    return schedule_from_dict(data)
+    return schedule_from_dict(read_json(path))

@@ -56,7 +56,7 @@ class TermHandle:
 
     @classmethod
     def parse(cls, text: str) -> "TermHandle":
-        m = _HANDLE_RE.match(text.strip().lower().replace(" ", ""))
+        m = isinstance(text, str) and _HANDLE_RE.match(text.strip().lower().replace(" ", ""))
         if not m:
             raise ValidationError(f"cannot parse handle {text!r}")
         kind, i, j = m.group(1), m.group(2), m.group(3)
@@ -366,6 +366,8 @@ def preset_model(name: str, n_spins: int = 4, epsilon=None) -> ExchangeModel:
 
 # -- JSON --------------------------------------------------------------------
 
+MALFORMED_JSON = (KeyError, TypeError, ValueError, OverflowError)  # bad shapes or values
+
 
 def model_to_dict(model: ExchangeModel) -> dict:
     return {
@@ -382,9 +384,9 @@ def model_to_dict(model: ExchangeModel) -> dict:
 
 
 def model_from_dict(data: dict) -> ExchangeModel:
-    if "preset" in data:
-        return preset_model(data["preset"], data.get("n_spins", 4), data.get("epsilon"))
     try:
+        if "preset" in data:
+            return preset_model(data["preset"], data.get("n_spins", 4), data.get("epsilon"))
         couplings = {
             (int(c["i"]), int(c["j"])): Coupling(
                 float(c.get("jx", 0.0)), float(c.get("jy", 0.0)), float(c.get("jz", 0.0))
@@ -399,14 +401,20 @@ def model_from_dict(data: dict) -> ExchangeModel:
             controllable=frozenset(TermHandle.parse(h) for h in data.get("controllable", [])),
             name=data.get("name", ""),
         )
-    except (KeyError, TypeError) as exc:
+    except MALFORMED_JSON as exc:
         raise ValidationError(f"malformed model JSON: {exc}")
 
 
+def read_json(path: str):
+    """Parse a JSON file; an unreadable or invalid file raises ValidationError."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as exc:
+        raise ValidationError(str(exc))
+    except ValueError as exc:
+        raise ValidationError(f"{path}: invalid JSON ({exc})")
+
+
 def load_model(path: str) -> ExchangeModel:
-    with open(path) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON ({exc})")
-    return model_from_dict(data)
+    return model_from_dict(read_json(path))

@@ -37,7 +37,7 @@ from .model import (
     build_zz,
     preset_model,
 )
-from .pauli import PauliString, PauliSum, conjugate, sum_of, to_matrix
+from .pauli import PauliString, PauliSum, conjugate, to_matrix
 
 _I2 = np.eye(2, dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -156,7 +156,8 @@ def _verdict(
     tol_fidelity, tol_leakage, exact_cphase,
 ) -> VerificationReport:
     """Compile, simulate, restrict and compare; any RecouplerError fails the verdict."""
-    mode_label = mode if mode == "ideal" else f"realistic(r={ratio:g})"
+    ratio_text = "None" if ratio is None else f"{ratio:g}"
+    mode_label = mode if mode == "ideal" else f"realistic(r={ratio_text})"
     try:
         schedule = compile_fn(subject, model, sector, parallel, exact_cphase)
         u = apply_schedule(schedule, model, mode=mode, ratio=ratio)
@@ -277,7 +278,7 @@ def identity_suite() -> list[SuiteEntry]:
     tau = 0.7
     u4 = apply_schedule(nmr_z_rotation_schedule(tau, spin=1), nmr)
     eps2 = nmr.epsilon[1]  # background carries eps/2 per spin
-    target = to_matrix(eps2 * 0.5 * _pstr(2, {2: "Z"}))
+    target = eps2 * 0.5 * _pstr(2, {2: "Z"})
     entries.append(
         SuiteEntry("nmr_z_rotation", _frob(u4, propagator(target, 2 * tau)), tol)
     )
@@ -285,7 +286,7 @@ def identity_suite() -> list[SuiteEntry]:
     # ... and the double conjugation extracts the Ising coupling
     u6 = apply_schedule(nmr_ising_schedule(tau), nmr)
     jz = nmr.coupling(1, 2).jz
-    zz = to_matrix(_pstr(2, {1: "Z", 2: "Z"}))
+    zz = _pstr(2, {1: "Z", 2: "Z"})
     entries.append(
         SuiteEntry("nmr_ising_recoupling", _frob(u6, propagator(zz, 2 * tau * jz)), tol)
     )
@@ -317,10 +318,7 @@ def identity_suite() -> list[SuiteEntry]:
 
     # isotropic route: the pi window equals Z1 Z2 and flips the transverse part
     j23 = 0.8
-    h23 = j23 * sum_of(
-        [(1.0, _s(4, 2, 3, a)) for a in "XYZ"],
-        4,
-    )
+    h23 = j23 * sum(_pstr(4, {2: a, 3: a}) for a in "XYZ")
     zpi = propagator(t_z(4, 1), math.pi, 4)
     lhs8 = zpi @ to_matrix(h23) @ zpi.conj().T
     rhs8 = to_matrix(
@@ -332,7 +330,7 @@ def identity_suite() -> list[SuiteEntry]:
     t = 1.0 / j23
     e = propagator(h23, t / 2, 4)
     lhs9 = e @ zpi @ e @ zpi.conj().T
-    rhs9 = propagator(to_matrix(j23 * _pstr(4, {2: "Z", 3: "Z"})), t)
+    rhs9 = propagator(j23 * _pstr(4, {2: "Z", 3: "Z"}), t)
     entries.append(SuiteEntry("heis_zz_extraction", _frob(lhs9, rhs9), tol))
 
     # Delta acts trivially (as a multiple of identity) on the code space
@@ -362,13 +360,6 @@ def identity_suite() -> list[SuiteEntry]:
         SuiteEntry("xy_cphase_perturbation", _frob(lhs12, rhs6), 1e-3, require="above")
     )
     return entries
-
-
-def _s(n, i, j, letter) -> PauliString:
-    letters = ["I"] * n
-    letters[i - 1] = letter
-    letters[j - 1] = letter
-    return PauliString("".join(letters))
 
 
 # -- cost accounting -----------------------------------------------------------

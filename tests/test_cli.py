@@ -262,3 +262,78 @@ class TestNonFiniteInput:
         argv = ["verify", "--model", model_file, "--circuit", circuit_file]
         assert main(argv + ["--mode", "realistic", "--ratio", ratio]) == 2
         assert capsys.readouterr().err.startswith("error: realistic mode needs --ratio")
+
+
+class TestMalformedJsonInput:
+    """Every bad JSON input exits 2 with one `error:` line and no traceback."""
+
+    @staticmethod
+    def _one_error_line(capsys, want):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert want in captured.err
+
+    @pytest.mark.parametrize(
+        "record, want",
+        [
+            ({"gate": "rz", "target": 0, "angle": "abc"}, "could not convert string to float"),
+            ({"gate": "rz", "target": "x", "angle": 1.0}, "invalid literal for int()"),
+        ],
+    )
+    def test_bad_gate_values(self, model_file, tmp_path, capsys, record, want):
+        circ = tmp_path / "c.json"
+        circ.write_text(json.dumps([record]))
+        assert main(["verify", "--model", model_file, "--circuit", str(circ)]) == 2
+        self._one_error_line(capsys, want)
+
+    @pytest.mark.parametrize(
+        "content",
+        ["5", '"text"', "[1, 2]", '{"kind": "xy", "n_spins": "abc", "epsilon": [], "couplings": []}',
+         '{"preset": "xy", "n_spins": "abc"}'],
+    )
+    def test_bad_model_file(self, circuit_file, tmp_path, capsys, content):
+        path = tmp_path / "m.json"
+        path.write_text(content)
+        assert main(["verify", "--model", str(path), "--circuit", circuit_file]) == 2
+        self._one_error_line(capsys, "malformed model JSON")
+
+    @pytest.mark.parametrize(
+        "step, want",
+        [
+            ({"handle": 5, "angle": 1.0}, "cannot parse handle 5"),
+            ({"handle": "free_evolution", "duration": 1.0, "target": 5}, "bad free-evolution target 5"),
+            ({"handle": "free_evolution", "duration": 1.0, "target": "t_z(x)"}, "bad free-evolution"),
+            ({"handle": "j_plus(1,2)", "strength": "abc", "duration": 0.5}, "malformed step"),
+        ],
+    )
+    def test_bad_schedule_step(self, model_file, tmp_path, capsys, step, want):
+        sched = tmp_path / "s.json"
+        sched.write_text(json.dumps({"groups": [[step]]}))
+        assert main(["simulate", "--model", model_file, "--schedule", str(sched)]) == 2
+        self._one_error_line(capsys, want)
+
+    @pytest.mark.parametrize("flag", ["--model", "--circuit"])
+    def test_directory_as_input_file(self, model_file, circuit_file, tmp_path, capsys, flag):
+        files = {"--model": model_file, "--circuit": circuit_file, flag: str(tmp_path)}
+        argv = ["verify", "--model", files["--model"], "--circuit", files["--circuit"]]
+        assert main(argv) == 2
+        self._one_error_line(capsys, f"error: [Errno 21] Is a directory: '{tmp_path}'")
+
+    def test_missing_schedule_message_unchanged(self, model_file, tmp_path, capsys):
+        missing = str(tmp_path / "none.json")
+        assert main(["simulate", "--model", model_file, "--schedule", missing]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        )
+
+    def test_strength_duration_written_back_as_angle(self, model_file, tmp_path, capsys):
+        sched = tmp_path / "s.json"
+        step = {"handle": "j_plus(1,2)", "strength": 3.0, "duration": 0.2}
+        sched.write_text(json.dumps({"groups": [[step]]}))
+        assert main(["simulate", "--model", model_file, "--schedule", str(sched)]) == 0
+        from recoupler import load_schedule, schedule_to_dict
+
+        assert schedule_to_dict(load_schedule(str(sched)))["groups"] == [
+            [{"handle": "j_plus(1,2)", "mode": "ideal", "angle": 3.0 * 0.2}]
+        ]

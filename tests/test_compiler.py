@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from recoupler import (
     Coupling,
     DegenerateSpectrumError,
     ExchangeModel,
+    PRESET_NAMES,
     LogicalGate,
     RecouplerError,
     SectorError,
@@ -31,6 +35,8 @@ from recoupler import (
     j_plus,
     preset_model,
     restrict,
+    schedule_from_dict,
+    schedule_to_dict,
     target_logical,
     to_matrix,
 )
@@ -427,3 +433,46 @@ class TestCompileCircuitErrors:
             LogicalGate("euler", (1,), (0.1, bad, 0.2))
         with pytest.raises(ValidationError, match="parameters must be finite"):
             circuit_from_list([{"gate": "heis_zz", "targets": [0, 1], "time": bad}])
+
+
+GOLDEN_GATES = [
+    LogicalGate("rx", (1,), (1.1,)),
+    LogicalGate("rz", (1,), (0.7,)),
+    LogicalGate("rz", (2,), (-2.3,)),
+    LogicalGate("euler", (1,), (0.5, 1.2, -0.8)),
+    LogicalGate("cphase", (1, 2)),
+    LogicalGate("heis_zz", (1, 2), (1.3,)),
+]
+
+
+def _golden_schedules():
+    """Every preset at n=6, both sectors, each gate alone and a 5-gate circuit."""
+    for name in PRESET_NAMES:
+        model = preset_model(name, 6)
+        for sector in (SYMMETRIC, ANTISYMMETRIC):
+            for gates in [[g] for g in GOLDEN_GATES] + [GOLDEN_GATES[:5]]:
+                for exact in (False, True):
+                    try:
+                        yield compile_circuit(gates, model, sector, exact_cphase=exact)
+                    except RecouplerError as exc:
+                        yield type(exc).__name__
+
+
+class TestScheduleJsonGolden:
+    def test_compiled_json_is_pinned(self):
+        # digest of the JSON the string-target compiler wrote; typed targets must not change it
+        lines = [
+            s if isinstance(s, str) else json.dumps(schedule_to_dict(s)) for s in _golden_schedules()
+        ]
+        assert len(lines) == 308 and sum('"target"' in line for line in lines) == 114
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "19b1316dd74506fceed147bd24e0b606c44dae1e3fd0ad44dd39b0f989139630"
+
+    def test_compiled_json_round_trips(self):
+        for sched in _golden_schedules():
+            if isinstance(sched, str):
+                continue
+            text = json.dumps(schedule_to_dict(sched))
+            again = schedule_from_dict(json.loads(text))
+            assert again == sched
+            assert json.dumps(schedule_to_dict(again)) == text

@@ -13,6 +13,7 @@ from recoupler import (
     PulseStep,
     SYMMETRIC,
     ValidationError,
+    WindowTarget,
     apply_schedule,
     compile_cphase_xxz,
     compile_cphase_xy,
@@ -131,7 +132,7 @@ class TestHeisVariants:
 class TestScheduleTargets:
     def test_out_of_range_target_rejected(self):
         model = preset_model("electrons_on_helium", 4)
-        step = PulseStep(FREE_EVOLUTION, duration=1.0, target="t_z(3)")
+        step = PulseStep(FREE_EVOLUTION, duration=1.0, target=WindowTarget.parse("t_z(3)"))
         with pytest.raises(ValidationError):
             apply_schedule(PulseSchedule(((step,),), {}), model)
 
@@ -139,7 +140,7 @@ class TestScheduleTargets:
         from recoupler import ConnectivityError
 
         model = preset_model("electrons_on_helium", 4)
-        step = PulseStep(FREE_EVOLUTION, duration=1.0, target="zz(1,4)")
+        step = PulseStep(FREE_EVOLUTION, duration=1.0, target=WindowTarget.parse("zz(1,4)"))
         with pytest.raises(ConnectivityError):
             apply_schedule(PulseSchedule(((step,),), {}), model)
 

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from recoupler import (
@@ -14,16 +16,20 @@ from recoupler import (
     PulseStep,
     SYMMETRIC,
     ValidationError,
+    WindowTarget,
     apply_schedule,
+    build_zz,
     j_plus,
     nmr_ising_schedule,
     nmr_z_rotation_schedule,
     preset_model,
     propagator,
+    r_z,
     restrict,
     schedule_from_dict,
     schedule_to_dict,
     sigma_x,
+    t_z,
     to_matrix,
 )
 
@@ -54,7 +60,7 @@ class TestPropagator:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError):
             propagator(PauliSum(1, {"X": 1j}), 1.0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="takes a PauliSum"):
             propagator(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
     def test_nan_defect_rejected(self):
@@ -176,7 +182,7 @@ class TestApplySchedule:
 
     def test_ideal_free_window_targets_single_term(self):
         m = preset_model("electrons_on_helium", 4)
-        step = PulseStep(FREE_EVOLUTION, duration=2.0, target="t_z(1)")
+        step = PulseStep(FREE_EVOLUTION, duration=2.0, target=WindowTarget("t_z", 1))
         u = apply_schedule(PulseSchedule(((step,),), {}), m)
         from recoupler import t_z
 
@@ -230,7 +236,13 @@ class TestScheduleJson:
         with pytest.raises(ValidationError):
             PulseStep(FREE_EVOLUTION, duration=-1.0)
         with pytest.raises(ValidationError):
-            PulseStep(FREE_EVOLUTION, duration=1.0, target="bogus(1)")
+            WindowTarget.parse("bogus(1)")
+        with pytest.raises(ValidationError, match="must be a WindowTarget"):
+            PulseStep(FREE_EVOLUTION, duration=1.0, target="t_z(1)")
+        with pytest.raises(ValidationError):
+            schedule_from_dict(
+                {"groups": [[{"handle": "free_evolution", "duration": 1.0, "target": "bogus(1)"}]]}
+            )
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -243,8 +255,9 @@ class TestScheduleJson:
         ],
     )
     def test_non_finite_pulse_rejected(self, kwargs):
-        with pytest.raises(ValidationError, match="must be finite"):
-            PulseStep(j_plus(1, 2), **kwargs)
+        # JSON strength x duration becomes the angle, which must be finite
+        with pytest.raises(ValidationError, match="angle must be finite"):
+            schedule_from_dict({"groups": [[{"handle": "j_plus(1,2)", **kwargs}]]})
 
     @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
     def test_non_finite_free_window_rejected(self, duration):
@@ -254,8 +267,10 @@ class TestScheduleJson:
     def test_strength_times_duration_equals_angle(self):
         m = preset_model("quantum_hall", 4)
         by_angle = PulseStep(j_plus(1, 2), angle=0.6)
-        by_pair = PulseStep(j_plus(1, 2), strength=3.0, duration=0.2)
+        data = {"groups": [[{"handle": "j_plus(1,2)", "strength": 3.0, "duration": 0.2}]]}
+        (by_pair,), = schedule_from_dict(data).groups
         assert by_pair.angle == pytest.approx(0.6)
+        assert by_pair.duration is None  # the angle alone carries the pulse
         ua = apply_schedule(PulseSchedule(((by_angle,),), {}), m)
         ub = apply_schedule(PulseSchedule(((by_pair,),), {}), m)
         assert np.linalg.norm(ua - ub) < 1e-14
@@ -279,3 +294,63 @@ class TestScheduleJson:
         ua = apply_schedule(a, nmr)
         ub = apply_schedule(b, nmr)
         assert np.linalg.norm(apply_schedule(combined, nmr) - ua @ ub) < 1e-12
+
+
+class TestWindowTarget:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["t_z", "r_z", "zz"]), i=st.integers(0, 99), j=st.integers(0, 99))
+    def test_parse_str_round_trip(self, kind, i, j):
+        t = WindowTarget(kind, i, j if kind == "zz" else None)
+        assert WindowTarget.parse(str(t)) == t
+
+    def test_string_form(self):
+        assert str(WindowTarget("t_z", 1)) == "t_z(1)"
+        assert str(WindowTarget("r_z", 2)) == "r_z(2)"
+        assert str(WindowTarget("zz", 2, 3)) == "zz(2,3)"
+
+    @pytest.mark.parametrize("text", ["bogus(1)", "t_z(1,2)", "zz(1)", "t_z(x)", " t_z(1)", 5, None])
+    def test_parse_rejects(self, text):
+        with pytest.raises(ValidationError, match="bad free-evolution target"):
+            WindowTarget.parse(text)
+
+    @pytest.mark.parametrize("kind, i, j", [("t_z", 1, 2), ("zz", 1, None), ("x_z", 1, None)])
+    def test_constructor_rejects(self, kind, i, j):
+        with pytest.raises(ValidationError, match="bad free-evolution target"):
+            WindowTarget(kind, i, j)
+
+    def test_coefficient_and_term_per_kind(self):
+        m = preset_model("electrons_on_helium", 6, epsilon=(1.0, 1.3, 0.7, 1.1, 0.9, 0.2))
+        cases = [
+            (WindowTarget("t_z", 2), m.eps_minus(2), m.eps_minus(2) * t_z(6, 2)),
+            (WindowTarget("r_z", 3), m.eps_plus(3), m.eps_plus(3) * r_z(6, 3)),
+            (WindowTarget("zz", 4, 5), m.coupling(4, 5).jz, m.coupling(4, 5).jz * build_zz(6, 4, 5)),
+        ]
+        for target, coeff, term in cases:
+            assert target.coefficient(m) == coeff
+            assert target.term(m) == term
+
+
+class TestRealisticRatio:
+    """The ratio is checked once per call, before any group runs."""
+
+    FREE = PulseSchedule(((PulseStep(FREE_EVOLUTION, duration=0.3),),), {})
+
+    @pytest.mark.parametrize("ratio", [None, 0.0, -1.0, float("nan"), float("inf")])
+    def test_free_windows_alone_need_ratio(self, ratio):
+        m = preset_model("xy", 4)
+        with pytest.raises(ValidationError, match="finite positive strength ratio"):
+            apply_schedule(self.FREE, m, mode="realistic", ratio=ratio)
+
+    def test_realistic_step_tag_needs_ratio(self):
+        m = preset_model("xy", 4)
+        tagged = PulseSchedule(
+            ((PulseStep(FREE_EVOLUTION, duration=0.3, mode="realistic"),),), {}
+        )
+        with pytest.raises(ValidationError, match="finite positive strength ratio"):
+            apply_schedule(tagged, m)
+        assert apply_schedule(tagged, m, mode="ideal").shape == (16, 16)
+        assert apply_schedule(tagged, m, ratio=10.0).shape == (16, 16)
+
+    def test_ideal_ignores_ratio(self):
+        m = preset_model("xy", 4)
+        assert apply_schedule(self.FREE, m, mode="ideal").shape == (16, 16)

@@ -77,6 +77,20 @@ class TestVerifyGate:
         assert fids[1] >= 0.999  # two logical qubits at r = 1e3
         assert fids[2] > 1 - 1e-4
 
+    @pytest.mark.parametrize("verify", [verify_gate, verify_circuit])
+    def test_realistic_without_ratio_fails_like_a_bad_ratio(self, verify):
+        xy = preset_model("xy", 4)
+        subject = LogicalGate("rx", (1,), (1.1,))
+        if verify is verify_circuit:
+            subject = [subject]
+        missing = verify(subject, xy, mode="realistic")
+        negative = verify(subject, xy, mode="realistic", ratio=-1.0)
+        assert not missing.passed and missing.mode == "realistic(r=None)"
+        assert missing.reason == negative.reason == (
+            "ValidationError: realistic mode needs a finite positive strength ratio"
+        )
+        assert (missing.step_count_serial, missing.step_count_parallel) == (0, 0)
+
     def test_verify_circuit(self):
         gates = [LogicalGate("rx", (1,), (0.7,)), LogicalGate("cphase", (1, 2))]
         rep = verify_circuit(gates, XXZ)
