@@ -87,11 +87,9 @@ from .pauli import (
     PauliSum,
     commutes,
     conjugate,
-    identity_string,
     max_spins,
     mul,
     single,
-    sum_of,
     to_matrix,
 )
 from .verifier import (

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import SYMMETRIC
+from .encoding import SYMMETRIC, CodeSpec
 from .errors import (
     ConnectivityError,
     ControllabilityError,
@@ -378,6 +378,7 @@ def compile_gate(
     exact_cphase: bool = False,
 ) -> PulseSchedule:
     """Dispatch one logical gate to the construction matching the model family."""
+    CodeSpec(sector, model.n_spins)  # rejects an unknown sector before any lowering
     if gate.kind == "rx":
         return compile_rx(gate.targets[0], gate.params[0], model, sector)
     if gate.kind == "rz":

@@ -33,7 +33,7 @@ from .model import (
     read_json,
     toggled_generator,
 )
-from .pauli import PauliSum, to_matrix
+from .pauli import PauliSum, check_dense, to_matrix
 
 _TARGET_RE = re.compile(r"^(t_z|r_z)\((\d+)\)$|^zz\((\d+),(\d+)\)$")
 
@@ -147,13 +147,15 @@ class PulseSchedule:
         return PulseSchedule(self.groups + other.groups, meta)
 
 
-def propagator(h: PauliSum, t: float, n: int | None = None) -> np.ndarray:
+def propagator(h: PauliSum, t: float) -> np.ndarray:
     """exp(-i h t) via Hermitian eigendecomposition of the dense generator."""
     if not isinstance(h, PauliSum):
         raise ValidationError(f"propagator takes a PauliSum generator, got {type(h).__name__}")
+    if math.isinf(sum(abs(c) for _, c in h)):  # bounds every matrix entry
+        raise ValidationError("propagator generator overflows: sum of |coefficients| is inf")
     if not h.is_hermitian(1e-10):
         raise ValidationError("propagator requires a Hermitian generator")
-    evals, evecs = np.linalg.eigh(to_matrix(h, n))
+    evals, evecs = np.linalg.eigh(to_matrix(h))
     u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
     defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
     if not defect <= 1e-10:
@@ -165,7 +167,7 @@ def _group_unitary(
     group: tuple[PulseStep, ...],
     model: ExchangeModel,
     mode: str | None,
-    ratio: float | None,
+    strength: float | None,
     background: PauliSum,
 ) -> np.ndarray:
     n = model.n_spins
@@ -184,30 +186,29 @@ def _group_unitary(
             gen = step.target.term(model)
         else:
             gen = background
-        return propagator(gen, step.duration, n)
+        return propagator(gen, step.duration)
 
     if step_mode == "ideal":
         gen = PauliSum.zero(n)
         for step in group:
             if step.angle:
-                gen = gen + step.angle * toggled_generator(model, step.handle, 1.0)
-        return propagator(gen, 1.0, n)
+                gen = gen + step.angle * toggled_generator(model, step.handle)
+        return propagator(gen, 1.0)
 
     # realistic: finite pulse strength, background always on
-    strength = ratio * model.background_magnitude()
     angles = {abs(s.angle) for s in group if s.angle}
     if not angles:
         return np.eye(2**n, dtype=complex)
     if len(angles) > 1:
         raise ValidationError("realistic parallel steps must share a pulse duration")
+    if not strength:
+        raise ValidationError("realistic pulse strength is zero: the background sets no scale")
     dt = angles.pop() / strength
     gen = background
     for step in group:
         if step.angle:
-            gen = gen + np.sign(step.angle) * strength * toggled_generator(
-                model, step.handle, 1.0
-            )
-    return propagator(gen, dt, n)
+            gen = gen + np.sign(step.angle) * strength * toggled_generator(model, step.handle)
+    return propagator(gen, dt)
 
 
 def apply_schedule(
@@ -226,10 +227,15 @@ def apply_schedule(
     modes = {mode} if mode else {s.mode for group in schedule.groups for s in group}
     if "realistic" in modes and (ratio is None or not 0 < ratio < math.inf):
         raise ValidationError("realistic mode needs a finite positive strength ratio")
+    scale = model.background_magnitude()
+    strength = ratio * scale if "realistic" in modes else None
+    if strength == math.inf:
+        raise ValidationError(f"realistic pulse strength {ratio:g} x {scale:g} overflows")
+    check_dense(model.n_spins)
     background = background_hamiltonian(model)
     u = np.eye(2**model.n_spins, dtype=complex)
     for group in schedule.groups:
-        u = u @ _group_unitary(group, model, mode, ratio, background)
+        u = u @ _group_unitary(group, model, mode, strength, background)
     return u
 
 

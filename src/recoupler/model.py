@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ConnectivityError, ControllabilityError, ValidationError
-from .pauli import PauliString, PauliSum, single, sum_of
+from .pauli import PauliSum, single, site_letters
 
 MODEL_KINDS = ("heisenberg", "xy", "xxz_symmetric", "xxz_antisymmetric", "nmr_ising")
 
@@ -108,32 +108,27 @@ class Coupling:
 def build_T(n: int, i: int, j: int) -> PauliSum:
     """T_ij^x = (XX + YY)/2: resonant flip-flop between spins i and j."""
     _check_pair(n, i, j)
-    return sum_of([(0.5, _two(n, i, j, "X")), (0.5, _two(n, i, j, "Y"))], n)
+    xx, yy = (site_letters(n, {i: a, j: a}) for a in "XY")
+    return PauliSum(n, {xx: 0.5, yy: 0.5})
 
 
 def build_R(n: int, i: int, j: int) -> PauliSum:
     """R_ij^x = (XX - YY)/2: double flip between spins i and j."""
     _check_pair(n, i, j)
-    return sum_of([(0.5, _two(n, i, j, "X")), (-0.5, _two(n, i, j, "Y"))], n)
+    xx, yy = (site_letters(n, {i: a, j: a}) for a in "XY")
+    return PauliSum(n, {xx: 0.5, yy: -0.5})
 
 
 def build_zz(n: int, i: int, j: int) -> PauliSum:
     _check_pair(n, i, j)
-    return PauliSum.from_string(_two(n, i, j, "Z"))
+    return PauliSum(n, {site_letters(n, {i: "Z", j: "Z"}): 1.0})
 
 
 def build_H0(epsilon) -> PauliSum:
     """H0 = sum_i (eps_i / 2) sigma_i^z."""
     eps = tuple(float(e) for e in epsilon)
     n = len(eps)
-    return sum_of([(0.5 * e, single(n, i + 1, "Z")) for i, e in enumerate(eps)], n)
-
-
-def _two(n, i, j, letter) -> PauliString:
-    out = ["I"] * n
-    out[i - 1] = letter
-    out[j - 1] = letter
-    return PauliString("".join(out))
+    return PauliSum(n, {site_letters(n, {i + 1: "Z"}): 0.5 * e for i, e in enumerate(eps)})
 
 
 def _check_pair(n, i, j):
@@ -263,8 +258,8 @@ def background_hamiltonian(model: ExchangeModel) -> PauliSum:
     return _add_pair_terms(build_H0(model.epsilon), model, always_on=True)
 
 
-def toggled_generator(model: ExchangeModel, handle: TermHandle, strength: float = 1.0) -> PauliSum:
-    """The PauliSum evolved while `handle` is pulsed at the given strength.
+def toggled_generator(model: ExchangeModel, handle: TermHandle) -> PauliSum:
+    """The PauliSum evolved while `handle` is pulsed at unit strength.
 
     Raises ConnectivityError for pairs the hardware does not couple and
     ControllabilityError for parameters the platform cannot pulse (the
@@ -274,17 +269,17 @@ def toggled_generator(model: ExchangeModel, handle: TermHandle, strength: float 
     n = model.n_spins
     k = handle.kind
     if k == "j_plus":
-        return strength * build_T(n, handle.i, handle.j)
+        return build_T(n, handle.i, handle.j)
     if k == "j_minus":
-        return strength * build_R(n, handle.i, handle.j)
+        return build_R(n, handle.i, handle.j)
     if k == "j_z":
-        return strength * build_zz(n, handle.i, handle.j)
+        return build_zz(n, handle.i, handle.j)
     if k == "heis":
-        return strength * (build_T(n, handle.i, handle.j) + 0.5 * build_zz(n, handle.i, handle.j))
+        return build_T(n, handle.i, handle.j) + 0.5 * build_zz(n, handle.i, handle.j)
     if k == "sigma_x":
-        return strength * PauliSum.from_string(single(n, handle.i, "X"))
+        return PauliSum.from_string(single(n, handle.i, "X"))
     if k == "epsilon":
-        return strength * 0.5 * PauliSum.from_string(single(n, handle.i, "Z"))
+        return 0.5 * PauliSum.from_string(single(n, handle.i, "Z"))
     return background_hamiltonian(model)  # free_evolution
 
 

@@ -5,14 +5,16 @@ Conventions (used everywhere in this package):
   - spin i (1-based) maps to bit i-1, so basis index = sum bit_i * 2**(i-1)
     and spin 1 is the least significant bit;
   - |up> = |0> is the +1 eigenstate of sigma_z;
-  - string phases are exact fourth roots of unity, stored as a power of i.
+  - string phases are exact fourth roots of unity, stored as a power of i;
+  - a string is the bit masks (x, z) of X^x Z^z up to phase, with Y = iXZ
+    (Aaronson & Gottesman, quant-ph/0406196); letters are for printing and JSON.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -20,29 +22,28 @@ from .errors import CapacityError, DimensionError, UnsupportedGeneratorError
 
 COEFF_EPS = 1e-14  # canonicalization threshold for PauliSum coefficients
 
-_LETTERS = "IXYZ"
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
+_LETTER = "IXZY"  # indexed by x_bit | z_bit << 1
 
-# single-site products: (a, b) -> (power of i, letter)
-_SITE_MUL = {
-    ("I", "I"): (0, "I"), ("I", "X"): (0, "X"), ("I", "Y"): (0, "Y"), ("I", "Z"): (0, "Z"),
-    ("X", "I"): (0, "X"), ("Y", "I"): (0, "Y"), ("Z", "I"): (0, "Z"),
-    ("X", "X"): (0, "I"), ("Y", "Y"): (0, "I"), ("Z", "Z"): (0, "I"),
-    ("X", "Y"): (1, "Z"), ("Y", "Z"): (1, "X"), ("Z", "X"): (1, "Y"),
-    ("Y", "X"): (3, "Z"), ("Z", "Y"): (3, "X"), ("X", "Z"): (3, "Y"),
-}
 
-_SITE_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+def _masks(letters: str) -> tuple[int, int]:
+    """(x, z) bit masks of a letter string; spin 1 is the least significant bit."""
+    bits = "0" + letters[::-1]
+    return int(bits.translate(_X_BITS), 2), int(bits.translate(_Z_BITS), 2)
 
 
 def max_spins() -> int:
     """Dense-matrix spin cap, overridable via RECOUPLER_MAX_SPINS."""
     return int(os.environ.get("RECOUPLER_MAX_SPINS", "12"))
+
+
+def check_dense(n: int):
+    """CapacityError unless a dense 2**n x 2**n matrix fits under the spin cap."""
+    cap = max_spins()
+    if n > cap:
+        raise CapacityError(f"{n} spins exceeds dense cap {cap} (RECOUPLER_MAX_SPINS)")
 
 
 @dataclass(frozen=True)
@@ -51,11 +52,15 @@ class PauliString:
 
     letters: str
     power: int = 0  # phase = i**power
+    x: int = field(init=False, repr=False, compare=False)
+    z: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if any(c not in _LETTERS for c in self.letters):
+        if self.letters.strip("IXYZ"):
             raise ValueError(f"invalid Pauli letters {self.letters!r}")
         object.__setattr__(self, "power", self.power % 4)
+        for name, mask in zip("xz", _masks(self.letters)):
+            object.__setattr__(self, name, mask)
 
     @property
     def n(self) -> int:
@@ -76,38 +81,39 @@ class PauliString:
         return f"{sign}*{self.letters}"
 
 
-def identity_string(n: int) -> PauliString:
-    return PauliString("I" * n)
+def site_letters(n: int, sites: Mapping[int, str]) -> str:
+    """Letters of the n-spin string with sites[i] on 1-based spin i, I elsewhere."""
+    letters = ["I"] * n
+    for site, letter in sites.items():
+        if not 1 <= site <= n:
+            raise DimensionError(f"site {site} outside 1..{n}")
+        letters[site - 1] = letter
+    return "".join(letters)
 
 
 def single(n: int, site: int, letter: str) -> PauliString:
     """Pauli `letter` on 1-based `site` of an n-spin register."""
-    if not 1 <= site <= n:
-        raise DimensionError(f"site {site} outside 1..{n}")
-    return PauliString("I" * (site - 1) + letter + "I" * (n - site))
+    return PauliString(site_letters(n, {site: letter}))
 
 
 def mul(p: PauliString, q: PauliString) -> PauliString:
-    """Exact product p*q, accumulating the i**k phase sitewise (XY = iZ etc.)."""
+    """Exact product p*q: XOR of the masks, phase from Y = iXZ and ZX = -XZ."""
     if p.n != q.n:
         raise DimensionError(f"length mismatch: {p.n} vs {q.n}")
-    power = p.power + q.power
-    out = []
-    for a, b in zip(p.letters, q.letters):
-        k, c = _SITE_MUL[(a, b)]
-        power += k
-        out.append(c)
-    return PauliString("".join(out), power)
+    x, z = p.x ^ q.x, p.z ^ q.z
+    power = (
+        p.power + q.power + (p.x & p.z).bit_count() + (q.x & q.z).bit_count()
+        - (x & z).bit_count() + 2 * (p.z & q.x).bit_count()
+    )
+    letters = "".join(_LETTER[(x >> k & 1) | (z >> k & 1) << 1] for k in range(p.n))
+    return PauliString(letters, power)
 
 
 def commutes(p: PauliString, q: PauliString) -> bool:
-    """True iff pq = qp; counts anticommuting sites, no matrices built."""
+    """True iff pq = qp: an even number of anticommuting sites, no matrices built."""
     if p.n != q.n:
         raise DimensionError(f"length mismatch: {p.n} vs {q.n}")
-    odd = sum(
-        1 for a, b in zip(p.letters, q.letters) if a != "I" and b != "I" and a != b
-    )
-    return odd % 2 == 0
+    return ((p.x & q.z) ^ (p.z & q.x)).bit_count() % 2 == 0
 
 
 class PauliSum:
@@ -256,29 +262,20 @@ def conjugate(a: PauliSum, theta: float, b: PauliSum) -> PauliSum:
     return PauliSum(b.n, out)
 
 
-def to_matrix(s: PauliSum | PauliString, n: int | None = None) -> np.ndarray:
-    """Dense matrix in the computational basis (spin 1 = least significant bit)."""
+def to_matrix(s: PauliSum | PauliString) -> np.ndarray:
+    """Dense matrix in the computational basis (spin 1 = least significant bit).
+
+    Each term i**|x&z| X^x Z^z is a signed permutation: column r goes to row
+    r ^ x with value coeff * i**|x&z| * (-1)**|r&z|.
+    """
     if isinstance(s, PauliString):
         s = PauliSum.from_string(s)
-    n = s.n if n is None else n
-    if n != s.n:
-        raise DimensionError(f"operator on {s.n} spins, requested {n}")
-    cap = max_spins()
-    if n > cap:
-        raise CapacityError(f"{n} spins exceeds dense cap {cap} (RECOUPLER_MAX_SPINS)")
-    dim = 2**n
+    check_dense(s.n)
+    dim = 2**s.n
     out = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(dim)
     for letters, coeff in s:
-        m = np.array([[1.0 + 0.0j]])
-        for letter in letters:  # spin 1 first; kron on the left keeps it least significant
-            m = np.kron(_SITE_MATS[letter], m)
-        out += coeff * m
+        x, z = _masks(letters)
+        signs = (-1.0) ** np.bitwise_count(cols & z)  # a float base: the count is uint8
+        out[cols ^ x, cols] += coeff * (_PHASES[(x & z).bit_count() % 4] * signs)
     return out
-
-
-def sum_of(parts: Iterable[tuple[complex, PauliString]], n: int) -> PauliSum:
-    """Build a PauliSum from (coefficient, string) pairs."""
-    total = PauliSum.zero(n)
-    for coeff, s in parts:
-        total = total + PauliSum.from_string(s, coeff)
-    return total

@@ -37,7 +37,7 @@ from .model import (
     build_zz,
     preset_model,
 )
-from .pauli import PauliString, PauliSum, conjugate, to_matrix
+from .pauli import PauliString, PauliSum, conjugate, site_letters, to_matrix
 
 _I2 = np.eye(2, dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -241,18 +241,15 @@ class SuiteEntry:
 
 
 def _pstr(n: int, sites: dict[int, str]) -> PauliSum:
-    letters = ["I"] * n
-    for i, a in sites.items():
-        letters[i - 1] = a
-    return PauliSum.from_string(PauliString("".join(letters)))
+    return PauliSum(n, {site_letters(n, sites): 1.0})
 
 
 def _frob(a, b) -> float:
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
 
 
-def _conj(generator: PauliSum, theta: float, target: np.ndarray, n: int) -> np.ndarray:
-    c = propagator(generator, theta, n)
+def _conj(generator: PauliSum, theta: float, target: np.ndarray) -> np.ndarray:
+    c = propagator(generator, theta)
     return c @ target @ c.conj().T
 
 
@@ -300,26 +297,26 @@ def identity_suite() -> list[SuiteEntry]:
 
     # xy route: conjugating the inter-pair flip-flop by the intra-pair pi/2 pulse
     t12, t23, t13 = build_T(3, 1, 2), build_T(3, 2, 3), build_T(3, 1, 3)
-    lhs5 = _conj(t12, math.pi / 2, to_matrix(t23), 3)
+    lhs5 = _conj(t12, math.pi / 2, to_matrix(t23))
     rhs5 = to_matrix(1j * (_pstr(3, {1: "Z", 2: "Z"}) @ t13))
     entries.append(SuiteEntry("xy_nnn_conjugation", _frob(lhs5, rhs5), tol))
 
     # ... then by the next-nearest pi/4 pulse, leaving a pure phase generator
-    lhs6 = _conj(t13, math.pi / 4, lhs5, 3)
+    lhs6 = _conj(t13, math.pi / 4, lhs5)
     rhs6 = to_matrix(0.5 * (_pstr(3, {2: "Z", 3: "Z"}) - _pstr(3, {1: "Z", 2: "Z"})))
     entries.append(SuiteEntry("xy_composite_generator", _frob(lhs6, rhs6), tol))
 
     # encoded sign flip: x pulses make a negative-angle z window realizable
     tz1, tx1 = t_z(2, 1), t_x(2, 1)
-    lhs7 = _conj(tx1, math.pi / 2, propagator(tz1, math.pi / 2, 2), 2)
+    lhs7 = _conj(tx1, math.pi / 2, propagator(tz1, math.pi / 2))
     entries.append(
-        SuiteEntry("encoded_sign_flip", _frob(lhs7, propagator(tz1, -math.pi / 2, 2)), tol)
+        SuiteEntry("encoded_sign_flip", _frob(lhs7, propagator(tz1, -math.pi / 2)), tol)
     )
 
     # isotropic route: the pi window equals Z1 Z2 and flips the transverse part
     j23 = 0.8
     h23 = j23 * sum(_pstr(4, {2: a, 3: a}) for a in "XYZ")
-    zpi = propagator(t_z(4, 1), math.pi, 4)
+    zpi = propagator(t_z(4, 1), math.pi)
     lhs8 = zpi @ to_matrix(h23) @ zpi.conj().T
     rhs8 = to_matrix(
         j23 * (-_pstr(4, {2: "X", 3: "X"}) - _pstr(4, {2: "Y", 3: "Y"}) + _pstr(4, {2: "Z", 3: "Z"}))
@@ -328,7 +325,7 @@ def identity_suite() -> list[SuiteEntry]:
 
     # ... so the half-time sandwich implements a pure inter-pair ZZ evolution
     t = 1.0 / j23
-    e = propagator(h23, t / 2, 4)
+    e = propagator(h23, t / 2)
     lhs9 = e @ zpi @ e @ zpi.conj().T
     rhs9 = propagator(j23 * _pstr(4, {2: "Z", 3: "Z"}), t)
     entries.append(SuiteEntry("heis_zz_extraction", _frob(lhs9, rhs9), tol))
@@ -355,7 +352,7 @@ def identity_suite() -> list[SuiteEntry]:
 
     # sensitivity: a perturbed xy route misses the pure-phase generator
     perturbed = to_matrix(t23 + 0.1 * _pstr(3, {2: "Z", 3: "Z"}))
-    lhs12 = _conj(t13, math.pi / 4, _conj(t12, math.pi / 2, perturbed, 3), 3)
+    lhs12 = _conj(t13, math.pi / 4, _conj(t12, math.pi / 2, perturbed))
     entries.append(
         SuiteEntry("xy_cphase_perturbation", _frob(lhs12, rhs6), 1e-3, require="above")
     )

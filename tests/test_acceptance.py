@@ -244,10 +244,10 @@ COST_ROWS = {
 def test_criterion_7_controllability_enforcement():
     eoh = preset_model("electrons_on_helium", 4)
     with pytest.raises(ControllabilityError):
-        toggled_generator(eoh, j_z(1, 2), 1.0)
+        toggled_generator(eoh, j_z(1, 2))
     for name in ("spin_dots", "donor_atoms", "quantum_hall", "exciton_dots"):
         with pytest.raises(ControllabilityError):
-            toggled_generator(preset_model(name, 4), epsilon_handle(1), 1.0)
+            toggled_generator(preset_model(name, 4), epsilon_handle(1))
     compiled = 0
     for name, (sector, kinds) in COST_ROWS.items():
         model = preset_model(name, 4)
@@ -303,7 +303,7 @@ def test_criterion_8_propagator_oracle_equivalence():
                 handle = handles[int(rng.integers(len(handles)))]
                 angle = float(rng.uniform(-np.pi, np.pi))
                 step = PulseStep(handle, angle=angle)
-                gen = toggled_generator(model, handle, 1.0)
+                gen = toggled_generator(model, handle)
                 u_oracle = u_oracle @ expm(-1j * to_matrix(gen) * angle)
             u_pkg = u_pkg @ apply_schedule(PulseSchedule(((step,),), {}), model)
         worst = max(worst, np.linalg.norm(u_pkg - u_oracle))

@@ -337,3 +337,34 @@ class TestMalformedJsonInput:
         assert schedule_to_dict(load_schedule(str(sched)))["groups"] == [
             [{"handle": "j_plus(1,2)", "mode": "ideal", "angle": 3.0 * 0.2}]
         ]
+
+
+class TestOutOfRangeModels:
+    """Registers above the spin cap and overflowing strengths fail cleanly."""
+
+    @pytest.fixture
+    def rx_file(self, tmp_path):
+        path = tmp_path / "rx.json"
+        path.write_text(json.dumps([{"gate": "rx", "target": 0, "angle": 0.5}]))
+        return str(path)
+
+    def test_verify_over_cap_fails_the_verdict(self, rx_file, capsys):
+        assert main(["verify", "--model", "preset:xy:40", "--circuit", rx_file, "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        reasons = {row["reason"] for row in json.loads(captured.out)}
+        assert reasons == {"CapacityError: 40 spins exceeds dense cap 12 (RECOUPLER_MAX_SPINS)"}
+
+    def test_simulate_over_cap_exit_2(self, tmp_path, capsys):
+        sched = tmp_path / "s.json"
+        sched.write_text(json.dumps({"groups": [[{"handle": "j_plus(1,2)", "angle": 0.5}]]}))
+        assert main(["simulate", "--model", "preset:xy:40", "--schedule", str(sched)]) == 2
+        TestMalformedJsonInput._one_error_line(capsys, "40 spins exceeds dense cap 12")
+
+    def test_overflowing_realistic_strength_reason(self, rx_file, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"preset": "xy", "epsilon": [1e308, -1e308, 1e308, -1e308]}))
+        argv = ["verify", "--model", str(path), "--circuit", rx_file, "--format", "json"]
+        assert main(argv + ["--mode", "realistic", "--ratio", "10"]) == 1
+        reasons = {row["reason"] for row in json.loads(capsys.readouterr().out)}
+        assert reasons == {"ValidationError: realistic pulse strength 10 x 1e+308 overflows"}

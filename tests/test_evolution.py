@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from recoupler import (
+    CapacityError,
     CodeSpec,
     ControllabilityError,
     FREE_EVOLUTION,
@@ -66,7 +67,12 @@ class TestPropagator:
     def test_nan_defect_rejected(self):
         # a NaN coefficient makes the whole propagator NaN; the unitarity guard must see it
         with pytest.raises(ValidationError, match="lost unitarity"):
-            propagator(PauliSum(1, {"Z": float("nan")}), 1.0, 1)
+            propagator(PauliSum(1, {"Z": float("nan")}), 1.0)
+
+    @pytest.mark.parametrize("terms", [{"XX": 1e308, "YY": 1e308}, {"ZI": float("inf")}])
+    def test_overflowing_generator_rejected(self, terms):
+        with pytest.raises(ValidationError, match="overflows"):
+            propagator(PauliSum(2, terms), 1.0)
 
     def test_matches_scaling_and_squaring(self):
         rng = np.random.default_rng(31)
@@ -90,6 +96,14 @@ class TestApplySchedule:
         m = preset_model("electrons_on_helium", 4)
         u = apply_schedule(PulseSchedule((), {}), m)
         assert np.array_equal(u, np.eye(16))
+
+    def test_spin_cap_checked_before_allocation(self, monkeypatch):
+        # 2**40 basis states: the identity alone would not fit in memory
+        with pytest.raises(CapacityError, match="40 spins exceeds dense cap 12"):
+            apply_schedule(PulseSchedule((), {}), preset_model("xy", 40))
+        monkeypatch.setenv("RECOUPLER_MAX_SPINS", "2")
+        with pytest.raises(CapacityError, match="4 spins exceeds dense cap 2"):
+            apply_schedule(PulseSchedule((), {}), preset_model("xy", 4))
 
     def test_nmr_four_step_rotation(self):
         m = preset_model("nmr", 2)
@@ -354,3 +368,18 @@ class TestRealisticRatio:
     def test_ideal_ignores_ratio(self):
         m = preset_model("xy", 4)
         assert apply_schedule(self.FREE, m, mode="ideal").shape == (16, 16)
+
+    PULSE = PulseSchedule(((PulseStep(j_plus(1, 2), angle=0.5),),), {})
+
+    def test_overflowing_strength_rejected(self):
+        m = preset_model("xy", 4, epsilon=(1e308, -1e308, 1e308, -1e308))
+        with pytest.raises(ValidationError, match="strength 10 x 1e\\+308 overflows"):
+            apply_schedule(self.PULSE, m, mode="realistic", ratio=10.0)
+        assert apply_schedule(self.PULSE, m).shape == (16, 16)  # ideal pulses ignore it
+
+    def test_zero_strength_rejected(self):
+        m = preset_model("xy", 4, epsilon=(0.0,) * 4)  # no background scale
+        with pytest.raises(ValidationError, match="strength is zero"):
+            apply_schedule(self.PULSE, m, mode="realistic", ratio=10.0)
+        u = apply_schedule(self.FREE, m, mode="realistic", ratio=10.0)
+        assert np.array_equal(u, np.eye(16))

@@ -223,15 +223,15 @@ class TestToggledGenerator:
     def test_jz_on_electrons_on_helium_violates(self):
         m = preset_model("electrons_on_helium", 4)
         with pytest.raises(ControllabilityError):
-            toggled_generator(m, j_z(1, 2), 1.0)
+            toggled_generator(m, j_z(1, 2))
 
     def test_jplus_gives_T(self):
         m = preset_model("electrons_on_helium", 4)
-        assert toggled_generator(m, j_plus(1, 2), 1.0) == build_T(4, 1, 2)
+        assert toggled_generator(m, j_plus(1, 2)) == build_T(4, 1, 2)
 
     def test_heis_gives_exchange_pair(self):
         m = preset_model("spin_dots", 4)
-        got = toggled_generator(m, heis(2, 3), 0.7)
+        got = 0.7 * toggled_generator(m, heis(2, 3))
         want = 0.7 * (build_T(4, 2, 3) + 0.5 * build_zz(4, 2, 3))
         assert got == want
 
@@ -239,19 +239,19 @@ class TestToggledGenerator:
         for name in ("spin_dots", "quantum_hall", "cavity", "electrons_on_helium"):
             m = preset_model(name, 4)
             with pytest.raises(ControllabilityError):
-                toggled_generator(m, epsilon_handle(1), 1.0)
+                toggled_generator(m, epsilon_handle(1))
 
     def test_sigma_x_only_on_nmr(self):
         nmr = preset_model("nmr", 2)
-        got = toggled_generator(nmr, sigma_x(1), 2.0)
+        got = 2.0 * toggled_generator(nmr, sigma_x(1))
         assert got.coeff("XI") == pytest.approx(2.0)
         with pytest.raises(ControllabilityError):
-            toggled_generator(preset_model("xy", 4), sigma_x(1), 1.0)
+            toggled_generator(preset_model("xy", 4), sigma_x(1))
 
     def test_uncoupled_pair_is_connectivity_error(self):
         m = preset_model("electrons_on_helium", 4)
         with pytest.raises(ConnectivityError):
-            toggled_generator(m, j_plus(1, 4), 1.0)
+            toggled_generator(m, j_plus(1, 4))
 
     def test_free_evolution_includes_fixed_couplings(self):
         m = preset_model("electrons_on_helium", 4)

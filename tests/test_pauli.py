@@ -1,17 +1,24 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from recoupler import (
+    PRESET_NAMES,
     CapacityError,
     DimensionError,
     PauliString,
     PauliSum,
     UnsupportedGeneratorError,
+    background_hamiltonian,
+    build_exchange,
     commutes,
     conjugate,
     mul,
+    preset_model,
     single,
     to_matrix,
+    toggled_generator,
 )
 
 I2 = np.eye(2)
@@ -26,6 +33,18 @@ def dense(letters, power=0):
     for c in letters:  # spin 1 least significant
         m = np.kron(MATS[c], m)
     return (1j**power) * m
+
+
+def dense_sum(s):
+    """The kron realization of a PauliSum: the exact oracle for to_matrix."""
+    out = np.zeros((2**s.n, 2**s.n), dtype=complex)
+    for letters, coeff in s:
+        out += coeff * dense(letters)
+    return out
+
+
+def all_strings(n):
+    return [PauliString("".join(s), k) for s in product("IXYZ", repeat=n) for k in range(4)]
 
 
 def random_string(rng, n):
@@ -57,13 +76,12 @@ class TestMul:
             assert mul(mul(p, q), r) == mul(p, mul(q, r))
 
     def test_matches_dense(self):
-        rng = np.random.default_rng(12)
-        for _ in range(100):
-            n = int(rng.integers(1, 4))
-            p, q = random_string(rng, n), random_string(rng, n)
-            got = mul(p, q)
-            want = dense(p.letters, p.power) @ dense(q.letters, q.power)
-            assert np.allclose(dense(got.letters, got.power), want, atol=1e-12)
+        for n in (1, 2):  # every string pair, every phase
+            strings = all_strings(n)
+            for p, q in product(strings, strings):
+                got = mul(p, q)
+                want = dense(p.letters, p.power) @ dense(q.letters, q.power)
+                assert np.array_equal(dense(got.letters, got.power), want), (p, q)
 
 
 class TestCommutes:
@@ -75,8 +93,6 @@ class TestCommutes:
         assert commutes(PauliString(a), PauliString(b)) is expect
 
     def test_exhaustive_vs_dense(self):
-        from itertools import product
-
         for n in (1, 2, 3):
             strings = ["".join(s) for s in product("IXYZ", repeat=n)]
             for a in strings:
@@ -201,3 +217,19 @@ class TestToMatrix:
             to_matrix(PauliString("I" * 7))
         monkeypatch.setenv("RECOUPLER_MAX_SPINS", "8")
         to_matrix(PauliString("I" * 7))  # now fits
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_equals_kron_oracle_on_preset_generators(self, preset):
+        for n in (2, 4, 6, 8):
+            model = preset_model(preset, n)
+            gens = [background_hamiltonian(model), build_exchange(model)]
+            gens += [toggled_generator(model, h) for h in sorted(model.controllable)]
+            for gen in gens:
+                assert np.array_equal(to_matrix(gen), dense_sum(gen)), (preset, n, gen)
+
+    def test_equals_kron_oracle_on_random_complex_sums(self):
+        rng = np.random.default_rng(16)
+        for _ in range(50):
+            n = int(rng.integers(1, 7))
+            s = _random_sum(rng, n, terms=int(rng.integers(1, 12)))
+            assert np.array_equal(to_matrix(s), dense_sum(s)), s

@@ -247,6 +247,23 @@ class TestVerdictContract:
         rep = verify_gate(CONTRACT_GATES[0], preset_model("xy", 4), sector=ANTISYMMETRIC)
         assert rep.reason == "ControllabilityError: handle j_minus(1,2) is not controllable in model 'xy'"
 
+    @pytest.mark.parametrize("sector", ["symmetric", "bogus"])
+    def test_unknown_sector_reason(self, sector):
+        for model in (preset_model("xy", 4), XXZ, preset_model("spin_dots", 4)):
+            for gate in CONTRACT_GATES:
+                rep = verify_gate(gate, model, sector=sector)
+                assert rep.reason == f"ValidationError: unknown sector '{sector}'"
+
+    def test_over_cap_register_fails_with_capacity_reason(self):
+        rep = verify_gate(CONTRACT_GATES[0], preset_model("xy", 40))
+        assert rep.reason == "CapacityError: 40 spins exceeds dense cap 12 (RECOUPLER_MAX_SPINS)"
+        assert not rep.passed
+
+    def test_overflowing_realistic_strength_reason(self):
+        m = preset_model("xy", 4, epsilon=(1e308, -1e308, 1e308, -1e308))
+        rep = verify_gate(CONTRACT_GATES[0], m, mode="realistic", ratio=10.0)
+        assert rep.reason == "ValidationError: realistic pulse strength 10 x 1e+308 overflows"
+
     @pytest.mark.parametrize("mode,ratio", CONTRACT_MODES, ids=["ideal", "realistic"])
     def test_empty_circuit(self, mode, ratio):
         rep = verify_circuit([], XXZ, mode=mode, ratio=ratio)
