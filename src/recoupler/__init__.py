@@ -22,7 +22,6 @@ from .encoding import (
     ANTISYMMETRIC,
     SYMMETRIC,
     CodeSpec,
-    LogicalOperator,
     code_index,
     code_isometry,
     code_projector,

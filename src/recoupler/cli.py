@@ -29,7 +29,7 @@ from .evolution import (
     schedule_to_dict,
 )
 from .model import ExchangeModel, load_model, preset_model, read_json
-from .verifier import cost_report, identity_suite, verify_circuit, verify_gate
+from .verifier import STANDARD_GATES, cost_report, identity_suite, verify_circuit, verify_gate
 
 _SECTORS = {"symmetric": SYMMETRIC, "antisymmetric": ANTISYMMETRIC}
 
@@ -207,24 +207,16 @@ def _parse_ratios(text: str) -> list[float]:
     return out
 
 
-_SWEEP_GATES = {
-    "rx": LogicalGate("rx", (1,), (1.1,)),
-    "rz": LogicalGate("rz", (1,), (0.7,)),
-    "euler": LogicalGate("euler", (1,), (0.5, 1.2, -0.8)),
-    "cphase": LogicalGate("cphase", (1, 2)),
-}
-
-
 def cmd_sweep(args) -> int:
     model = _load_model_arg(args.model)
     ratios = _parse_ratios(args.ratios)
     names = [g.strip() for g in args.gates.split(",")]
     for name in names:
-        if name not in _SWEEP_GATES:
-            raise ValidationError(f"unknown sweep gate {name!r}; choose from {sorted(_SWEEP_GATES)}")
+        if name not in STANDARD_GATES:
+            raise ValidationError(f"unknown sweep gate {name!r}; choose from {sorted(STANDARD_GATES)}")
     rows = []
     for name in names:
-        gate = _SWEEP_GATES[name]
+        gate = STANDARD_GATES[name]
         for r in ratios:
             if math.isinf(r):
                 rep = verify_gate(gate, model, sector=_SECTORS[args.sector], mode="ideal")

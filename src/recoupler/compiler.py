@@ -82,9 +82,12 @@ class LogicalGate:
         return f"{self.kind}@{self.targets}"
 
 
-def _check_logical(model: ExchangeModel, m: int):
-    if not 1 <= m <= model.n_spins // 2:
-        raise ValidationError(f"logical qubit {m} outside 1..{model.n_spins // 2}")
+def _check_logical(model: ExchangeModel, sector: str, *qubits: int):
+    """Reject an unknown sector (via CodeSpec) and logical qubits outside the register."""
+    CodeSpec(sector, model.n_spins)
+    for m in qubits:
+        if not 1 <= m <= model.n_spins // 2:
+            raise ValidationError(f"logical qubit {m} outside 1..{model.n_spins // 2}")
 
 
 def _x_handle(model: ExchangeModel, sector: str, m: int) -> TermHandle:
@@ -127,7 +130,7 @@ def _free_window(target: WindowTarget, coeff: float, angle: float, period: float
 
 def compile_rx(m: int, theta: float, model: ExchangeModel, sector: str = SYMMETRIC) -> PulseSchedule:
     """One-step rotation about the encoded x axis."""
-    _check_logical(model, m)
+    _check_logical(model, sector, m)
     handle = _x_handle(model, sector, m)
     model.require_controllable(handle)
     meta = {"gate": "rx", "m": m, "theta": theta, "sector": sector}
@@ -147,7 +150,7 @@ def compile_rz(m: int, theta: float, model: ExchangeModel, sector: str = SYMMETR
     conjugating by the spectator qubits' x generators doubles the kept term and
     cancels every z-type background term that anticommutes with them.
     """
-    _check_logical(model, m)
+    _check_logical(model, sector, m)
     model.require_controllable(FREE_EVOLUTION)
     target = _z_target(sector, m)
     coeff = target.coefficient(model)
@@ -236,8 +239,7 @@ def compile_cphase_xxz(
     splittings. `angle` is the accumulated sigma_z sigma_z angle; pi/4 gives
     the controlled-phase gate up to local z rotations (appended when `exact`).
     """
-    _check_logical(model, m)
-    _check_logical(model, m + 1)
+    _check_logical(model, sector, m, m + 1)
     if model.kind == "xy":
         raise ControllabilityError(
             "xy models have no sigma_z sigma_z coupling; use the xy cphase construction"
@@ -300,8 +302,7 @@ def compile_cphase_xy(
     sigma_{2m}^z (sigma_{2m+1}^z - sigma_{2m-1}^z)/2, a pure phase whose
     intra-pair half is constant on the code space.
     """
-    _check_logical(model, m)
-    _check_logical(model, m + 1)
+    _check_logical(model, sector, m, m + 1)
     if sector != SYMMETRIC:
         raise SectorError("the xy construction drives T generators (symmetric sector)")
     a, b, c = 2 * m - 1, 2 * m, 2 * m + 1
@@ -339,8 +340,7 @@ def compile_heis_zz(m: int, t: float, model: ExchangeModel) -> PulseSchedule:
     closing window through the x-pulse sign-flip identity, keeping every window
     non-negative in time.
     """
-    _check_logical(model, m)
-    _check_logical(model, m + 1)
+    _check_logical(model, SYMMETRIC, m, m + 1)
     if model.kind != "heisenberg":
         raise ControllabilityError("heis_zz requires an isotropic-exchange model")
     a, b, c = 2 * m - 1, 2 * m, 2 * m + 1

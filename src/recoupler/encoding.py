@@ -3,7 +3,8 @@
 Logical qubit m (1-based) lives on physical spins (2m-1, 2m). The axially
 symmetric code is |0_L> = |ud>, |1_L> = |du>; the antisymmetric code is
 |0_L> = |uu>, |1_L> = |dd>. Logical basis ordering mirrors the physical bit
-convention: logical qubit 1 is the least significant bit.
+convention: logical qubit 1 is the least significant bit. The T generators
+act on the symmetric code and the R generators on the antisymmetric one.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, SectorError, ValidationError
+from .errors import DimensionError, ValidationError
 from .model import build_R, build_T
 from .pauli import PauliSum, single, to_matrix
 
@@ -38,11 +39,6 @@ class CodeSpec:
     def n_logical(self) -> int:
         return self.n_spins // 2
 
-    @property
-    def family(self) -> str:
-        """Logical-operator family acting on this sector: T or R."""
-        return "T" if self.sector == SYMMETRIC else "R"
-
 
 def t_z(n: int, m: int) -> PauliSum:
     """T_m^z = (sigma_{2m-1}^z - sigma_{2m}^z)/2."""
@@ -62,27 +58,6 @@ def t_x(n: int, m: int) -> PauliSum:
 
 def r_x(n: int, m: int) -> PauliSum:
     return build_R(n, 2 * m - 1, 2 * m)
-
-
-@dataclass(frozen=True)
-class LogicalOperator:
-    """Encoded generator: family T acts on the symmetric sector, R on the antisymmetric."""
-
-    family: str  # T | R
-    axis: str  # x | z
-    m: int
-
-    def __post_init__(self):
-        if self.family not in ("T", "R") or self.axis not in ("x", "z"):
-            raise ValidationError(f"bad logical operator {self.family}{self.axis}")
-        if self.m < 1:
-            raise ValidationError("logical index is 1-based")
-
-    def to_sum(self, n_spins: int) -> PauliSum:
-        if 2 * self.m > n_spins:
-            raise DimensionError(f"logical qubit {self.m} does not fit in {n_spins} spins")
-        table = {("T", "x"): t_x, ("T", "z"): t_z, ("R", "x"): r_x, ("R", "z"): r_z}
-        return table[(self.family, self.axis)](n_spins, self.m)
 
 
 def code_index(spec: CodeSpec, logical: int) -> int:
@@ -145,26 +120,11 @@ def decode(spec: CodeSpec, physical_state: np.ndarray):
     return amps / in_norm, leakage
 
 
-def logical_matrix(op, spec: CodeSpec) -> np.ndarray:
-    """Compress an operator to the logical basis: V^dag M V.
-
-    Accepts a LogicalOperator (whose family must match the sector), a PauliSum,
-    or a dense matrix on the full register.
-    """
-    if isinstance(op, LogicalOperator):
-        if op.family != spec.family:
-            raise SectorError(
-                f"{op.family}-family operators act on the "
-                f"{'symmetric' if op.family == 'T' else 'antisymmetric'} sector, "
-                f"code is {spec.sector}"
-            )
-        mat = to_matrix(op.to_sum(spec.n_spins))
-    elif isinstance(op, PauliSum):
-        mat = to_matrix(op)
-    else:
-        mat = np.asarray(op, dtype=complex)
-    dim = 2**spec.n_spins
-    if mat.shape != (dim, dim):
-        raise DimensionError(f"operator shape {mat.shape}, expected ({dim},{dim})")
+def logical_matrix(op: PauliSum, spec: CodeSpec) -> np.ndarray:
+    """Compress a Pauli sum on the physical register to the logical basis: V^dag M V."""
+    if not isinstance(op, PauliSum):
+        raise ValidationError(f"logical_matrix takes a PauliSum, got {type(op).__name__}")
+    if op.n != spec.n_spins:
+        raise DimensionError(f"operator acts on {op.n} spins, code has {spec.n_spins}")
     v = code_isometry(spec)
-    return v.conj().T @ mat @ v
+    return v.conj().T @ to_matrix(op) @ v

@@ -26,7 +26,7 @@ class ConnectivityError(RecouplerError):
 
 
 class SectorError(RecouplerError):
-    """Logical-operator family does not match the code sector."""
+    """The construction does not act on the requested code sector."""
 
 
 class DegenerateSpectrumError(RecouplerError):

@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, UnsupportedGeneratorError
+from .errors import CapacityError, DimensionError, UnsupportedGeneratorError, ValidationError
 
 COEFF_EPS = 1e-14  # canonicalization threshold for PauliSum coefficients
 
@@ -26,6 +26,11 @@ _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 _X_BITS = str.maketrans("IXYZ", "0110")
 _Z_BITS = str.maketrans("IXYZ", "0011")
 _LETTER = "IXZY"  # indexed by x_bit | z_bit << 1
+
+
+def _check_letters(letters: str):
+    if letters.strip("IXYZ"):
+        raise ValidationError(f"invalid Pauli letters {letters!r}")
 
 
 def _masks(letters: str) -> tuple[int, int]:
@@ -56,8 +61,7 @@ class PauliString:
     z: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.letters.strip("IXYZ"):
-            raise ValueError(f"invalid Pauli letters {self.letters!r}")
+        _check_letters(self.letters)
         object.__setattr__(self, "power", self.power % 4)
         for name, mask in zip("xz", _masks(self.letters)):
             object.__setattr__(self, name, mask)
@@ -133,6 +137,7 @@ class PauliSum:
                 raise DimensionError(
                     f"term {letters!r} has length {len(letters)}, expected {self.n}"
                 )
+            _check_letters(letters)
             c = canon.get(letters, 0.0) + complex(coeff)
             if abs(c) < COEFF_EPS:
                 canon.pop(letters, None)

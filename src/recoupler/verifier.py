@@ -39,10 +39,6 @@ from .model import (
 )
 from .pauli import PauliString, PauliSum, conjugate, site_letters, to_matrix
 
-_I2 = np.eye(2, dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-
 
 def _overlap(block: np.ndarray, u_target: np.ndarray, spec: CodeSpec) -> float:
     dim = 2**spec.n_logical
@@ -56,39 +52,10 @@ def fidelity(u_realized: np.ndarray, u_target: np.ndarray, spec: CodeSpec) -> fl
     return _overlap(restrict(u_realized, spec)[0], u_target, spec)
 
 
-def _embed_1q(op: np.ndarray, m: int, n_logical: int) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for q in range(1, n_logical + 1):  # logical qubit 1 least significant
-        out = np.kron(op if q == m else _I2, out)
-    return out
-
-
-def _rx_mat(theta):
-    return np.cos(theta / 2) * _I2 - 1j * np.sin(theta / 2) * _X
-
-
-def _rz_mat(theta):
-    return np.cos(theta / 2) * _I2 - 1j * np.sin(theta / 2) * _Z
-
-
-def _zz_phase(m: int, angle: float, n_logical: int) -> np.ndarray:
-    """exp(-i angle Z_m Z_{m+1}) on the logical register."""
-    dim = 2**n_logical
-    z = np.empty(dim)
-    for idx in range(dim):
-        zm = 1 - 2 * ((idx >> (m - 1)) & 1)
-        zn = 1 - 2 * ((idx >> m) & 1)
-        z[idx] = zm * zn
-    return np.diag(np.exp(-1j * angle * z))
-
-
-def _cphase_exact(m: int, n_logical: int) -> np.ndarray:
-    dim = 2**n_logical
-    d = np.ones(dim, dtype=complex)
-    for idx in range(dim):
-        if (idx >> (m - 1)) & 1 and (idx >> m) & 1:
-            d[idx] = -1.0
-    return np.diag(d)
+def _rotation(k: int, sites: dict[int, str], angle: float) -> np.ndarray:
+    """exp(-i angle P) for the logical string P = sites, as cos(angle) I - i sin(angle) P."""
+    terms = {"I" * k: np.cos(angle), site_letters(k, sites): -1j * np.sin(angle)}
+    return to_matrix(PauliSum(k, terms))
 
 
 def target_logical(
@@ -97,23 +64,30 @@ def target_logical(
     sector: str = SYMMETRIC,
     exact_cphase: bool = False,
 ) -> np.ndarray:
-    """The documented logical unitary a compiled gate realizes on the code space."""
+    """The documented logical unitary a compiled gate realizes on the code space.
+
+    Each target is a Pauli sum on the k = n/2 logical qubits (logical qubit 1
+    least significant), realized with `to_matrix`.
+    """
     k = model.n_spins // 2
     m = gate.targets[0]
-    sector_sign = -1.0 if sector == SYMMETRIC else 1.0  # sigma_z sigma_z |code = sign * ZZ
     if gate.kind == "rx":
-        return _embed_1q(_rx_mat(gate.params[0]), m, k)
+        return _rotation(k, {m: "X"}, gate.params[0] / 2)
     if gate.kind == "rz":
-        return _embed_1q(_rz_mat(gate.params[0]), m, k)
+        return _rotation(k, {m: "Z"}, gate.params[0] / 2)
     if gate.kind == "euler":
         a, b, g = gate.params
-        return _embed_1q(_rx_mat(a) @ _rz_mat(b) @ _rx_mat(g), m, k)
+        x = {m: "X"}
+        return _rotation(k, x, a / 2) @ _rotation(k, {m: "Z"}, b / 2) @ _rotation(k, x, g / 2)
+    sector_sign = -1.0 if sector == SYMMETRIC else 1.0  # sigma_z sigma_z |code = sign * ZZ
+    zz = {m: "Z", m + 1: "Z"}
     if gate.kind == "heis_zz":
         jz = model.coupling(2 * m, 2 * m + 1).jz
-        return _zz_phase(m, sector_sign * jz * gate.params[0], k)
-    if exact_cphase:
-        return _cphase_exact(m, k)
-    return _zz_phase(m, sector_sign * math.pi / 4, k)
+        return _rotation(k, zz, sector_sign * jz * gate.params[0])
+    if exact_cphase:  # (I + Z_m + Z_{m+1} - Z_m Z_{m+1}) / 2 = diag(1, 1, 1, -1)
+        halves = (({}, 0.5), ({m: "Z"}, 0.5), ({m + 1: "Z"}, 0.5), (zz, -0.5))
+        return to_matrix(PauliSum(k, {site_letters(k, s): c for s, c in halves}))
+    return _rotation(k, zz, sector_sign * math.pi / 4)
 
 
 def target_circuit(gates, model, sector=SYMMETRIC, exact_cphase=False) -> np.ndarray:
@@ -292,7 +266,7 @@ def identity_suite() -> list[SuiteEntry]:
     spec = CodeSpec(SYMMETRIC, 4)
     zz23 = logical_matrix(_pstr(4, {2: "Z", 3: "Z"}), spec)
     entries.append(
-        SuiteEntry("encoded_zz_action", _frob(zz23, -np.kron(_Z, _Z)), tol)
+        SuiteEntry("encoded_zz_action", _frob(zz23, -to_matrix(PauliString("ZZ"))), tol)
     )
 
     # xy route: conjugating the inter-pair flip-flop by the intra-pair pi/2 pulse
@@ -361,6 +335,13 @@ def identity_suite() -> list[SuiteEntry]:
 
 # -- cost accounting -----------------------------------------------------------
 
+# the gates every cost report measures and `recoupler sweep --gates` chooses from
+STANDARD_GATES = {
+    "rx": LogicalGate("rx", (1,), (1.1,)),
+    "rz": LogicalGate("rz", (1,), (0.7,)),
+    "euler": LogicalGate("euler", (1,), (0.5, 1.2, -0.8)),
+    "cphase": LogicalGate("cphase", (1, 2)),
+}
 LITERATURE_ISOTROPIC_SERIAL = 19  # 3-physical-qubit encoding, serial mode
 LITERATURE_ISOTROPIC_PARALLEL_2D = 7
 
@@ -381,48 +362,33 @@ def cost_report(model: ExchangeModel, sector: str = SYMMETRIC) -> list[dict]:
         "cphase": {"xy": (5, 5), "heisenberg": (6, 6)}.get(model.kind, (6, 4)),
         "heis_zz": (6, 6),
     }
-    gates = [
-        LogicalGate("rx", (1,), (1.1,)),
-        LogicalGate("rz", (1,), (0.7,)),
-        LogicalGate("euler", (1,), (0.5, 1.2, -0.8)),
-        LogicalGate("cphase", (1, 2)),
-    ]
+    gates = list(STANDARD_GATES.values())
     if model.kind == "heisenberg":
         gates.append(LogicalGate("heis_zz", (1, 2), (1.0,)))
     rows = []
     for gate in gates:
         exp_serial, exp_parallel = expected[gate.kind]
+        row = {
+            "gate": gate.kind,
+            "serial": None,
+            "parallel": None,
+            "expected_serial": exp_serial,
+            "expected_parallel": exp_parallel,
+            "match": False,
+            "note": "",
+        }
+        rows.append(row)
         try:
             sched = compile_gate(gate, model, sector, parallel=True)
         except RecouplerError as exc:
-            rows.append(
-                {
-                    "gate": gate.kind,
-                    "serial": None,
-                    "parallel": None,
-                    "expected_serial": exp_serial,
-                    "expected_parallel": exp_parallel,
-                    "match": False,
-                    "note": f"{type(exc).__name__}: {exc}",
-                }
-            )
+            row["note"] = f"{type(exc).__name__}: {exc}"
             continue
         serial, par = sched.step_count_serial, sched.step_count_parallel
+        row.update(serial=serial, parallel=par)
         if gate.kind == "euler":
-            match = serial <= exp_serial and par <= exp_parallel
+            row.update(match=serial <= exp_serial and par <= exp_parallel, note="<=")
         else:
-            match = serial == exp_serial and par == exp_parallel
-        rows.append(
-            {
-                "gate": gate.kind,
-                "serial": serial,
-                "parallel": par,
-                "expected_serial": exp_serial,
-                "expected_parallel": exp_parallel,
-                "match": match,
-                "note": "<=" if gate.kind == "euler" else "",
-            }
-        )
+            row["match"] = serial == exp_serial and par == exp_parallel
     rows.append(
         {
             "gate": "isotropic_zz_3spin_encoding",

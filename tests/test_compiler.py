@@ -435,6 +435,26 @@ class TestCompileCircuitErrors:
             circuit_from_list([{"gate": "heis_zz", "targets": [0, 1], "time": bad}])
 
 
+DIRECT_COMPILERS = {
+    "rx": lambda model, sector: compile_rx(1, 0.5, model, sector),
+    "rz": lambda model, sector: compile_rz(1, 0.5, model, sector),
+    "euler": lambda model, sector: compile_euler(1, 0.5, 1.2, -0.8, model, sector),
+    "cphase_xxz": lambda model, sector: compile_cphase_xxz(1, model, sector=sector),
+    "cphase_xy": lambda model, sector: compile_cphase_xy(1, model, sector=sector),
+}
+
+
+class TestDirectCompilerSector:
+    """Each per-gate compiler rejects an unknown sector before lowering anything."""
+
+    @pytest.mark.parametrize("sector", ["symmetric", "bogus"])
+    @pytest.mark.parametrize("name", sorted(DIRECT_COMPILERS))
+    def test_unknown_sector_rejected(self, name, sector):
+        model = XY if name == "cphase_xy" else XXZ_ANTI
+        with pytest.raises(ValidationError, match=f"^unknown sector '{sector}'$"):
+            DIRECT_COMPILERS[name](model, sector)
+
+
 GOLDEN_GATES = [
     LogicalGate("rx", (1,), (1.1,)),
     LogicalGate("rz", (1,), (0.7,)),

@@ -6,10 +6,9 @@ from recoupler import (
     SYMMETRIC,
     CodeSpec,
     DimensionError,
-    LogicalOperator,
     PauliString,
     PauliSum,
-    SectorError,
+    ValidationError,
     code_index,
     code_isometry,
     code_projector,
@@ -98,24 +97,26 @@ class TestEncodeDecode:
 class TestLogicalMatrix:
     def test_tz_is_logical_Z(self):
         spec = CodeSpec(SYMMETRIC, 2)
-        got = logical_matrix(LogicalOperator("T", "z", 1), spec)
+        got = logical_matrix(t_z(2, 1), spec)
         assert np.allclose(got, Z)
 
     def test_tx_is_logical_X(self):
         spec = CodeSpec(SYMMETRIC, 2)
-        got = logical_matrix(LogicalOperator("T", "x", 1), spec)
+        got = logical_matrix(t_x(2, 1), spec)
         assert np.allclose(got, X)
 
     def test_r_family_on_antisymmetric(self):
         spec = CodeSpec(ANTISYMMETRIC, 2)
-        assert np.allclose(logical_matrix(LogicalOperator("R", "z", 1), spec), Z)
-        assert np.allclose(logical_matrix(LogicalOperator("R", "x", 1), spec), X)
+        assert np.allclose(logical_matrix(r_z(2, 1), spec), Z)
+        assert np.allclose(logical_matrix(r_x(2, 1), spec), X)
 
-    def test_sector_mismatch(self):
-        with pytest.raises(SectorError):
-            logical_matrix(LogicalOperator("T", "x", 1), CodeSpec(ANTISYMMETRIC, 2))
-        with pytest.raises(SectorError):
-            logical_matrix(LogicalOperator("R", "x", 1), CodeSpec(SYMMETRIC, 2))
+    def test_spin_count_mismatch(self):
+        with pytest.raises(DimensionError, match="operator acts on 4 spins, code has 2"):
+            logical_matrix(t_x(4, 1), CodeSpec(SYMMETRIC, 2))
+
+    def test_dense_matrix_rejected(self):
+        with pytest.raises(ValidationError, match="logical_matrix takes a PauliSum, got ndarray"):
+            logical_matrix(to_matrix(t_x(2, 1)), CodeSpec(SYMMETRIC, 2))
 
     def test_interpair_zz_compresses_to_minus_zz(self):
         spec = CodeSpec(SYMMETRIC, 4)
@@ -134,8 +135,8 @@ class TestAlgebra:
         n = 2 * n_logical
         spec = CodeSpec(SYMMETRIC, n)
         for m in range(1, n_logical + 1):
-            xm = logical_matrix(LogicalOperator("T", "x", m), spec)
-            zm = logical_matrix(LogicalOperator("T", "z", m), spec)
+            xm = logical_matrix(t_x(n, m), spec)
+            zm = logical_matrix(t_z(n, m), spec)
             dim = 2**n_logical
             assert np.allclose(xm @ zm, -zm @ xm, atol=1e-14)
             assert np.allclose(xm @ xm, np.eye(dim), atol=1e-14)
@@ -148,12 +149,12 @@ class TestAlgebra:
 
     def test_different_slots_commute_and_factorize(self):
         spec = CodeSpec(SYMMETRIC, 4)
-        x1 = logical_matrix(LogicalOperator("T", "x", 1), spec)
-        z2 = logical_matrix(LogicalOperator("T", "z", 2), spec)
+        x1 = logical_matrix(t_x(4, 1), spec)
+        z2 = logical_matrix(t_z(4, 2), spec)
         assert np.allclose(x1 @ z2, z2 @ x1)
         assert np.allclose(x1, np.kron(np.eye(2), X))  # slot 1 least significant
         assert np.allclose(z2, np.kron(Z, np.eye(2)))
-        prod = logical_matrix(to_matrix(t_x(4, 1) @ t_z(4, 2)), spec)
+        prod = logical_matrix(t_x(4, 1) @ t_z(4, 2), spec)
         assert np.allclose(prod, np.kron(Z, X))
 
     def test_tx_squared_is_pair_projector_not_identity(self):

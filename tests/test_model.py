@@ -312,7 +312,7 @@ class TestStructuralProperties:
             )
             for m in (1, 2)
         )
-        diff = to_matrix(lhs - rhs)
+        diff = lhs - rhs
         for sector in (SYMMETRIC, ANTISYMMETRIC):
             blk = logical_matrix(diff, CodeSpec(sector, 4))
             assert np.linalg.norm(blk - blk[0, 0] * np.eye(4)) < 1e-12

@@ -10,6 +10,7 @@ from recoupler import (
     PauliString,
     PauliSum,
     UnsupportedGeneratorError,
+    ValidationError,
     background_hamiltonian,
     build_exchange,
     commutes,
@@ -104,6 +105,17 @@ class TestCommutes:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             commutes(PauliString("XX"), PauliString("X"))
+
+
+class TestLetters:
+    def test_string_rejects_unknown_letters(self):
+        with pytest.raises(ValidationError, match="invalid Pauli letters 'AB'"):
+            PauliString("AB")
+
+    @pytest.mark.parametrize("letters", ["A", "x", " "])
+    def test_sum_rejects_unknown_letters(self, letters):
+        with pytest.raises(ValidationError, match="invalid Pauli letters"):
+            PauliSum(1, {letters: 1.0})
 
 
 class TestPauliSum:

@@ -10,9 +10,11 @@ from recoupler import (
     fidelity,
     identity_suite,
     preset_model,
+    target_logical,
     verify_circuit,
     verify_gate,
 )
+from recoupler.verifier import STANDARD_GATES
 
 XXZ = preset_model("electrons_on_helium", 4)
 SPEC = CodeSpec(SYMMETRIC, 4)
@@ -172,6 +174,16 @@ class TestCostReport:
         assert all(r["match"] for r in rows.values())
 
 
+    def test_rows_share_keys_and_gate_table(self):
+        columns = ["gate", "serial", "parallel", "expected_serial", "expected_parallel", "match", "note"]
+        rows = cost_report(preset_model("quantum_hall", 4), sector=ANTISYMMETRIC)
+        assert [r["gate"] for r in rows[:4]] == list(STANDARD_GATES)
+        assert all(list(r) == columns for r in rows)
+        rx = rows[0]
+        assert (rx["serial"], rx["parallel"], rx["match"]) == (None, None, False)
+        assert rx["note"].startswith("ControllabilityError: handle j_minus(1,2)")
+
+
 class TestMonotoneConvergence:
     @pytest.mark.parametrize(
         "gate",
@@ -293,3 +305,99 @@ class TestVerdictContract:
         assert len(calls) == 1
         verify_circuit(CONTRACT_GATES, XXZ, mode="realistic", ratio=100.0)
         assert len(calls) == 2
+
+
+# -- closed-form oracle for target_logical: the kron embedding, 2x2 rotations and
+# diagonal phases it was written with before it went through the Pauli core
+
+_I2 = np.eye(2, dtype=complex)
+_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def _embed_1q(op, m, n_logical):
+    out = np.array([[1.0 + 0j]])
+    for q in range(1, n_logical + 1):  # logical qubit 1 least significant
+        out = np.kron(op if q == m else _I2, out)
+    return out
+
+
+def _rx_mat(theta):
+    return np.cos(theta / 2) * _I2 - 1j * np.sin(theta / 2) * _X
+
+
+def _rz_mat(theta):
+    return np.cos(theta / 2) * _I2 - 1j * np.sin(theta / 2) * _Z
+
+
+def _zz_phase(m, angle, n_logical):
+    """exp(-i angle Z_m Z_{m+1}) on the logical register."""
+    dim = 2**n_logical
+    z = np.empty(dim)
+    for idx in range(dim):
+        zm = 1 - 2 * ((idx >> (m - 1)) & 1)
+        zn = 1 - 2 * ((idx >> m) & 1)
+        z[idx] = zm * zn
+    return np.diag(np.exp(-1j * angle * z))
+
+
+def _cphase_exact(m, n_logical):
+    dim = 2**n_logical
+    d = np.ones(dim, dtype=complex)
+    for idx in range(dim):
+        if (idx >> (m - 1)) & 1 and (idx >> m) & 1:
+            d[idx] = -1.0
+    return np.diag(d)
+
+
+def _closed_form_target(gate, model, sector, exact_cphase):
+    k = model.n_spins // 2
+    m = gate.targets[0]
+    sector_sign = -1.0 if sector == SYMMETRIC else 1.0
+    if gate.kind == "rx":
+        return _embed_1q(_rx_mat(gate.params[0]), m, k)
+    if gate.kind == "rz":
+        return _embed_1q(_rz_mat(gate.params[0]), m, k)
+    if gate.kind == "euler":
+        a, b, g = gate.params
+        return _embed_1q(_rx_mat(a) @ _rz_mat(b) @ _rx_mat(g), m, k)
+    if gate.kind == "heis_zz":
+        jz = model.coupling(2 * m, 2 * m + 1).jz
+        return _zz_phase(m, sector_sign * jz * gate.params[0], k)
+    if exact_cphase:
+        return _cphase_exact(m, k)
+    return _zz_phase(m, sector_sign * np.pi / 4, k)
+
+
+def _oracle_gates(k):
+    for m in range(1, k + 1):
+        for theta in (1.1, np.pi, -2.3, 4 * np.pi):
+            yield LogicalGate("rx", (m,), (theta,))
+            yield LogicalGate("rz", (m,), (theta,))
+        yield LogicalGate("euler", (m,), (0.5, 1.2, -0.8))
+        yield LogicalGate("euler", (m,), (np.pi, -np.pi / 2, 0.0))
+        if m < k:
+            yield LogicalGate("cphase", (m, m + 1))
+            yield LogicalGate("heis_zz", (m, m + 1), (1.0,))
+            yield LogicalGate("heis_zz", (m, m + 1), (-0.37,))
+
+
+class TestTargetOracle:
+    @pytest.mark.parametrize("exact_cphase", [False, True])
+    @pytest.mark.parametrize("sector", [SYMMETRIC, ANTISYMMETRIC])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_closed_forms(self, k, sector, exact_cphase):
+        model = preset_model("heisenberg", 2 * k)
+        for gate in _oracle_gates(k):
+            got = target_logical(gate, model, sector, exact_cphase)
+            want = _closed_form_target(gate, model, sector, exact_cphase)
+            assert np.max(np.abs(got - want)) <= 1e-15, gate.describe()
+
+    @pytest.mark.parametrize("sector", [SYMMETRIC, ANTISYMMETRIC])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_exact_cphase_is_exactly_diagonal_signs(self, k, sector):
+        model = preset_model("heisenberg", 2 * k)
+        for m in range(1, k):
+            got = target_logical(LogicalGate("cphase", (m, m + 1)), model, sector, True)
+            assert np.array_equal(got, _cphase_exact(m, k))
+            assert set(np.diag(got)) == {1.0, -1.0}
