@@ -218,16 +218,10 @@ def cmd_sweep(args) -> int:
     for name in names:
         gate = STANDARD_GATES[name]
         for r in ratios:
-            if math.isinf(r):
-                rep = verify_gate(gate, model, sector=_SECTORS[args.sector], mode="ideal")
-                label = "inf"
-            else:
-                rep = verify_gate(
-                    gate, model, sector=_SECTORS[args.sector], mode="realistic", ratio=r
-                )
-                label = f"{r:g}"
+            mode = "ideal" if math.isinf(r) else "realistic"  # ideal mode ignores the ratio
+            rep = verify_gate(gate, model, sector=_SECTORS[args.sector], mode=mode, ratio=r)
             rows.append(
-                {"gate": name, "ratio": label, "fidelity": rep.fidelity, "leakage": rep.leakage}
+                {"gate": name, "ratio": f"{r:g}", "fidelity": rep.fidelity, "leakage": rep.leakage}
             )
     _write_text(args.out, _format_rows(rows, "csv", ["gate", "ratio", "fidelity", "leakage"]))
     return 0

@@ -1,25 +1,32 @@
 """Lowering of encoded logical gates to pulse schedules.
 
-Constructions (schedules are written in matrix-product order, rightmost group
-first in time):
+Schedules are written in matrix-product order, rightmost group first in time.
+Every construction is built from one selective-recoupling step,
+`_conjugated(inner, handles, angle)` = P(+angle) . inner . P(-angle), with the
+pulses of all `handles` sharing one group on each side: terms of the inner
+evolution that anticommute with a handle's generator flip sign, so a window W
+followed by its conjugated copy keeps what commutes and cancels the rest.
+W is a free window, F an NMR free period.
 
   rx(theta):   one x-generator pulse of angle theta/2 on the target pair.
-  rz(theta):   the recoupling sandwich  free . X_spec(+pi/2) . free . X_spec(-pi/2)
-               where X_spec pulses the x generator of every *spectator* logical
-               qubit; terms commuting with the conjugators double (the target
-               z term), anticommuting terms cancel. 4 steps.
+  rz(theta):   W . conj(W, spectator x handles, pi/2); doubles the target z
+               term and cancels every z term of the spectators. 4 steps.
   euler:       rx(alpha) rz(beta) rx(gamma), zero-angle factors elided; <= 6 steps.
-  cphase xxz:  the same sandwich conjugated by both coupled qubits' x
-               generators, which doubles the always-on inter-pair ZZ coupling
-               and cancels the single-qubit z terms. 4 steps when the two
-               x pulses share a parallel group, 6 serially.
-  cphase xy:   [T_ac pi/4][T_ab pi/2][T_bc phi][T_ab -pi/2][T_ac -pi/4] on
-               spins (a,b,c) = (2m-1, 2m, 2m+1); the conjugations turn the
-               next-nearest-neighbor flip-flop into a pure ZZ phase. 5 steps.
-  heis zz:     [heis_bc][free pi][heis_bc][heis_ab +pi/2][free pi][heis_ab -pi/2];
-               the free windows implement exp(-i pi T_m^z) = Z_{2m-1} Z_{2m},
-               whose conjugation flips the transverse part of the neighboring
-               exchange and leaves a pure ZZ phase with zero leakage. 6 steps.
+  cphase xxz:  W . conj(W, both coupled qubits' x handles, pi/2); doubles the
+               always-on inter-pair ZZ coupling and cancels the single-qubit
+               z terms. 4 steps (6 serially).
+  cphase xy:   conj(conj(T_bc(2 angle), [T_ab], pi/2), [T_ac], pi/4) on spins
+               (a,b,c) = (2m-1, 2m, 2m+1); turns the next-nearest-neighbor
+               flip-flop into a pure ZZ phase. 5 steps.
+  heis zz:     half . W . half . conj(W, [heis_ab], pi/2) with half = heis_bc;
+               W = exp(-i pi T_m^z) = Z_{2m-1} Z_{2m} flips the transverse part
+               of the neighboring exchange, leaving a pure ZZ phase. 6 steps.
+  nmr:         F . conj(F, [sigma_x(spin)], pi/2) for a z rotation, and
+               F . conj(conj(F, [sigma_x(1)], pi/2), [sigma_x(2)], pi/2) for Ising.
+
+`compile_gate` applies the per-gate layout options once, after lowering:
+`exact_cphase` prepends the local rz corrections to every cphase family, and
+`parallel=False` splits every group into single-step groups in order.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ from .model import (
     heis,
     j_minus,
     j_plus,
+    json_index,
     sigma_x,
 )
 
@@ -91,15 +99,23 @@ def _check_logical(model: ExchangeModel, sector: str, *qubits: int):
 
 
 def _x_handle(model: ExchangeModel, sector: str, m: int) -> TermHandle:
-    """The controllable handle whose pulse acts as logical X on qubit m."""
+    """The handle whose pulse acts as logical X on qubit m, checked controllable."""
     a, b = 2 * m - 1, 2 * m
     if model.kind == "heisenberg":
         if sector != SYMMETRIC:
             raise SectorError("heisenberg recoupling operates on the symmetric sector")
-        return heis(a, b)
-    if sector == SYMMETRIC:
-        return j_plus(a, b)
-    return j_minus(a, b)
+        handle = heis(a, b)
+    else:
+        handle = j_plus(a, b) if sector == SYMMETRIC else j_minus(a, b)
+    model.require_controllable(handle)
+    return handle
+
+
+def _conjugated(inner: tuple, handles, angle: float) -> tuple:
+    """P(+angle) . inner . P(-angle) in matrix order, all handles in one group per side."""
+    plus = tuple(PulseStep(h, angle=angle) for h in handles)
+    minus = tuple(PulseStep(h, angle=-angle) for h in handles)
+    return (plus,) + inner + (minus,)
 
 
 def _mod_interval(value: float, period: float, positive: bool) -> float:
@@ -132,7 +148,6 @@ def compile_rx(m: int, theta: float, model: ExchangeModel, sector: str = SYMMETR
     """One-step rotation about the encoded x axis."""
     _check_logical(model, sector, m)
     handle = _x_handle(model, sector, m)
-    model.require_controllable(handle)
     meta = {"gate": "rx", "m": m, "theta": theta, "sector": sector}
     if _is_zero_mod(theta, 4 * math.pi):
         return PulseSchedule((), meta)
@@ -170,12 +185,8 @@ def compile_rz(m: int, theta: float, model: ExchangeModel, sector: str = SYMMETR
         return PulseSchedule(((window,),), meta)
 
     handles = [_x_handle(model, sector, k) for k in spectators]
-    for h in handles:
-        model.require_controllable(h)
-    plus = tuple(PulseStep(h, angle=math.pi / 2) for h in handles)
-    minus = tuple(PulseStep(h, angle=-math.pi / 2) for h in handles)
-    window = _free_window(target, coeff, theta / 4, math.pi)
-    return PulseSchedule(((window,), plus, (window,), minus), meta)
+    window = (_free_window(target, coeff, theta / 4, math.pi),)
+    return PulseSchedule((window,) + _conjugated((window,), handles, math.pi / 2), meta)
 
 
 def euler_xzx_angles(u: np.ndarray) -> tuple[float, float, float]:
@@ -217,27 +228,22 @@ def compile_euler(
         compile_rz(m, beta, model, sector),
         compile_rx(m, gamma, model, sector),
     )
-    groups: tuple = ()
-    for p in parts:
-        groups = groups + p.groups
     meta = {"gate": "euler", "m": m, "angles": [alpha, beta, gamma], "sector": sector}
-    return PulseSchedule(groups, meta)
+    return PulseSchedule(sum((p.groups for p in parts), ()), meta)
 
 
 def compile_cphase_xxz(
     m: int,
     model: ExchangeModel,
-    parallel: bool = True,
     angle: float = math.pi / 4,
     sector: str = SYMMETRIC,
-    exact: bool = False,
 ) -> PulseSchedule:
     """Entangling ZZ phase between logical m and m+1 from the inter-pair J^z.
 
     The sandwich doubles the always-on sigma_z sigma_z coupling between spins
     (2m, 2m+1) while the +/-pi/2 x pulses on both qubits cancel the z
     splittings. `angle` is the accumulated sigma_z sigma_z angle; pi/4 gives
-    the controlled-phase gate up to local z rotations (appended when `exact`).
+    the controlled-phase gate up to local z rotations (see `compile_gate`).
     """
     _check_logical(model, sector, m, m + 1)
     if model.kind == "xy":
@@ -251,41 +257,11 @@ def compile_cphase_xxz(
         raise ValidationError(f"pair ({b},{c}) has no zz coupling to recouple")
     model.require_controllable(FREE_EVOLUTION)
     handles = [_x_handle(model, sector, m), _x_handle(model, sector, m + 1)]
-    for h in handles:
-        model.require_controllable(h)
-
-    meta = {
-        "gate": "cphase",
-        "m": m,
-        "angle": angle,
-        "sector": sector,
-        "parallel": parallel,
-        "exact": exact,
-    }
-    if _is_zero_mod(angle, 2 * math.pi) and not exact:
+    meta = {"gate": "cphase", "m": m, "angle": angle, "sector": sector}
+    if _is_zero_mod(angle, 2 * math.pi):
         return PulseSchedule((), meta)
-
-    window = _free_window(target, jz, angle / 2, math.pi)
-    plus = tuple(PulseStep(h, angle=math.pi / 2) for h in handles)
-    minus = tuple(PulseStep(h, angle=-math.pi / 2) for h in handles)
-    if parallel:
-        groups = ((window,), plus, (window,), minus)
-    else:
-        groups = ((window,), plus[:1], plus[1:], (window,), minus[:1], minus[1:])
-    schedule = PulseSchedule(groups, meta)
-    if exact:
-        schedule = _append_cphase_corrections(schedule, m, model, sector, angle, meta)
-    return schedule
-
-
-def _append_cphase_corrections(schedule, m, model, sector, angle, meta):
-    """Local rz corrections turning the bare ZZ phase into an exact CPHASE."""
-    if abs(angle - math.pi / 4) > _ZERO:
-        raise ValidationError("exact cphase corrections are defined for angle pi/4")
-    sign = 1.0 if sector == SYMMETRIC else -1.0
-    rz1 = compile_rz(m, sign * math.pi / 2, model, sector)
-    rz2 = compile_rz(m + 1, sign * math.pi / 2, model, sector)
-    return PulseSchedule(rz1.groups + rz2.groups + schedule.groups, meta)
+    window = (_free_window(target, jz, angle / 2, math.pi),)
+    return PulseSchedule((window,) + _conjugated((window,), handles, math.pi / 2), meta)
 
 
 def compile_cphase_xy(
@@ -293,7 +269,6 @@ def compile_cphase_xy(
     model: ExchangeModel,
     angle: float = math.pi / 4,
     sector: str = SYMMETRIC,
-    exact: bool = False,
 ) -> PulseSchedule:
     """Five-step XY-model ZZ phase using a next-nearest-neighbor flip-flop.
 
@@ -314,21 +289,12 @@ def compile_cphase_xy(
         )
     model.require_controllable(j_plus(a, c))
 
-    meta = {"gate": "cphase", "m": m, "angle": angle, "sector": sector, "exact": exact}
-    if _is_zero_mod(angle, 2 * math.pi) and not exact:
+    meta = {"gate": "cphase", "m": m, "angle": angle, "sector": sector}
+    if _is_zero_mod(angle, 2 * math.pi):
         return PulseSchedule((), meta)
-    phi = 2 * angle
-    groups = (
-        (PulseStep(j_plus(a, c), angle=math.pi / 4),),
-        (PulseStep(j_plus(a, b), angle=math.pi / 2),),
-        (PulseStep(j_plus(b, c), angle=phi),),
-        (PulseStep(j_plus(a, b), angle=-math.pi / 2),),
-        (PulseStep(j_plus(a, c), angle=-math.pi / 4),),
-    )
-    schedule = PulseSchedule(groups, meta)
-    if exact:
-        schedule = _append_cphase_corrections(schedule, m, model, sector, angle, meta)
-    return schedule
+    inner = ((PulseStep(j_plus(b, c), angle=2 * angle),),)
+    inner = _conjugated(inner, [j_plus(a, b)], math.pi / 2)
+    return PulseSchedule(_conjugated(inner, [j_plus(a, c)], math.pi / 4), meta)
 
 
 def compile_heis_zz(m: int, t: float, model: ExchangeModel) -> PulseSchedule:
@@ -357,16 +323,9 @@ def compile_heis_zz(m: int, t: float, model: ExchangeModel) -> PulseSchedule:
     meta = {"gate": "heis_zz", "m": m, "t": t, "jz": jz, "sector": SYMMETRIC}
     if abs(t) < _ZERO:
         return PulseSchedule((), meta)
-    half = PulseStep(heis(b, c), angle=jz * t)
-    window = _free_window(target, coeff, math.pi, 2 * math.pi)
-    groups = (
-        (half,),
-        (window,),
-        (half,),
-        (PulseStep(heis(a, b), angle=math.pi / 2),),
-        (window,),
-        (PulseStep(heis(a, b), angle=-math.pi / 2),),
-    )
+    half = (PulseStep(heis(b, c), angle=jz * t),)
+    window = (_free_window(target, coeff, math.pi, 2 * math.pi),)
+    groups = (half, window, half) + _conjugated((window,), [heis(a, b)], math.pi / 2)
     return PulseSchedule(groups, meta)
 
 
@@ -377,26 +336,40 @@ def compile_gate(
     parallel: bool = True,
     exact_cphase: bool = False,
 ) -> PulseSchedule:
-    """Dispatch one logical gate to the construction matching the model family."""
+    """Lower one logical gate with the construction matching the model family.
+
+    `exact_cphase` prepends the local rz corrections that turn any cphase
+    family's bare ZZ phase into an exact CPHASE; `parallel=False` then splits
+    every group into single-step groups, keeping their order. The metadata
+    records the requested sector.
+    """
     CodeSpec(sector, model.n_spins)  # rejects an unknown sector before any lowering
+    m, params = gate.targets[0], gate.params
     if gate.kind == "rx":
-        return compile_rx(gate.targets[0], gate.params[0], model, sector)
-    if gate.kind == "rz":
-        return compile_rz(gate.targets[0], gate.params[0], model, sector)
-    if gate.kind == "euler":
-        return compile_euler(gate.targets[0], *gate.params, model, sector)
-    if gate.kind == "heis_zz":
-        return compile_heis_zz(gate.targets[0], gate.params[0], model)
-    # cphase
-    m = gate.targets[0]
-    if model.kind == "xy":
-        return compile_cphase_xy(m, model, sector=sector, exact=exact_cphase)
-    if model.kind == "heisenberg":
+        schedule = compile_rx(m, params[0], model, sector)
+    elif gate.kind == "rz":
+        schedule = compile_rz(m, params[0], model, sector)
+    elif gate.kind == "euler":
+        schedule = compile_euler(m, *params, model, sector)
+    elif gate.kind == "heis_zz":
+        schedule = compile_heis_zz(m, params[0], model)
+    elif model.kind == "xy":
+        schedule = compile_cphase_xy(m, model, sector=sector)
+    elif model.kind == "heisenberg":
         jz = model.coupling(2 * m, 2 * m + 1).jz
         if abs(jz) < _ZERO:
             raise ValidationError(f"pair ({2 * m},{2 * m + 1}) has no exchange coupling")
-        return compile_heis_zz(m, (math.pi / 4) / jz, model)
-    return compile_cphase_xxz(m, model, parallel, sector=sector, exact=exact_cphase)
+        schedule = compile_heis_zz(m, (math.pi / 4) / jz, model)
+    else:
+        schedule = compile_cphase_xxz(m, model, sector=sector)
+    groups = schedule.groups
+    if gate.kind == "cphase" and exact_cphase:
+        theta = math.pi / 2 if sector == SYMMETRIC else -math.pi / 2
+        rz1, rz2 = (compile_rz(k, theta, model, sector) for k in (m, m + 1))
+        groups = rz1.groups + rz2.groups + groups
+    if not parallel:
+        groups = tuple((step,) for group in groups for step in group)
+    return PulseSchedule(groups, {**schedule.metadata, "sector": sector})
 
 
 def compile_circuit(
@@ -417,9 +390,7 @@ def compile_circuit(
         except RecouplerError as exc:
             exc.args = (f"gate {idx} ({gate.kind}): {exc}",)
             raise
-    groups: tuple = ()
-    for sched in reversed(compiled):
-        groups = groups + sched.groups
+    groups = sum((sched.groups for sched in reversed(compiled)), ())
     meta = {
         "gate": "circuit",
         "gates": [g.describe() for g in gates],
@@ -435,22 +406,17 @@ def compile_circuit(
 
 def nmr_z_rotation_schedule(tau: float, spin: int = 1) -> PulseSchedule:
     """free tau . sigma_x(+pi/2) . free tau . sigma_x(-pi/2): z rotation of the other spin."""
-    p = PulseStep(sigma_x(spin), angle=math.pi / 2)
-    m_ = PulseStep(sigma_x(spin), angle=-math.pi / 2)
-    f = PulseStep(FREE_EVOLUTION, duration=tau)
-    return PulseSchedule(((f,), (p,), (f,), (m_,)), {"gate": "nmr_z_rotation", "tau": tau})
+    f = (PulseStep(FREE_EVOLUTION, duration=tau),)
+    groups = (f,) + _conjugated((f,), [sigma_x(spin)], math.pi / 2)
+    return PulseSchedule(groups, {"gate": "nmr_z_rotation", "tau": tau})
 
 
 def nmr_ising_schedule(tau: float) -> PulseSchedule:
     """Double conjugation extracting the Ising term: exp(-2i tau J^z Z1 Z2)."""
-    f = PulseStep(FREE_EVOLUTION, duration=tau)
-    p1 = PulseStep(sigma_x(1), angle=math.pi / 2)
-    p2 = PulseStep(sigma_x(2), angle=math.pi / 2)
-    m1 = PulseStep(sigma_x(1), angle=-math.pi / 2)
-    m2 = PulseStep(sigma_x(2), angle=-math.pi / 2)
-    return PulseSchedule(
-        ((f,), (p2,), (p1,), (f,), (m1,), (m2,)), {"gate": "nmr_ising", "tau": tau}
-    )
+    f = (PulseStep(FREE_EVOLUTION, duration=tau),)
+    inner = _conjugated((f,), [sigma_x(1)], math.pi / 2)
+    groups = (f,) + _conjugated(inner, [sigma_x(2)], math.pi / 2)
+    return PulseSchedule(groups, {"gate": "nmr_ising", "tau": tau})
 
 
 # -- circuit JSON --------------------------------------------------------------
@@ -461,9 +427,9 @@ def gate_from_dict(data: dict) -> LogicalGate:
     try:
         kind = data["gate"]
         if "targets" in data:
-            targets = tuple(int(t) + 1 for t in data["targets"])
+            targets = tuple(json_index(t) + 1 for t in data["targets"])
         else:
-            targets = (int(data["target"]) + 1,)
+            targets = (json_index(data["target"]) + 1,)
         if kind in ("rx", "rz"):
             params = (float(data["angle"]),)
         elif kind == "euler":

@@ -364,6 +364,13 @@ def preset_model(name: str, n_spins: int = 4, epsilon=None) -> ExchangeModel:
 MALFORMED_JSON = (KeyError, TypeError, ValueError, OverflowError)  # bad shapes or values
 
 
+def json_index(value) -> int:
+    """int() of a JSON index; a bool or a non-integral float is malformed, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"index must be an integer, got {value!r}")
+    return int(value)
+
+
 def model_to_dict(model: ExchangeModel) -> dict:
     return {
         "kind": model.kind,
@@ -383,14 +390,14 @@ def model_from_dict(data: dict) -> ExchangeModel:
         if "preset" in data:
             return preset_model(data["preset"], data.get("n_spins", 4), data.get("epsilon"))
         couplings = {
-            (int(c["i"]), int(c["j"])): Coupling(
+            (json_index(c["i"]), json_index(c["j"])): Coupling(
                 float(c.get("jx", 0.0)), float(c.get("jy", 0.0)), float(c.get("jz", 0.0))
             )
             for c in data["couplings"]
         }
         return ExchangeModel(
             kind=data["kind"],
-            n_spins=int(data["n_spins"]),
+            n_spins=json_index(data["n_spins"]),
             epsilon=tuple(float(e) for e in data["epsilon"]),
             couplings=couplings,
             controllable=frozenset(TermHandle.parse(h) for h in data.get("controllable", [])),

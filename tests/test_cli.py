@@ -279,6 +279,9 @@ class TestMalformedJsonInput:
         [
             ({"gate": "rz", "target": 0, "angle": "abc"}, "could not convert string to float"),
             ({"gate": "rz", "target": "x", "angle": 1.0}, "invalid literal for int()"),
+            ({"gate": "rx", "target": 0.9, "angle": 1.0}, "index must be an integer, got 0.9"),
+            ({"gate": "rz", "target": True, "angle": 1.0}, "index must be an integer, got True"),
+            ({"gate": "cphase", "targets": [0.2, 1.7]}, "index must be an integer, got 0.2"),
         ],
     )
     def test_bad_gate_values(self, model_file, tmp_path, capsys, record, want):
@@ -290,7 +293,11 @@ class TestMalformedJsonInput:
     @pytest.mark.parametrize(
         "content",
         ["5", '"text"', "[1, 2]", '{"kind": "xy", "n_spins": "abc", "epsilon": [], "couplings": []}',
-         '{"preset": "xy", "n_spins": "abc"}'],
+         '{"preset": "xy", "n_spins": "abc"}',
+         '{"kind": "xy", "n_spins": 4.9, "epsilon": [1, 2, 3, 4], "couplings": []}',
+         '{"kind": "xy", "n_spins": true, "epsilon": [1, 2, 3, 4], "couplings": []}',
+         '{"kind": "xy", "n_spins": 4, "epsilon": [1, 2, 3, 4], "couplings": [{"i": 1.2, "j": 2}]}',
+         '{"kind": "xy", "n_spins": 4, "epsilon": [1, 2, 3, 4], "couplings": [{"i": 1, "j": 2.8}]}'],
     )
     def test_bad_model_file(self, circuit_file, tmp_path, capsys, content):
         path = tmp_path / "m.json"
