@@ -81,16 +81,7 @@ from .model import (
     sigma_x,
     toggled_generator,
 )
-from .pauli import (
-    PauliString,
-    PauliSum,
-    commutes,
-    conjugate,
-    max_spins,
-    mul,
-    single,
-    to_matrix,
-)
+from .pauli import PauliSum, conjugate, max_spins, to_matrix
 from .verifier import (
     SuiteEntry,
     VerificationReport,

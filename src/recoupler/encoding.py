@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .model import build_R, build_T
-from .pauli import PauliSum, single, to_matrix
+from .pauli import PauliSum, site_letters, to_matrix
 
 SYMMETRIC = "axial_symmetric"
 ANTISYMMETRIC = "axial_antisymmetric"
@@ -42,14 +42,14 @@ class CodeSpec:
 
 def t_z(n: int, m: int) -> PauliSum:
     """T_m^z = (sigma_{2m-1}^z - sigma_{2m}^z)/2."""
-    a, b = 2 * m - 1, 2 * m
-    return 0.5 * (PauliSum.from_string(single(n, a, "Z")) - PauliSum.from_string(single(n, b, "Z")))
+    za, zb = (site_letters(n, {s: "Z"}) for s in (2 * m - 1, 2 * m))
+    return PauliSum(n, {za: 0.5, zb: -0.5})
 
 
 def r_z(n: int, m: int) -> PauliSum:
     """R_m^z = (sigma_{2m-1}^z + sigma_{2m}^z)/2."""
-    a, b = 2 * m - 1, 2 * m
-    return 0.5 * (PauliSum.from_string(single(n, a, "Z")) + PauliSum.from_string(single(n, b, "Z")))
+    za, zb = (site_letters(n, {s: "Z"}) for s in (2 * m - 1, 2 * m))
+    return PauliSum(n, {za: 0.5, zb: 0.5})
 
 
 def t_x(n: int, m: int) -> PauliSum:

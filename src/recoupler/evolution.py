@@ -151,7 +151,7 @@ def propagator(h: PauliSum, t: float) -> np.ndarray:
     """exp(-i h t) via Hermitian eigendecomposition of the dense generator."""
     if not isinstance(h, PauliSum):
         raise ValidationError(f"propagator takes a PauliSum generator, got {type(h).__name__}")
-    if math.isinf(sum(abs(c) for _, c in h)):  # bounds every matrix entry
+    if math.isinf(sum(abs(c) for c in h.coeffs())):  # bounds every matrix entry
         raise ValidationError("propagator generator overflows: sum of |coefficients| is inf")
     if not h.is_hermitian(1e-10):
         raise ValidationError("propagator requires a Hermitian generator")

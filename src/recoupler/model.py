@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ConnectivityError, ControllabilityError, ValidationError
-from .pauli import PauliSum, single, site_letters
+from .pauli import PauliSum, site_letters
 
 MODEL_KINDS = ("heisenberg", "xy", "xxz_symmetric", "xxz_antisymmetric", "nmr_ising")
 
@@ -274,12 +274,13 @@ def toggled_generator(model: ExchangeModel, handle: TermHandle) -> PauliSum:
         return build_R(n, handle.i, handle.j)
     if k == "j_z":
         return build_zz(n, handle.i, handle.j)
-    if k == "heis":
-        return build_T(n, handle.i, handle.j) + 0.5 * build_zz(n, handle.i, handle.j)
+    if k == "heis":  # T + ZZ/2
+        _check_pair(n, handle.i, handle.j)
+        return PauliSum(n, {site_letters(n, {handle.i: a, handle.j: a}): 0.5 for a in "XYZ"})
     if k == "sigma_x":
-        return PauliSum.from_string(single(n, handle.i, "X"))
+        return PauliSum(n, {site_letters(n, {handle.i: "X"}): 1.0})
     if k == "epsilon":
-        return 0.5 * PauliSum.from_string(single(n, handle.i, "Z"))
+        return PauliSum(n, {site_letters(n, {handle.i: "Z"}): 0.5})
     return background_hamiltonian(model)  # free_evolution
 
 
@@ -387,8 +388,13 @@ def model_to_dict(model: ExchangeModel) -> dict:
 
 def model_from_dict(data: dict) -> ExchangeModel:
     try:
+        n_spins = data.get("n_spins", 4) if "preset" in data else data["n_spins"]
+        try:
+            n_spins = json_index(n_spins)
+        except MALFORMED_JSON as exc:
+            raise ValueError(f"n_spins: {exc}")
         if "preset" in data:
-            return preset_model(data["preset"], data.get("n_spins", 4), data.get("epsilon"))
+            return preset_model(data["preset"], n_spins, data.get("epsilon"))
         couplings = {
             (json_index(c["i"]), json_index(c["j"])): Coupling(
                 float(c.get("jx", 0.0)), float(c.get("jy", 0.0)), float(c.get("jz", 0.0))
@@ -397,7 +403,7 @@ def model_from_dict(data: dict) -> ExchangeModel:
         }
         return ExchangeModel(
             kind=data["kind"],
-            n_spins=json_index(data["n_spins"]),
+            n_spins=n_spins,
             epsilon=tuple(float(e) for e in data["epsilon"]),
             couplings=couplings,
             controllable=frozenset(TermHandle.parse(h) for h in data.get("controllable", [])),

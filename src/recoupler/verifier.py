@@ -37,7 +37,7 @@ from .model import (
     build_zz,
     preset_model,
 )
-from .pauli import PauliString, PauliSum, conjugate, site_letters, to_matrix
+from .pauli import PauliSum, conjugate, site_letters, to_matrix
 
 
 def _overlap(block: np.ndarray, u_target: np.ndarray, spec: CodeSpec) -> float:
@@ -233,15 +233,10 @@ def identity_suite() -> list[SuiteEntry]:
     tol = 1e-10
 
     # single-string conjugation flips an anticommuting generator's sign
-    flipped = conjugate(
-        PauliSum.from_string(PauliString("X")), math.pi / 2, PauliSum.from_string(PauliString("Z"))
-    )
+    z = _pstr(1, {1: "Z"})
+    flipped = conjugate(_pstr(1, {1: "X"}), math.pi / 2, z)
     entries.append(
-        SuiteEntry(
-            "conjugation_sign_flip",
-            _frob(to_matrix(flipped), -to_matrix(PauliString("Z"))),
-            tol,
-        )
+        SuiteEntry("conjugation_sign_flip", _frob(to_matrix(flipped), -to_matrix(z)), tol)
     )
 
     # two-spin Ising chain: sandwich extracts the z splitting of the other spin
@@ -266,7 +261,7 @@ def identity_suite() -> list[SuiteEntry]:
     spec = CodeSpec(SYMMETRIC, 4)
     zz23 = logical_matrix(_pstr(4, {2: "Z", 3: "Z"}), spec)
     entries.append(
-        SuiteEntry("encoded_zz_action", _frob(zz23, -to_matrix(PauliString("ZZ"))), tol)
+        SuiteEntry("encoded_zz_action", _frob(zz23, -to_matrix(_pstr(2, {1: "Z", 2: "Z"}))), tol)
     )
 
     # xy route: conjugating the inter-pair flip-flop by the intra-pair pi/2 pulse
@@ -277,7 +272,8 @@ def identity_suite() -> list[SuiteEntry]:
 
     # ... then by the next-nearest pi/4 pulse, leaving a pure phase generator
     lhs6 = _conj(t13, math.pi / 4, lhs5)
-    rhs6 = to_matrix(0.5 * (_pstr(3, {2: "Z", 3: "Z"}) - _pstr(3, {1: "Z", 2: "Z"})))
+    zz_diff = {site_letters(3, {2: "Z", 3: "Z"}): 0.5, site_letters(3, {1: "Z", 2: "Z"}): -0.5}
+    rhs6 = to_matrix(PauliSum(3, zz_diff))
     entries.append(SuiteEntry("xy_composite_generator", _frob(lhs6, rhs6), tol))
 
     # encoded sign flip: x pulses make a negative-angle z window realizable
@@ -289,11 +285,11 @@ def identity_suite() -> list[SuiteEntry]:
 
     # isotropic route: the pi window equals Z1 Z2 and flips the transverse part
     j23 = 0.8
-    h23 = j23 * sum(_pstr(4, {2: a, 3: a}) for a in "XYZ")
+    h23 = PauliSum(4, {site_letters(4, {2: a, 3: a}): j23 for a in "XYZ"})
     zpi = propagator(t_z(4, 1), math.pi)
     lhs8 = zpi @ to_matrix(h23) @ zpi.conj().T
     rhs8 = to_matrix(
-        j23 * (-_pstr(4, {2: "X", 3: "X"}) - _pstr(4, {2: "Y", 3: "Y"}) + _pstr(4, {2: "Z", 3: "Z"}))
+        PauliSum(4, {site_letters(4, {2: a, 3: a}): s * j23 for a, s in zip("XYZ", (-1, -1, 1))})
     )
     entries.append(SuiteEntry("heis_zz_conjugation", _frob(lhs8, rhs8), tol))
 

@@ -6,7 +6,6 @@ from recoupler import (
     SYMMETRIC,
     CodeSpec,
     DimensionError,
-    PauliString,
     PauliSum,
     ValidationError,
     code_index,
@@ -30,7 +29,7 @@ def pstr(n, sites):
     letters = ["I"] * n
     for i, a in sites.items():
         letters[i - 1] = a
-    return PauliSum.from_string(PauliString("".join(letters)))
+    return PauliSum(n, {"".join(letters): 1.0})
 
 
 class TestProjector:

@@ -11,7 +11,6 @@ from recoupler import (
     CodeSpec,
     ControllabilityError,
     FREE_EVOLUTION,
-    PauliString,
     PauliSum,
     PulseSchedule,
     PulseStep,
@@ -39,7 +38,7 @@ def pstr(n, sites):
     letters = ["I"] * n
     for i, a in sites.items():
         letters[i - 1] = a
-    return PauliSum.from_string(PauliString("".join(letters)))
+    return PauliSum(n, {"".join(letters): 1.0})
 
 
 def random_hermitian_sum(rng, n, terms=5):

@@ -253,6 +253,11 @@ class TestToggledGenerator:
         with pytest.raises(ConnectivityError):
             toggled_generator(m, j_plus(1, 4))
 
+    @pytest.mark.parametrize("handle", [j_plus(3, 5), j_minus(3, 5), j_z(3, 5), heis(3, 5)])
+    def test_out_of_range_pair_is_connectivity_error(self, handle):
+        with pytest.raises(ConnectivityError, match=r"spins \(3,5\) are not coupled"):
+            toggled_generator(preset_model("spin_dots", 4), handle)
+
     def test_free_evolution_includes_fixed_couplings(self):
         m = preset_model("electrons_on_helium", 4)
         h = toggled_generator(m, TermHandle("free_evolution"))
@@ -359,6 +364,20 @@ class TestJson:
     def test_preset_shortcut(self):
         m = model_from_dict({"preset": "quantum_hall", "n_spins": 6})
         assert m.kind == "xy" and m.n_spins == 6
+
+    @pytest.mark.parametrize("n_spins, want", [("6", 6), (4.0, 4), (4.5, None), (True, None)])
+    def test_preset_and_plain_n_spins_agree(self, n_spins, want):
+        def outcome(data):
+            try:
+                return model_from_dict(data).n_spins
+            except ValidationError as exc:
+                return str(exc)
+
+        plain = {**model_to_dict(preset_model("xy", want or 4)), "n_spins": n_spins}
+        got = outcome({"preset": "xy", "n_spins": n_spins})
+        assert got == outcome(plain)
+        bad = f"malformed model JSON: n_spins: index must be an integer, got {n_spins!r}"
+        assert got == (want or bad)
 
     def test_malformed(self):
         with pytest.raises(ValidationError):

@@ -7,17 +7,13 @@ from recoupler import (
     PRESET_NAMES,
     CapacityError,
     DimensionError,
-    PauliString,
     PauliSum,
     UnsupportedGeneratorError,
     ValidationError,
     background_hamiltonian,
     build_exchange,
-    commutes,
     conjugate,
-    mul,
     preset_model,
-    single,
     to_matrix,
     toggled_generator,
 )
@@ -29,69 +25,72 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 MATS = {"I": I2, "X": X, "Y": Y, "Z": Z}
 
 
-def dense(letters, power=0):
+def dense(letters):
     m = np.array([[1.0 + 0j]])
     for c in letters:  # spin 1 least significant
         m = np.kron(MATS[c], m)
-    return (1j**power) * m
+    return m
 
 
 def dense_sum(s):
     """The kron realization of a PauliSum: the exact oracle for to_matrix."""
     out = np.zeros((2**s.n, 2**s.n), dtype=complex)
-    for letters, coeff in s:
+    for letters, coeff in s.terms.items():
         out += coeff * dense(letters)
     return out
 
 
+def one(letters, power=0):
+    """The phased string i**power * letters as a one-term sum."""
+    return PauliSum(len(letters), {letters: 1j**power})
+
+
 def all_strings(n):
-    return [PauliString("".join(s), k) for s in product("IXYZ", repeat=n) for k in range(4)]
+    return [one("".join(s), k) for s in product("IXYZ", repeat=n) for k in range(4)]
 
 
 def random_string(rng, n):
-    return PauliString("".join(rng.choice(list("IXYZ"), size=n)), int(rng.integers(4)))
+    return one("".join(rng.choice(list("IXYZ"), size=n)), int(rng.integers(4)))
 
 
-class TestMul:
+class TestProduct:
     def test_single_qubit_xy(self):
-        p = mul(PauliString("X"), PauliString("Y"))
-        assert p == PauliString("Z", 1)  # X Y = i Z
+        assert (one("X") @ one("Y")).terms == {"Z": 1j}  # X Y = i Z
 
     def test_sitewise_product(self):
-        p = mul(PauliString("XI"), PauliString("XZ"))
-        assert p == PauliString("IZ", 0)
+        assert (one("XI") @ one("XZ")).terms == {"IZ": 1.0}
 
     def test_phase_group_closure(self):
-        iz = PauliString("Z", 1)
-        assert mul(iz, iz) == PauliString("I", 2)  # (iZ)^2 = -I
+        iz = one("Z", 1)
+        assert (iz @ iz).terms == {"I": -1.0}  # (iZ)^2 = -I
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            mul(PauliString("X"), PauliString("XZ"))
+            one("X") @ one("XZ")
 
     def test_associative_and_phase_exact(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
             n = int(rng.integers(1, 6))
             p, q, r = (random_string(rng, n) for _ in range(3))
-            assert mul(mul(p, q), r) == mul(p, mul(q, r))
+            assert ((p @ q) @ r).terms == (p @ (q @ r)).terms
 
     def test_matches_dense(self):
         for n in (1, 2):  # every string pair, every phase
             strings = all_strings(n)
             for p, q in product(strings, strings):
-                got = mul(p, q)
-                want = dense(p.letters, p.power) @ dense(q.letters, q.power)
-                assert np.array_equal(dense(got.letters, got.power), want), (p, q)
+                got = p @ q
+                assert len(got) == 1, (p, q)
+                assert np.array_equal(dense_sum(got), dense_sum(p) @ dense_sum(q)), (p, q)
 
 
-class TestCommutes:
+class TestCommutation:
     @pytest.mark.parametrize(
         "a,b,expect",
         [("XI", "IZ", True), ("X", "Z", False), ("XZ", "ZX", True)],
     )
     def test_examples(self, a, b, expect):
-        assert commutes(PauliString(a), PauliString(b)) is expect
+        assert (one(a).commutator(one(b)).norm() == 0) is expect
 
     def test_exhaustive_vs_dense(self):
         for n in (1, 2, 3):
@@ -100,22 +99,45 @@ class TestCommutes:
                 for b in strings:
                     ma, mb = dense(a), dense(b)
                     dense_comm = bool(np.linalg.norm(ma @ mb - mb @ ma) < 1e-12)
-                    assert commutes(PauliString(a), PauliString(b)) is dense_comm
+                    assert (one(a).commutator(one(b)).norm() == 0) is dense_comm, (a, b)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            commutes(PauliString("XX"), PauliString("X"))
+            one("XX").commutator(one("X"))
 
 
 class TestLetters:
-    def test_string_rejects_unknown_letters(self):
+    def test_rejects_unknown_letters(self):
         with pytest.raises(ValidationError, match="invalid Pauli letters 'AB'"):
-            PauliString("AB")
+            PauliSum(2, {"AB": 1.0})
 
     @pytest.mark.parametrize("letters", ["A", "x", " "])
     def test_sum_rejects_unknown_letters(self, letters):
         with pytest.raises(ValidationError, match="invalid Pauli letters"):
             PauliSum(1, {letters: 1.0})
+
+    def test_letters_round_trip(self):
+        for n in (1, 2, 3):
+            for s in product("IXYZ", repeat=n):
+                letters = "".join(s)
+                p = PauliSum(n, {letters: 0.5})
+                assert p.terms == {letters: 0.5}
+                assert list(p) == [(letters, 0.5)]
+                assert p.coeff(letters) == 0.5
+
+    def test_coeff_lookup(self):
+        s = PauliSum(2, {"XZ": 1.5, "YI": -2j})
+        assert s.coeff("YI") == -2j and s.coeff("ZZ") == 0
+        assert s.coeffs() == [1.5, -2j]
+        with pytest.raises(DimensionError):
+            s.coeff("X")
+        with pytest.raises(ValidationError, match="invalid Pauli letters 'AB'"):
+            s.coeff("AB")
+
+    def test_repr_sorted_by_letters(self):
+        s = PauliSum(2, {"ZI": 1.0, "XY": -0.5j})
+        assert repr(s) == "(0-0.5j)*XY + (1+0j)*ZI"  # no negative zero
+        assert repr(PauliSum.zero(3)) == "PauliSum(n=3, 0)"
 
 
 class TestPauliSum:
@@ -124,6 +146,10 @@ class TestPauliSum:
         assert len(s) == 0
         t = PauliSum(1, {"X": 1e-15})
         assert len(t) == 0
+
+    def test_keeps_nan(self):
+        s = PauliSum(1, {"Z": float("nan")})
+        assert len(s) == 1 and np.isnan(s.coeff("Z"))
 
     def test_hermitian_iff_real(self):
         assert PauliSum(2, {"XZ": 1.5, "II": -2.0}).is_hermitian()
@@ -148,26 +174,26 @@ def _random_sum(rng, n, terms=4):
     out = PauliSum.zero(n)
     for _ in range(terms):
         coeff = complex(rng.normal(), rng.normal())
-        out = out + PauliSum.from_string(random_string(rng, n), coeff)
+        out = out + coeff * random_string(rng, n)
     return out
 
 
 class TestConjugate:
     def test_anticommuting_flips_at_half_pi(self):
-        a = PauliSum.from_string(single(1, 1, "X"))
-        b = PauliSum.from_string(single(1, 1, "Z"))
+        a = one("X")
+        b = one("Z")
         assert conjugate(a, np.pi / 2, b) == -1.0 * b
 
     def test_commuting_unchanged(self):
-        a = PauliSum.from_string(single(2, 1, "X"))
-        b = PauliSum.from_string(single(2, 2, "Z"))
+        a = one("XI")
+        b = one("IZ")
         assert conjugate(a, np.pi / 2, b) == b
 
     def test_quarter_turn(self):
-        a = PauliSum.from_string(single(1, 1, "X"))
-        b = PauliSum.from_string(single(1, 1, "Z"))
+        a = one("X")
+        b = one("Z")
         got = conjugate(a, np.pi / 4, b)
-        assert got == -1.0 * PauliSum.from_string(single(1, 1, "Y"))
+        assert got == -1.0 * one("Y")
 
     def test_matches_dense_conjugation(self):
         from scipy.linalg import expm
@@ -186,24 +212,28 @@ class TestConjugate:
 
     def test_rejects_multi_string_generator(self):
         a = PauliSum(1, {"X": 1.0, "Z": 1.0})
-        b = PauliSum.from_string(single(1, 1, "Z"))
+        b = one("Z")
         with pytest.raises(UnsupportedGeneratorError):
             conjugate(a, np.pi / 2, b)
 
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionError):
+            conjugate(one("X"), np.pi / 2, one("ZZ"))
+
     def test_rejects_non_unit_coefficient(self):
         a = PauliSum(1, {"X": 0.5})
-        b = PauliSum.from_string(single(1, 1, "Z"))
+        b = one("Z")
         with pytest.raises(UnsupportedGeneratorError):
             conjugate(a, np.pi / 2, b)
 
 
 class TestToMatrix:
     def test_identity(self):
-        assert np.array_equal(to_matrix(PauliString("I")), np.eye(2))
+        assert np.array_equal(to_matrix(one("I")), np.eye(2))
 
     def test_sigma_z_convention(self):
         # |up> = |0> is the +1 eigenvector
-        assert np.array_equal(to_matrix(PauliString("Z")), np.diag([1.0, -1.0]))
+        assert np.array_equal(to_matrix(one("Z")), np.diag([1.0, -1.0]))
 
     def test_flip_flop_matrix_elements(self):
         from recoupler import build_T
@@ -218,17 +248,16 @@ class TestToMatrix:
         for _ in range(100):
             n = int(rng.integers(1, 4))
             p, q = random_string(rng, n), random_string(rng, n)
-            pq = mul(p, q)
-            lhs = to_matrix(PauliSum.from_string(pq))
-            rhs = to_matrix(PauliSum.from_string(p)) @ to_matrix(PauliSum.from_string(q))
+            lhs = to_matrix(p @ q)
+            rhs = to_matrix(p) @ to_matrix(q)
             assert np.linalg.norm(lhs - rhs) < 1e-12
 
     def test_capacity_error(self, monkeypatch):
         monkeypatch.setenv("RECOUPLER_MAX_SPINS", "6")
         with pytest.raises(CapacityError):
-            to_matrix(PauliString("I" * 7))
+            to_matrix(one("I" * 7))
         monkeypatch.setenv("RECOUPLER_MAX_SPINS", "8")
-        to_matrix(PauliString("I" * 7))  # now fits
+        to_matrix(one("I" * 7))  # now fits
 
     @pytest.mark.parametrize("preset", PRESET_NAMES)
     def test_equals_kron_oracle_on_preset_generators(self, preset):
