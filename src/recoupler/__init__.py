@@ -14,7 +14,6 @@ from .compiler import (
     compile_heis_zz,
     compile_rx,
     compile_rz,
-    euler_xzx_angles,
     nmr_ising_schedule,
     nmr_z_rotation_schedule,
 )
@@ -24,7 +23,6 @@ from .encoding import (
     CodeSpec,
     code_index,
     code_isometry,
-    code_projector,
     decode,
     encode,
     logical_matrix,
@@ -66,10 +64,8 @@ from .model import (
     build_H0,
     build_R,
     build_T,
-    build_exchange,
     build_zz,
     default_epsilon,
-    epsilon_handle,
     heis,
     j_minus,
     j_plus,

@@ -192,9 +192,6 @@ def _parse_ratios(text: str) -> list[float]:
     out = []
     for part in text.split(","):
         part = part.strip()
-        if part.lower() in ("inf", "infinity"):
-            out.append(math.inf)
-            continue
         try:
             r = float(part)
         except ValueError:

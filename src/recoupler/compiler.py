@@ -34,8 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .encoding import SYMMETRIC, CodeSpec
 from .errors import (
     ConnectivityError,
@@ -187,31 +185,6 @@ def compile_rz(m: int, theta: float, model: ExchangeModel, sector: str = SYMMETR
     handles = [_x_handle(model, sector, k) for k in spectators]
     window = (_free_window(target, coeff, theta / 4, math.pi),)
     return PulseSchedule((window,) + _conjugated((window,), handles, math.pi / 2), meta)
-
-
-def euler_xzx_angles(u: np.ndarray) -> tuple[float, float, float]:
-    """X-Z-X angles with Rx(alpha) Rz(beta) Rx(gamma) = u up to global phase."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValidationError("euler decomposition expects a 2x2 matrix")
-    det = np.linalg.det(u)
-    if abs(abs(det) - 1.0) > 1e-9 or np.linalg.norm(u @ u.conj().T - np.eye(2)) > 1e-9:
-        raise ValidationError("euler decomposition expects a unitary matrix")
-    su = u * np.exp(-0.5j * np.angle(det))
-    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    w = hadamard @ su @ hadamard  # = Rz(alpha) Rx(beta) Rz(gamma)
-    beta = 2.0 * math.atan2(abs(w[0, 1]), abs(w[0, 0]))
-    if abs(w[0, 0]) < 1e-12:
-        alpha = -2.0 * (np.angle(w[0, 1]) + math.pi / 2)
-        gamma = 0.0
-    elif abs(w[0, 1]) < 1e-12:
-        alpha = -2.0 * np.angle(w[0, 0])
-        gamma = 0.0
-    else:
-        s = -2.0 * np.angle(w[0, 0])
-        d = -2.0 * (np.angle(w[0, 1]) + math.pi / 2)
-        alpha, gamma = (s + d) / 2, (s - d) / 2
-    return alpha, beta, gamma
 
 
 def compile_euler(

@@ -80,12 +80,6 @@ def code_isometry(spec: CodeSpec) -> np.ndarray:
     return v
 
 
-def code_projector(spec: CodeSpec) -> np.ndarray:
-    """Orthogonal projector of rank 2^{n_logical} onto the code space."""
-    v = code_isometry(spec)
-    return v @ v.conj().T
-
-
 def encode(spec: CodeSpec, logical_state: np.ndarray) -> np.ndarray:
     """Isometric embedding of a logical state vector into the physical register."""
     psi = np.asarray(logical_state, dtype=complex)

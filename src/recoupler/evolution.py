@@ -140,12 +140,6 @@ class PulseSchedule:
     def step_count_parallel(self) -> int:
         return len(self.groups)
 
-    def __add__(self, other: "PulseSchedule") -> "PulseSchedule":
-        """Concatenate in matrix order: self's groups stay left, acting later in time."""
-        meta = dict(self.metadata)
-        meta.pop("gate", None)
-        return PulseSchedule(self.groups + other.groups, meta)
-
 
 def propagator(h: PauliSum, t: float) -> np.ndarray:
     """exp(-i h t) via Hermitian eigendecomposition of the dense generator."""

@@ -83,10 +83,6 @@ def sigma_x(i):
     return TermHandle("sigma_x", i)
 
 
-def epsilon_handle(i):
-    return TermHandle("epsilon", i)
-
-
 FREE_EVOLUTION = TermHandle("free_evolution")
 
 
@@ -216,37 +212,22 @@ class ExchangeModel:
     def background_magnitude(self) -> float:
         """Largest magnitude among fixed energies and always-on couplings."""
         vals = [abs(e) for e in self.epsilon]
-        vals += [abs(coeff) for coeff, _, _, _ in _pair_terms(self, always_on=True)]
+        vals += [abs(coeff) for coeff, _, _, _ in _pair_terms(self)]
         return max(vals) if vals else 1.0
 
 
-def _pair_terms(model: ExchangeModel, always_on: bool):
-    """(coefficient, builder, i, j) for every nonzero J^+ T, J^- R and J^z ZZ term.
-
-    With `always_on`, terms a controllable handle rests at zero are skipped; a
-    controllable heis(i,j) switches the whole pair term off.
-    """
+def _pair_terms(model: ExchangeModel):
+    """(coefficient, builder, i, j) for every always-on J^+ T, J^- R and J^z ZZ term."""
     for (i, j), c in model.couplings.items():
-        if always_on and model.is_controllable(heis(i, j)):
+        if model.is_controllable(heis(i, j)):
             continue
         for coeff, handle, build in (
             (c.j_plus, j_plus, build_T),
             (c.j_minus, j_minus, build_R),
             (c.jz, j_z, build_zz),
         ):
-            if coeff and not (always_on and model.is_controllable(handle(i, j))):
+            if coeff and not model.is_controllable(handle(i, j)):
                 yield coeff, build, i, j
-
-
-def _add_pair_terms(total: PauliSum, model: ExchangeModel, always_on: bool) -> PauliSum:
-    for coeff, build, i, j in _pair_terms(model, always_on):
-        total = total + coeff * build(model.n_spins, i, j)
-    return total
-
-
-def build_exchange(model: ExchangeModel) -> PauliSum:
-    """H_ex = sum_{i<j} J^+ T^x + J^- R^x + J^z ZZ over the model's pairs."""
-    return _add_pair_terms(PauliSum.zero(model.n_spins), model, always_on=False)
 
 
 def background_hamiltonian(model: ExchangeModel) -> PauliSum:
@@ -255,7 +236,10 @@ def background_hamiltonian(model: ExchangeModel) -> PauliSum:
     Controllable parameters rest at zero; a controllable heis(i,j) switches the
     whole pair term off.
     """
-    return _add_pair_terms(build_H0(model.epsilon), model, always_on=True)
+    total = build_H0(model.epsilon)
+    for coeff, build, i, j in _pair_terms(model):
+        total = total + coeff * build(model.n_spins, i, j)
+    return total
 
 
 def toggled_generator(model: ExchangeModel, handle: TermHandle) -> PauliSum:

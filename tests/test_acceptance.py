@@ -21,10 +21,10 @@ from recoupler import (
     PauliSum,
     PulseSchedule,
     PulseStep,
+    TermHandle,
     apply_schedule,
     background_hamiltonian,
     compile_gate,
-    epsilon_handle,
     identity_suite,
     j_z,
     logical_matrix,
@@ -247,7 +247,7 @@ def test_criterion_7_controllability_enforcement():
         toggled_generator(eoh, j_z(1, 2))
     for name in ("spin_dots", "donor_atoms", "quantum_hall", "exciton_dots"):
         with pytest.raises(ControllabilityError):
-            toggled_generator(preset_model(name, 4), epsilon_handle(1))
+            toggled_generator(preset_model(name, 4), TermHandle("epsilon", 1))
     compiled = 0
     for name, (sector, kinds) in COST_ROWS.items():
         model = preset_model(name, 4)

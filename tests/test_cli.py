@@ -222,6 +222,18 @@ class TestSweep:
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         assert [r["ratio"] for r in rows] == ["10", "inf", "inf"]
 
+    def test_signed_inf_is_ideal(self, model_file, capsys):
+        rc = main(["sweep", "--model", model_file, "--ratios", "10,+inf", "--gates", "rz"])
+        assert rc == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [r["ratio"] for r in rows] == ["10", "inf"]
+        assert float(rows[1]["fidelity"]) >= 1 - 1e-10
+
+    def test_negative_inf_exit_2(self, model_file, capsys):
+        # inside a list: argparse would read a bare "-inf" as an option
+        assert main(["sweep", "--model", model_file, "--ratios", "10,-inf"]) == 2
+        assert capsys.readouterr().err == "error: ratio must be positive, got -inf\n"
+
     def test_unknown_gate_exit_2(self, model_file):
         assert main(["sweep", "--model", model_file, "--ratios", "10", "--gates", "bogus"]) == 2
 

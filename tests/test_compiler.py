@@ -30,7 +30,6 @@ from recoupler import (
     compile_heis_zz,
     compile_rx,
     compile_rz,
-    euler_xzx_angles,
     fidelity,
     j_plus,
     nmr_ising_schedule,
@@ -135,42 +134,25 @@ class TestEuler:
         assert sched.step_count_serial == 6
 
     def test_hadamard_equivalent_six_steps(self):
+        # Rx(pi/2) Rz(pi/2) Rx(pi/2) is the Hadamard up to global phase
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        rx = np.cos(np.pi / 4) * np.eye(2) - 1j * np.sin(np.pi / 4) * x
+        rz = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])
         h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        a, b, g = euler_xzx_angles(h)
-        sched = check_gate(LogicalGate("euler", (1,), (a, b, g)), XXZ, tol=1e-8)
+        assert abs(np.trace((rx @ rz @ rx).conj().T @ h)) / 2 > 1 - 1e-12
+        sched = check_gate(LogicalGate("euler", (1,), (np.pi / 2,) * 3), XXZ, tol=1e-8)
         assert sched.step_count_serial == 6
-
-    def test_angle_extraction_reconstructs(self):
-        rng = np.random.default_rng(41)
-        for _ in range(50):
-            # Haar-ish random U(2)
-            z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            q, r = np.linalg.qr(z)
-            u = q * (np.diag(r) / np.abs(np.diag(r)))
-            a, b, g = euler_xzx_angles(u)
-            rx = lambda t: np.cos(t / 2) * np.eye(2) - 1j * np.sin(t / 2) * np.array([[0, 1], [1, 0]])
-            rz = lambda t: np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)])
-            w = rx(a) @ rz(b) @ rx(g)
-            overlap = abs(np.trace(w.conj().T @ u)) / 2
-            assert overlap > 1 - 1e-9
 
     def test_reconstruction_through_pulses(self):
         rng = np.random.default_rng(42)
         for _ in range(5):
-            z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            q, r = np.linalg.qr(z)
-            u = q * (np.diag(r) / np.abs(np.diag(r)))
-            a, b, g = euler_xzx_angles(u)
+            a, b, g = rng.uniform(-np.pi, np.pi, size=3)
             gate = LogicalGate("euler", (1,), (a, b, g))
             sched = compile_gate(gate, XXZ)
             full = apply_schedule(sched, XXZ)
             tgt = target_logical(gate, XXZ)
             assert fidelity(full, tgt, SPEC_SYM) >= 1 - 1e-8
             assert sched.step_count_serial <= 6
-
-    def test_rejects_nonunitary(self):
-        with pytest.raises(ValidationError):
-            euler_xzx_angles(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestCphaseXxz:

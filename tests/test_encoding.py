@@ -10,7 +10,6 @@ from recoupler import (
     ValidationError,
     code_index,
     code_isometry,
-    code_projector,
     decode,
     encode,
     logical_matrix,
@@ -32,23 +31,32 @@ def pstr(n, sites):
     return PauliSum(n, {"".join(letters): 1.0})
 
 
+def projector(spec):
+    """V V^dag for the code isometry V."""
+    v = code_isometry(spec)
+    return v @ v.conj().T
+
+
 class TestProjector:
     @pytest.mark.parametrize(
         "sector,n,rank", [(SYMMETRIC, 2, 2), (ANTISYMMETRIC, 2, 2), (SYMMETRIC, 4, 4)]
     )
     def test_rank_and_idempotence(self, sector, n, rank):
-        p = code_projector(CodeSpec(sector, n))
+        spec = CodeSpec(sector, n)
+        v = code_isometry(spec)
+        assert np.array_equal(v.conj().T @ v, np.eye(rank))
+        p = projector(spec)
         assert np.linalg.matrix_rank(p) == rank
         assert np.allclose(p @ p, p, atol=1e-14)
         assert np.allclose(p, p.conj().T, atol=1e-14)
 
     def test_symmetric_two_spin_span(self):
-        p = code_projector(CodeSpec(SYMMETRIC, 2))
+        p = projector(CodeSpec(SYMMETRIC, 2))
         # spans |ud> (index 2) and |du> (index 1)
         assert np.allclose(np.diag(p), [0, 1, 1, 0])
 
     def test_antisymmetric_two_spin_span(self):
-        p = code_projector(CodeSpec(ANTISYMMETRIC, 2))
+        p = projector(CodeSpec(ANTISYMMETRIC, 2))
         assert np.allclose(np.diag(p), [1, 0, 0, 1])
 
 
@@ -159,7 +167,7 @@ class TestAlgebra:
     def test_tx_squared_is_pair_projector_not_identity(self):
         # the involution premise holds only on the code space
         sq = to_matrix(t_x(2, 1) @ t_x(2, 1))
-        assert np.allclose(sq, code_projector(CodeSpec(SYMMETRIC, 2)))
+        assert np.allclose(sq, projector(CodeSpec(SYMMETRIC, 2)))
         assert not np.allclose(sq, np.eye(4))
 
     def test_isometry_orthonormal(self):

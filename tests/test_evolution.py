@@ -302,7 +302,7 @@ class TestScheduleJson:
         nmr = preset_model("nmr", 2)
         a = nmr_z_rotation_schedule(0.4)
         b = nmr_ising_schedule(0.2)
-        combined = a + b
+        combined = PulseSchedule(a.groups + b.groups, {})
         assert combined.step_count_serial == a.step_count_serial + b.step_count_serial
         ua = apply_schedule(a, nmr)
         ub = apply_schedule(b, nmr)

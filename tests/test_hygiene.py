@@ -1,6 +1,9 @@
 """Source hygiene checks that need no linter: stdlib `ast` only."""
 
 import ast
+import importlib
+import re
+import types
 from pathlib import Path
 
 import pytest
@@ -51,3 +54,110 @@ def test_pauli_terms_stay_inside_pauli(path):
         )
     ]
     assert not leaks, f"{path.name}: Pauli internals used on lines {leaks}"
+
+
+ROOT = Path(__file__).parent.parent
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _resolve(dotted: str):
+    """Follow `a.b.c` from the recoupler package, importing submodules on the way."""
+    obj = recoupler
+    for part in dotted.split("."):
+        if not hasattr(obj, part) and isinstance(obj, types.ModuleType):
+            importlib.import_module(f"{obj.__name__}.{part}")
+        obj = getattr(obj, part)
+    return obj
+
+
+def _rc_chain(node) -> str | None:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id == "rc" and parts:
+        return ".".join(reversed(parts))
+    return None
+
+
+@pytest.mark.parametrize("path", PERFBENCH, ids=lambda p: p.name)
+def test_benchmark_names_resolve(path):
+    """Every `rc.<name>` the benchmark reads exists in recoupler."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    chains = {c for node in ast.walk(tree) if (c := _rc_chain(node))}
+    missing = []
+    for dotted in sorted(chains):
+        try:
+            _resolve(dotted)
+        except (AttributeError, ImportError):
+            missing.append(dotted)
+    assert not missing, f"{path.name}: recoupler has no {missing}"
+
+
+def test_tracer_hooks_resolve():
+    """The tracer skips a hook point it cannot find, so a rename would silently
+    report the layer absent; every (namespace, name) in HOOKS must exist."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    hooks = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["HOOKS"]
+    )
+    points = [
+        (ns, ast.literal_eval(hook.elts[1]))
+        for hook in hooks.elts
+        for ns in ast.literal_eval(hook.elts[2])
+    ]
+    assert points
+    missing = [
+        (ns, name)
+        for ns, name in points
+        if not hasattr(importlib.import_module("recoupler" + (f".{ns}" if ns else "")), name)
+    ]
+    assert not missing, f"tracer hook points with no target: {missing}"
+
+
+def test_pauli_sum_iterates_letters_and_coefficients():
+    """perfbench/make_reference.py builds its kron oracle from `for letters, coeff in ps`."""
+    ps = recoupler.PauliSum(3, {"XIZ": 0.5, "YYI": -2.0})
+    items = list(ps)
+    assert all(isinstance(letters, str) for letters, _ in items)
+    assert dict(items) == {"XIZ": 0.5, "YYI": -2.0}
+
+
+def _exported_names() -> list[str]:
+    tree = ast.parse((Path(recoupler.__file__).parent / "__init__.py").read_text())
+    return [
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+
+
+def _uses_outside_definition(tree: ast.Module, name: str) -> bool:
+    """A load of `name` anywhere but inside its own def or class."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            continue
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+            return True
+        stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def test_public_names_are_used_or_documented():
+    """An exported name stays only if the package itself uses it or README
+    documents it (as code, in backticks)."""
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in MODULES]
+    readme = (ROOT / "README.md").read_text()
+    documented = set(re.findall(r"`([^`]*)`", readme))
+    unused = [
+        name
+        for name in _exported_names()
+        if not any(_uses_outside_definition(t, name) for t in trees)
+        and not any(re.search(rf"\b{name}\b", code) for code in documented)
+    ]
+    assert not unused, f"exported but neither used in src/ nor named in README: {unused}"

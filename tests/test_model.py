@@ -10,12 +10,11 @@ from recoupler import (
     ExchangeModel,
     TermHandle,
     ValidationError,
+    background_hamiltonian,
     build_H0,
     build_R,
     build_T,
-    build_exchange,
     build_zz,
-    epsilon_handle,
     heis,
     j_minus,
     j_plus,
@@ -86,10 +85,14 @@ class TestBuilders:
 
 
 class TestBuildExchange:
+    """The exchange terms, read as the background of a model with nothing
+    controllable and (where H0 must vanish) zero epsilon."""
+
     def test_heisenberg_pair_form(self):
         # displayed-J = 1 preset stores jx = jy = jz = 1/2; pair term is T + ZZ/2
-        m = preset_model("heisenberg", 2)
-        h = build_exchange(m)
+        preset = preset_model("heisenberg", 2)
+        m = ExchangeModel(preset.kind, 2, (0.0, 0.0), preset.couplings, frozenset())
+        h = background_hamiltonian(m)
         want = to_matrix(build_T(2, 1, 2) + 0.5 * build_zz(2, 1, 2))
         assert np.allclose(to_matrix(h), want, atol=1e-14)
 
@@ -99,11 +102,9 @@ class TestBuildExchange:
         for _ in range(10):
             jx, jy, jz = rng.normal(size=3)
             model = ExchangeModel(
-                "xxz_symmetric", 2, (1.0, 0.5),
-                {(1, 2): Coupling(jx, jx, jz)},
-                frozenset({j_plus(1, 2)}),
+                "xxz_symmetric", 2, (0.0, 0.0), {(1, 2): Coupling(jx, jx, jz)}, frozenset()
             )
-            got = to_matrix(build_exchange(model))
+            got = to_matrix(background_hamiltonian(model))
             want = (
                 jx * two_site(2, 1, 2, X) + jx * two_site(2, 1, 2, Y) + jz * two_site(2, 1, 2, Z)
             )
@@ -111,17 +112,17 @@ class TestBuildExchange:
 
     def test_xy_pair_is_jplus_times_T(self):
         model = ExchangeModel(
-            "xy", 2, (1.0, 0.5), {(1, 2): Coupling(1.0, 1.0, 0.0)}, frozenset()
+            "xy", 2, (0.0, 0.0), {(1, 2): Coupling(1.0, 1.0, 0.0)}, frozenset()
         )
-        got = to_matrix(build_exchange(model))
+        got = to_matrix(background_hamiltonian(model))
         want = two_site(2, 1, 2, X) + two_site(2, 1, 2, Y)  # = 2 T = J^+ T
         assert np.linalg.norm(got - want) < 1e-14
 
     def test_zero_couplings_empty(self):
         model = ExchangeModel(
-            "xy", 2, (1.0, 0.5), {(1, 2): Coupling(0.0, 0.0, 0.0)}, frozenset()
+            "xy", 2, (0.0, 0.0), {(1, 2): Coupling(0.0, 0.0, 0.0)}, frozenset()
         )
-        assert len(build_exchange(model)) == 0
+        assert len(background_hamiltonian(model)) == 0
 
 
 class TestValidation:
@@ -172,7 +173,7 @@ class TestValidation:
 
     def test_handle_parse_roundtrip(self):
         for h in (j_plus(1, 2), j_minus(2, 3), j_z(1, 4), heis(3, 4), sigma_x(2),
-                  epsilon_handle(1), TermHandle("free_evolution")):
+                  TermHandle("epsilon", 1), TermHandle("free_evolution")):
             assert TermHandle.parse(str(h)) == h
 
     def test_handle_parse_rejects_garbage(self):
@@ -239,7 +240,7 @@ class TestToggledGenerator:
         for name in ("spin_dots", "quantum_hall", "cavity", "electrons_on_helium"):
             m = preset_model(name, 4)
             with pytest.raises(ControllabilityError):
-                toggled_generator(m, epsilon_handle(1))
+                toggled_generator(m, TermHandle("epsilon", 1))
 
     def test_sigma_x_only_on_nmr(self):
         nmr = preset_model("nmr", 2)
@@ -287,7 +288,7 @@ class TestStructuralProperties:
                 },
                 frozenset(),
             )
-            lhs = build_H0(eps) + build_exchange(model)
+            lhs = background_hamiltonian(model)
             rhs = sum(
                 (
                     model.eps_minus(m) * t_z(4, m)
@@ -308,7 +309,7 @@ class TestStructuralProperties:
             {(1, 2): Coupling(0.4, 0.4, 0.3), (3, 4): Coupling(0.2, 0.2, 0.5)},
             frozenset(),
         )
-        lhs = build_H0(eps) + build_exchange(model)
+        lhs = background_hamiltonian(model)
         rhs = sum(
             (
                 model.eps_minus(m) * t_z(4, m)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -11,7 +12,6 @@ from recoupler import (
     UnsupportedGeneratorError,
     ValidationError,
     background_hamiltonian,
-    build_exchange,
     conjugate,
     preset_model,
     to_matrix,
@@ -263,7 +263,8 @@ class TestToMatrix:
     def test_equals_kron_oracle_on_preset_generators(self, preset):
         for n in (2, 4, 6, 8):
             model = preset_model(preset, n)
-            gens = [background_hamiltonian(model), build_exchange(model)]
+            full = replace(model, controllable=frozenset())  # every coupling always on
+            gens = [background_hamiltonian(model), background_hamiltonian(full)]
             gens += [toggled_generator(model, h) for h in sorted(model.controllable)]
             for gen in gens:
                 assert np.array_equal(to_matrix(gen), dense_sum(gen)), (preset, n, gen)
