@@ -11,6 +11,14 @@ mode the pulse strength is s = ratio * max background magnitude, the pulse
 lasts |a|/s, and the always-on background evolves alongside. Free-evolution
 steps carry a duration; in ideal mode they evolve only their annotated target
 term, in realistic mode the full background.
+
+A group's generator is block-diagonal over the cosets of the span of its
+terms' X masks (`pauli.to_blocks`): a diagonal window is a phase per basis
+state, p parallel pulses give blocks of size 2**p, and only a model with
+always-on flip-flops makes them large. Each group is exponentiated block by
+block and applied to a column array: the identity for `apply_schedule`, the
+2**n x 2**(n/2) code isometry for a verdict, which never forms all of U.
+`propagator` stays the dense exponential of one generator.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from .model import (
     read_json,
     toggled_generator,
 )
-from .pauli import PauliSum, check_dense, to_matrix
+from .pauli import PauliSum, check_dense, to_blocks, to_matrix
 
 _TARGET_RE = re.compile(r"^(t_z|r_z)\((\d+)\)$|^zz\((\d+),(\d+)\)$")
 
@@ -141,29 +149,40 @@ class PulseSchedule:
         return len(self.groups)
 
 
-def propagator(h: PauliSum, t: float) -> np.ndarray:
-    """exp(-i h t) via Hermitian eigendecomposition of the dense generator."""
+def _checked(h: PauliSum) -> PauliSum:
+    """h itself, once it is a Hermitian PauliSum whose entries cannot overflow."""
     if not isinstance(h, PauliSum):
         raise ValidationError(f"propagator takes a PauliSum generator, got {type(h).__name__}")
     if math.isinf(sum(abs(c) for c in h.coeffs())):  # bounds every matrix entry
         raise ValidationError("propagator generator overflows: sum of |coefficients| is inf")
     if not h.is_hermitian(1e-10):
         raise ValidationError("propagator requires a Hermitian generator")
-    evals, evecs = np.linalg.eigh(to_matrix(h))
-    u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-    defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
+    return h
+
+
+def _exponential(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) of a Hermitian matrix, or of a stack of them, by eigendecomposition."""
+    evals, evecs = np.linalg.eigh(h)
+    u = (evecs * np.exp(-1j * evals * t)[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
+    defect = np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]))
     if not defect <= 1e-10:
         raise ValidationError(f"propagator lost unitarity (defect {defect:.2e})")
     return u
 
 
-def _group_unitary(
+def propagator(h: PauliSum, t: float) -> np.ndarray:
+    """exp(-i h t) via Hermitian eigendecomposition of the dense generator."""
+    return _exponential(to_matrix(_checked(h)), t)
+
+
+def _group_generator(
     group: tuple[PulseStep, ...],
     model: ExchangeModel,
     mode: str | None,
     strength: float | None,
     background: PauliSum,
-) -> np.ndarray:
+) -> tuple[PauliSum, float]:
+    """(h, t) with exp(-i h t) the group's propagator; h is checked."""
     n = model.n_spins
     step_mode = mode or group[0].mode
     if mode is None and any(s.mode != step_mode for s in group):
@@ -180,19 +199,19 @@ def _group_unitary(
             gen = step.target.term(model)
         else:
             gen = background
-        return propagator(gen, step.duration)
+        return _checked(gen), step.duration
 
     if step_mode == "ideal":
         gen = PauliSum.zero(n)
         for step in group:
             if step.angle:
                 gen = gen + step.angle * toggled_generator(model, step.handle)
-        return propagator(gen, 1.0)
+        return _checked(gen), 1.0
 
     # realistic: finite pulse strength, background always on
     angles = {abs(s.angle) for s in group if s.angle}
     if not angles:
-        return np.eye(2**n, dtype=complex)
+        return PauliSum.zero(n), 0.0
     if len(angles) > 1:
         raise ValidationError("realistic parallel steps must share a pulse duration")
     if not strength:
@@ -202,7 +221,7 @@ def _group_unitary(
     for step in group:
         if step.angle:
             gen = gen + np.sign(step.angle) * strength * toggled_generator(model, step.handle)
-    return propagator(gen, dt)
+    return _checked(gen), dt
 
 
 def apply_schedule(
@@ -215,9 +234,25 @@ def apply_schedule(
 
     `mode`/`ratio` override the per-step mode tags when given.
     """
+    return _evolve(schedule, model, mode, ratio)
+
+
+def _evolve(
+    schedule: PulseSchedule,
+    model: ExchangeModel,
+    mode: str | None,
+    ratio: float | None,
+    sector: str | None = None,
+) -> np.ndarray:
+    """U, or only its code columns U V when a sector is given.
+
+    Every generator is built and checked in schedule order before any
+    exponential; then each group's blocks act on the columns, rightmost first.
+    """
     if mode is not None and mode not in ("ideal", "realistic"):
         raise ValidationError(f"bad mode {mode!r}")
-    schedule.validate_supports(model.n_spins)
+    n = model.n_spins
+    schedule.validate_supports(n)
     modes = {mode} if mode else {s.mode for group in schedule.groups for s in group}
     if "realistic" in modes and (ratio is None or not 0 < ratio < math.inf):
         raise ValidationError("realistic mode needs a finite positive strength ratio")
@@ -225,22 +260,25 @@ def apply_schedule(
     strength = ratio * scale if "realistic" in modes else None
     if strength == math.inf:
         raise ValidationError(f"realistic pulse strength {ratio:g} x {scale:g} overflows")
-    check_dense(model.n_spins)
+    check_dense(n)
     background = background_hamiltonian(model)
-    u = np.eye(2**model.n_spins, dtype=complex)
-    for group in schedule.groups:
-        u = u @ _group_unitary(group, model, mode, strength, background)
-    return u
+    generators = [_group_generator(g, model, mode, strength, background) for g in schedule.groups]
+    columns = np.eye(2**n, dtype=complex) if sector is None else code_isometry(CodeSpec(sector, n))
+    for h, t in reversed(generators):
+        states, blocks = to_blocks(h)
+        columns[states] = _exponential(blocks, t) @ columns[states]
+    return columns
 
 
 def restrict(u: np.ndarray, spec: CodeSpec) -> tuple[np.ndarray, float]:
-    """Compress a full-register unitary to the code space.
+    """Compress a full-register unitary U, or its code columns U V, to the code space.
 
     Returns (B, leakage) with B = V^dag U V and
     leakage = ||(I - P) U P||_F / ||P||_F, in [0, 1] for unitary U.
     """
     v = code_isometry(spec)
-    uv = np.asarray(u, dtype=complex) @ v
+    u = np.asarray(u, dtype=complex)
+    uv = u if u.shape[-1] == v.shape[1] else u @ v
     b = v.conj().T @ uv
     out = uv - v @ b
     leakage = float(np.linalg.norm(out) / np.sqrt(v.shape[1]))

@@ -238,3 +238,39 @@ def to_matrix(s: PauliSum) -> np.ndarray:
         signs = (-1.0) ** np.bitwise_count(cols & z)  # a float base: the count is uint8
         out[cols ^ x, cols] += coeff * (_PHASES[(x & z).bit_count() % 4] * signs)
     return out
+
+
+def to_blocks(s: PauliSum) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix of `s` as blocks over the cosets of the span of its X masks.
+
+    Every term sends basis state r to r ^ x with x in that span, so each coset
+    is invariant. For the span's rank r, states[c, o] is the o-th basis state
+    of coset c, shape (2**(n-r), 2**r), and blocks[c] is to_matrix(s)
+    restricted to rows and columns states[c]. A diagonal sum has r = 0.
+    """
+    check_dense(s.n)
+    basis: dict[int, int] = {}  # pivot bit -> span vector, reduced: no other has that bit
+    for x, _ in s._terms:
+        for bit, vec in basis.items():
+            x ^= vec * (x >> bit & 1)
+        if x:
+            pivot = x.bit_length() - 1
+            basis = {bit: vec ^ x * (vec >> pivot & 1) for bit, vec in basis.items()}
+            basis[pivot] = x
+    pivots = sorted(basis)
+    free = [bit for bit in range(s.n) if bit not in basis]
+    cosets, offsets = np.arange(2 ** len(free)), np.arange(2 ** len(pivots))
+    reps = sum(((cosets >> j & 1) << bit for j, bit in enumerate(free)), np.zeros_like(cosets))
+    span = np.zeros_like(offsets)
+    for j, bit in enumerate(pivots):
+        span ^= (offsets >> j & 1) * basis[bit]
+    states = reps[:, None] ^ span
+    xs, zs = np.array(list(s._terms), dtype=np.int64).reshape(-1, 2).T
+    coords = sum(((xs >> bit & 1) << j for j, bit in enumerate(pivots)), np.zeros_like(xs))
+    weights = [c * _PHASES[(x & z).bit_count() % 4] for (x, z), c in s._terms.items()]
+    signs = 1.0 - 2.0 * (np.bitwise_count(states & zs[:, None, None]) & 1)  # term, coset, offset
+    blocks = np.zeros((len(cosets), len(offsets), len(offsets)), dtype=complex)
+    # term t adds weights[t] * signs[t] at rows offsets ^ coords[t], columns offsets
+    np.add.at(blocks, (slice(None), coords[:, None] ^ offsets, offsets),
+              signs.transpose(1, 0, 2) * np.array(weights, dtype=complex)[:, None])
+    return states, blocks

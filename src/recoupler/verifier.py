@@ -30,7 +30,7 @@ from .encoding import (
     t_z,
 )
 from .errors import RecouplerError, ValidationError
-from .evolution import apply_schedule, propagator, restrict
+from .evolution import _evolve, apply_schedule, propagator, restrict
 from .model import (
     ExchangeModel,
     build_T,
@@ -134,10 +134,10 @@ def _verdict(
     mode_label = mode if mode == "ideal" else f"realistic(r={ratio_text})"
     try:
         schedule = compile_fn(subject, model, sector, parallel, exact_cphase)
-        u = apply_schedule(schedule, model, mode=mode, ratio=ratio)
+        uv = _evolve(schedule, model, mode, ratio, sector)
         spec = CodeSpec(sector, model.n_spins)
         target = target_fn(subject, model, sector, exact_cphase)
-        block, leak = restrict(u, spec)
+        block, leak = restrict(uv, spec)
         fid = _overlap(block, target, spec)
     except RecouplerError as exc:
         reason = f"{type(exc).__name__}: {exc}"

@@ -160,6 +160,22 @@ class TestApplySchedule:
         with pytest.raises(ControllabilityError):
             apply_schedule(sched, m)
 
+    def test_first_invalid_group_in_schedule_order_raises(self):
+        # generators are built and checked in schedule order before any exponential,
+        # though the groups act on the columns rightmost first
+        m = preset_model("electrons_on_helium", 4)
+        from recoupler import j_z
+
+        uncontrollable = (PulseStep(j_z(2, 3), angle=0.2),)
+        mixed = (
+            PulseStep(j_plus(1, 2), angle=0.3, mode="ideal"),
+            PulseStep(j_plus(3, 4), angle=0.3, mode="realistic"),
+        )
+        with pytest.raises(ControllabilityError, match=r"j_z\(2,3\)"):
+            apply_schedule(PulseSchedule((uncontrollable, mixed), {}), m, ratio=10.0)
+        with pytest.raises(ValidationError, match="different modes"):
+            apply_schedule(PulseSchedule((mixed, uncontrollable), {}), m, ratio=10.0)
+
     def test_determinism(self):
         m = preset_model("electrons_on_helium", 4)
         sched = nmr_z_rotation_schedule(0.5)

@@ -17,6 +17,7 @@ from recoupler import (
     to_matrix,
     toggled_generator,
 )
+from recoupler.pauli import to_blocks
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -275,3 +276,42 @@ class TestToMatrix:
             n = int(rng.integers(1, 7))
             s = _random_sum(rng, n, terms=int(rng.integers(1, 12)))
             assert np.array_equal(to_matrix(s), dense_sum(s)), s
+
+
+def _scattered(states, blocks):
+    """The 2**n x 2**n matrix whose restriction to each coset states[c] is blocks[c]."""
+    out = np.zeros((states.size, states.size), dtype=complex)
+    for rows, block in zip(states, blocks):
+        out[np.ix_(rows, rows)] = block
+    return out
+
+
+class TestToBlocks:
+    def test_random_complex_sums_scatter_back_to_the_matrix(self):
+        rng = np.random.default_rng(17)
+        for n in range(1, 7):
+            for _ in range(12):
+                s = _random_sum(rng, n, terms=int(rng.integers(0, 9)))
+                states, blocks = to_blocks(s)
+                assert sorted(states.ravel()) == list(range(2**n)), s
+                assert np.array_equal(_scattered(states, blocks), to_matrix(s)), s
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_empty_sum_is_one_zero_per_state(self, n):
+        states, blocks = to_blocks(PauliSum.zero(n))
+        assert states.shape == (2**n, 1) and sorted(states.ravel()) == list(range(2**n))
+        assert blocks.shape == (2**n, 1, 1) and not blocks.any()
+
+    def test_block_size_is_two_to_the_x_mask_rank(self):
+        diagonal = PauliSum(4, {"ZZII": 0.3, "IIZI": -1.0, "IIII": 2.0})
+        pulses = PauliSum(4, {"XXII": 0.5, "YYII": 0.5, "IIXX": 0.5, "IIYY": -0.5, "ZIIZ": 1.0})
+        dependent = PauliSum(4, {"XXII": 1.0, "IXXI": 1.0, "XIXI": 1.0})  # rank 2, not 3
+        for s, rank in ((diagonal, 0), (pulses, 2), (dependent, 2), (one("XYZX"), 1)):
+            states, blocks = to_blocks(s)
+            assert states.shape == (2 ** (4 - rank), 2**rank), s
+            assert blocks.shape == (2 ** (4 - rank), 2**rank, 2**rank), s
+
+    def test_capacity_error(self, monkeypatch):
+        monkeypatch.setenv("RECOUPLER_MAX_SPINS", "6")
+        with pytest.raises(CapacityError):
+            to_blocks(one("I" * 7))

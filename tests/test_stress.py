@@ -4,8 +4,12 @@ Every compiled gate must hit its target on the code space in ideal mode no
 matter how the energies and couplings are drawn (subject to the model-kind
 constraints), which exercises the non-negative-duration normalization of the
 free windows for both signs of the z splittings and couplings. Realistic-mode
-unitaries of the same models are checked against a kron + `expm` oracle.
+unitaries of the same models are checked against a kron + `expm` oracle, and
+the block-diagonal propagation of every mode against the ordered product of
+dense propagators and of `expm`.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -19,6 +23,9 @@ from recoupler import (
     ExchangeModel,
     FREE_EVOLUTION,
     LogicalGate,
+    PauliSum,
+    PulseSchedule,
+    PulseStep,
     RecouplerError,
     apply_schedule,
     background_hamiltonian,
@@ -26,12 +33,16 @@ from recoupler import (
     heis,
     j_minus,
     j_plus,
+    model_from_dict,
     nmr_ising_schedule,
     nmr_z_rotation_schedule,
     preset_model,
+    propagator,
+    sigma_x,
     toggled_generator,
     verify_gate,
 )
+from recoupler.pauli import to_blocks
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -106,7 +117,7 @@ def gate_of_kind(rng, kind):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_random_models_and_gates(family):
-    rng = np.random.default_rng(hash(family) % 2**32)
+    rng = np.random.default_rng(sum(map(ord, family)))
     checked = 0
     for _ in range(30):
         model, sector = random_model(rng, family)
@@ -151,24 +162,38 @@ def dense(ps):
     return out
 
 
-def realistic_oracle(schedule, model, ratio):
-    """Realistic-mode unitary: windows evolve the background for their duration;
-    a pulse group evolves background + sum sign(angle) strength G for |angle|/strength."""
-    background = dense(background_hamiltonian(model))
-    strength = ratio * model.background_magnitude()
-    u = np.eye(2**model.n_spins, dtype=complex)
+def group_generators(schedule, model, mode, ratio):
+    """(h, t) of every group, rebuilt from the model: an ideal window keeps its
+    target term, or the whole background without one; a realistic pulse group
+    adds sign(angle) strength G to the background for |angle| / strength."""
+    background = background_hamiltonian(model)
+    strength = None if ratio is None else ratio * model.background_magnitude()
     for group in schedule.groups:
-        if group[0].handle == FREE_EVOLUTION:
-            u = u @ expm(-1j * group[0].duration * background)
-            continue
-        pulses = [s for s in group if s.angle]
-        if not pulses:
-            continue
-        h = background + sum(
-            np.sign(s.angle) * strength * dense(toggled_generator(model, s.handle)) for s in pulses
-        )
-        u = u @ expm(-1j * (abs(pulses[0].angle) / strength) * h)
+        step = group[0]
+        if step.handle == FREE_EVOLUTION:
+            keeps_target = mode == "ideal" and step.target is not None
+            yield (step.target.term(model) if keeps_target else background), step.duration
+        elif mode == "ideal":
+            yield sum((s.angle * toggled_generator(model, s.handle) for s in group),
+                      PauliSum.zero(model.n_spins)), 1.0
+        elif any(s.angle for s in group):
+            pulses = [s for s in group if s.angle]
+            h = background + sum(
+                np.sign(s.angle) * strength * toggled_generator(model, s.handle) for s in pulses
+            )
+            yield h, abs(pulses[0].angle) / strength
+
+
+def ordered_product(schedule, model, mode, ratio, exp):
+    """The schedule's unitary as the matrix-order product of exp(h, t) over its groups."""
+    u = np.eye(2**model.n_spins, dtype=complex)
+    for h, t in group_generators(schedule, model, mode, ratio):
+        u = u @ exp(h, t)
     return u
+
+
+def _expm(h, t):
+    return expm(-1j * t * dense(h))
 
 
 def flipped(model):
@@ -180,7 +205,7 @@ def flipped(model):
 def _assert_realistic_matches_oracle(schedule, model, label):
     for ratio in (10, 100):
         got = apply_schedule(schedule, model, mode="realistic", ratio=ratio)
-        want = realistic_oracle(schedule, model, ratio)
+        want = ordered_product(schedule, model, "realistic", ratio, _expm)
         assert np.abs(got - want).max() < 1e-10, f"{label} r={ratio}"
 
 
@@ -215,3 +240,84 @@ def test_realistic_nmr_templates_match_expm_oracle(n):
             nmr_ising_schedule(0.4),
         ):
             _assert_realistic_matches_oracle(sched, m, sched.metadata["gate"])
+
+
+# -- block-diagonal propagation against dense oracles ---------------------------
+
+
+def random_nmr_model(rng):
+    eps = tuple(rng.uniform(-2, 2, size=4))
+    couplings = {(i, i + 1): Coupling(0.0, 0.0, float(rng.uniform(-1, 1))) for i in range(1, 4)}
+    ctrl = {sigma_x(i) for i in range(1, 5)} | {FREE_EVOLUTION}
+    return ExchangeModel("nmr_ising", 4, eps, couplings, frozenset(ctrl))
+
+
+def flip_flop_json_model(rng):
+    """An xxz JSON model whose middle pair keeps an always-on T flip-flop, so its
+    free windows are not diagonal."""
+    couplings = []
+    for i in range(1, 4):
+        jxy, jz = (float(v) for v in rng.uniform(-1, 1, size=2))
+        couplings.append({"i": i, "j": i + 1, "jx": jxy, "jy": jxy, "jz": jz})
+    return model_from_dict({
+        "kind": "xxz_symmetric",
+        "n_spins": 4,
+        "epsilon": [float(e) for e in rng.uniform(-2, 2, size=4)],
+        "couplings": couplings,
+        "controllable": ["j_plus(1,2)", "j_plus(3,4)", "free_evolution"],
+    })
+
+
+def _assert_blocks_match_oracles(schedule, model, label):
+    """Ideal, hard-pulse (every window target dropped) and realistic modes."""
+    hard = PulseSchedule(
+        [[dataclasses.replace(s, target=None) for s in g] for g in schedule.groups],
+        schedule.metadata,
+    )
+    for sched, mode, ratio in ((schedule, "ideal", None), (hard, "ideal", None),
+                               (schedule, "realistic", 10.0)):
+        got = apply_schedule(sched, model, mode=mode, ratio=ratio)
+        for exp in (propagator, _expm):
+            want = ordered_product(sched, model, mode, ratio, exp)
+            err = np.abs(got - want).max()
+            assert err < 1e-10, f"{label} {mode} {'hard' if sched is hard else ''}: {err:.2e}"
+
+
+@pytest.mark.parametrize("family", FAMILIES + ("json_flip_flop",))
+def test_block_propagation_matches_dense_and_expm(family):
+    rng = np.random.default_rng(sum(map(ord, family)))
+    compiled = 0
+    for draw in range(2):
+        if family == "json_flip_flop":
+            drawn = flip_flop_json_model(rng)
+            assert to_blocks(background_hamiltonian(drawn))[1].shape[-1] == 2  # T_23 couples pairs
+        else:
+            drawn = random_model(rng, family)[0]
+        for sign, model in (("+", drawn), ("-", flipped(drawn))):
+            for sector in (SYMMETRIC, ANTISYMMETRIC):
+                for kind in GATE_KINDS:
+                    gate = gate_of_kind(rng, kind)
+                    try:
+                        sched = compile_gate(gate, model, sector)
+                    except RecouplerError:
+                        continue  # the family has no construction for this sector or gate
+                    compiled += 1
+                    label = f"{family} draw {draw} J{sign} {sector} {gate.describe()}"
+                    _assert_blocks_match_oracles(sched, model, label)
+    assert compiled >= 8 * (2 if family == "heisenberg" else 1)
+
+
+def test_block_propagation_matches_oracles_on_nmr_sigma_x():
+    rng = np.random.default_rng(sum(map(ord, "nmr_ising")))
+    every_spin = tuple(PulseStep(sigma_x(i), angle=0.9 * (-1) ** i) for i in range(1, 5))
+    window = (PulseStep(FREE_EVOLUTION, duration=0.8),)
+    for draw in range(2):
+        drawn = random_nmr_model(rng)
+        for sign, model in (("+", drawn), ("-", flipped(drawn))):
+            for sched in (
+                nmr_z_rotation_schedule(0.7, 1),
+                nmr_z_rotation_schedule(1.3, 3),
+                nmr_ising_schedule(0.4),
+                PulseSchedule((every_spin, window, every_spin), {"gate": "sigma_x on every spin"}),
+            ):
+                _assert_blocks_match_oracles(sched, model, f"nmr draw {draw} J{sign} {sched.metadata}")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -289,6 +291,21 @@ class TestVerdictContract:
         rep = verify_circuit(gates, m)
         assert rep.reason.startswith("DegenerateSpectrumError: gate 1 (rz): logical qubit 1:")
         assert (rep.step_count_serial, rep.step_count_parallel) == (0, 0)
+
+    @pytest.mark.parametrize("gate, mode, ratio", [("rz", "ideal", None), ("cphase", "realistic", 100.0)])
+    def test_twelve_spin_verdict_never_builds_the_dense_unitary(self, monkeypatch, gate, mode, ratio):
+        # a dense 4096 x 4096 complex U alone is 256 MB; the code columns are 4 MB
+        monkeypatch.delenv("RECOUPLER_MAX_SPINS", raising=False)
+        model = preset_model("electrons_on_helium", 12)
+        tracemalloc.start()
+        try:
+            rep = verify_gate(STANDARD_GATES[gate], model, mode=mode, ratio=ratio)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.reason == ""
+        assert rep.passed or mode == "realistic"  # realistic xxz cphase is poor at n=12 today
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_one_restrict_per_verdict(self, monkeypatch):
         import recoupler.verifier as verifier
