@@ -71,12 +71,18 @@ def code_index(spec: CodeSpec, logical: int) -> int:
     return idx
 
 
+def code_states(spec: CodeSpec) -> np.ndarray:
+    """Physical basis index of every logical computational state, in logical order."""
+    k = spec.n_logical
+    pairs = np.array([b1 | b2 << 1 for b1, b2 in _PATTERNS[spec.sector]])  # per-qubit pair value
+    return (pairs[np.arange(2**k)[:, None] >> np.arange(k) & 1] << 2 * np.arange(k)).sum(axis=1)
+
+
 def code_isometry(spec: CodeSpec) -> np.ndarray:
     """2^n x 2^k isometry whose columns are the logical basis states."""
     dim, k = 2**spec.n_spins, 2**spec.n_logical
     v = np.zeros((dim, k), dtype=complex)
-    for logical in range(k):
-        v[code_index(spec, logical), logical] = 1.0
+    v[code_states(spec), np.arange(k)] = 1.0
     return v
 
 

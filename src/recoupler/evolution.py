@@ -16,9 +16,14 @@ A group's generator is block-diagonal over the cosets of the span of its
 terms' X masks (`pauli.to_blocks`): a diagonal window is a phase per basis
 state, p parallel pulses give blocks of size 2**p, and only a model with
 always-on flip-flops makes them large. Each group is exponentiated block by
-block and applied to a column array: the identity for `apply_schedule`, the
-2**n x 2**(n/2) code isometry for a verdict, which never forms all of U.
-`propagator` stays the dense exponential of one generator.
+block and applied to a column array. For `apply_schedule` that array is the
+identity on every basis state, under the dense spin cap. A verdict needs only
+U V on the 2**(n/2) code states, and every term maps r to r ^ x with x in S,
+the span of all the schedule's X masks, so U V is zero outside the rows
+code ^ S: the verdict evolves just those rows (the code states themselves for
+every XXZ and one-qubit gate), within a byte budget of one dense matrix at
+the spin cap instead of the cap itself. `propagator` stays the dense
+exponential of one generator.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import CodeSpec, code_isometry, r_z, t_z
+from .encoding import CodeSpec, code_isometry, code_states, r_z, t_z
 from .errors import ControllabilityError, ValidationError
 from .model import (
     MALFORMED_JSON,
@@ -41,7 +46,7 @@ from .model import (
     read_json,
     toggled_generator,
 )
-from .pauli import PauliSum, check_dense, to_blocks, to_matrix
+from .pauli import PauliSum, check_bytes, check_dense, coset_rows, to_blocks, to_matrix, x_basis
 
 _TARGET_RE = re.compile(r"^(t_z|r_z)\((\d+)\)$|^zz\((\d+),(\d+)\)$")
 
@@ -234,7 +239,7 @@ def apply_schedule(
 
     `mode`/`ratio` override the per-step mode tags when given.
     """
-    return _evolve(schedule, model, mode, ratio)
+    return _evolve(schedule, model, mode, ratio)[0]
 
 
 def _evolve(
@@ -243,8 +248,9 @@ def _evolve(
     mode: str | None,
     ratio: float | None,
     sector: str | None = None,
-) -> np.ndarray:
-    """U, or only its code columns U V when a sector is given.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(U, every basis state), or, given a sector, (the rows of the code columns
+    U V that the schedule can reach, those sorted basis states).
 
     Every generator is built and checked in schedule order before any
     exponential; then each group's blocks act on the columns, rightmost first.
@@ -260,24 +266,42 @@ def _evolve(
     strength = ratio * scale if "realistic" in modes else None
     if strength == math.inf:
         raise ValidationError(f"realistic pulse strength {ratio:g} x {scale:g} overflows")
-    check_dense(n)
+    if sector is None:
+        check_dense(n)
+    else:
+        check_bytes(n, 16 * 2**n, f"a code block of 2^{n // 2} x 2^{n // 2} entries")
     background = background_hamiltonian(model)
     generators = [_group_generator(g, model, mode, strength, background) for g in schedule.groups]
-    columns = np.eye(2**n, dtype=complex) if sector is None else code_isometry(CodeSpec(sector, n))
+    starts = np.arange(2**n) if sector is None else code_states(CodeSpec(sector, n))
+    # at most 2**n states, so the checks above already bound these arrays
+    rows = coset_rows(n, x_basis(*(h for h, _ in generators)), starts)
+    widest = 2 ** max([len(x_basis(h)) for h, _ in generators], default=0)
+    nbytes = 16 * rows.size * max(starts.size, widest)
+    check_bytes(n, nbytes, f"evolving {rows.size} reachable rows")
+    columns = np.zeros((rows.size, starts.size), dtype=complex)
+    columns[np.searchsorted(rows, starts), np.arange(starts.size)] = 1.0
     for h, t in reversed(generators):
-        states, blocks = to_blocks(h)
-        columns[states] = _exponential(blocks, t) @ columns[states]
-    return columns
+        states, blocks = to_blocks(h, rows)
+        at = np.searchsorted(rows, states)
+        columns[at] = _exponential(blocks, t) @ columns[at]
+    return columns, rows
 
 
-def restrict(u: np.ndarray, spec: CodeSpec) -> tuple[np.ndarray, float]:
+def restrict(
+    u: np.ndarray, spec: CodeSpec, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
     """Compress a full-register unitary U, or its code columns U V, to the code space.
 
     Returns (B, leakage) with B = V^dag U V and
-    leakage = ||(I - P) U P||_F / ||P||_F, in [0, 1] for unitary U.
+    leakage = ||(I - P) U P||_F / ||P||_F, in [0, 1] for unitary U. Given the
+    sorted basis states `rows` that U V is zero outside, `u` holds only those
+    rows of U V: B is read from the code rows and leakage from the others.
     """
-    v = code_isometry(spec)
     u = np.asarray(u, dtype=complex)
+    if rows is not None:
+        code = np.searchsorted(rows, code_states(spec))
+        return u[code], float(np.linalg.norm(np.delete(u, code, axis=0)) / np.sqrt(code.size))
+    v = code_isometry(spec)
     uv = u if u.shape[-1] == v.shape[1] else u @ v
     b = v.conj().T @ uv
     out = uv - v @ b

@@ -81,6 +81,17 @@ def check_dense(n: int):
         raise CapacityError(f"{n} spins exceeds dense cap {cap} (RECOUPLER_MAX_SPINS)")
 
 
+def check_bytes(n: int, nbytes: int, what: str):
+    """CapacityError unless `nbytes` fit in the size of one dense matrix at the spin cap."""
+    cap = max_spins()
+    budget = 16 * 4**cap
+    if nbytes > budget:
+        raise CapacityError(
+            f"{n} spins: {what} needs {nbytes} bytes, over the {budget}-byte budget"
+            f" of a dense {cap}-spin matrix (RECOUPLER_MAX_SPINS)"
+        )
+
+
 def site_letters(n: int, sites: Mapping[int, str]) -> str:
     """Letters of the n-spin string with sites[i] on 1-based spin i, I elsewhere."""
     letters = ["I"] * n
@@ -240,36 +251,69 @@ def to_matrix(s: PauliSum) -> np.ndarray:
     return out
 
 
-def to_blocks(s: PauliSum) -> tuple[np.ndarray, np.ndarray]:
+def x_basis(*sums: PauliSum) -> dict[int, int]:
+    """Reduced GF(2) basis of the span of the X masks of `sums`.
+
+    Maps each pivot bit to its basis vector; no other vector has that bit set,
+    so every coset of the span holds exactly one state with all pivot bits clear.
+    """
+    basis: dict[int, int] = {}
+    for s in sums:
+        for x, _ in s._terms:
+            for bit, vec in basis.items():
+                x ^= vec * (x >> bit & 1)
+            if x:
+                pivot = x.bit_length() - 1
+                basis = {bit: vec ^ x * (vec >> pivot & 1) for bit, vec in basis.items()}
+                basis[pivot] = x
+    return basis
+
+
+def _span(basis: dict[int, int]) -> np.ndarray:
+    """Every vector of the span, the o-th one the XOR of the basis vectors of the
+    set bits of o, with bit j standing for the j-th lowest pivot."""
+    span = np.zeros(1, dtype=np.int64)
+    for bit in sorted(basis):
+        span = np.concatenate([span, span ^ basis[bit]])
+    return span
+
+
+def coset_rows(n: int, basis: dict[int, int], states: np.ndarray) -> np.ndarray:
+    """Every n-spin basis state, sorted, of the cosets of the span of `basis` that
+    hold `states`."""
+    reps = np.array(states, dtype=np.int64)
+    for bit, vec in basis.items():  # clear the pivot bits: one representative per coset
+        reps ^= (reps >> bit & 1) * vec
+    mark = np.zeros(2**n, dtype=bool)  # deduplicates and sorts without a sort
+    mark[reps] = True
+    mark[(np.flatnonzero(mark)[:, None] ^ _span(basis)).ravel()] = True
+    return np.flatnonzero(mark)
+
+
+def to_blocks(s: PauliSum, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The matrix of `s` as blocks over the cosets of the span of its X masks.
 
     Every term sends basis state r to r ^ x with x in that span, so each coset
-    is invariant. For the span's rank r, states[c, o] is the o-th basis state
-    of coset c, shape (2**(n-r), 2**r), and blocks[c] is to_matrix(s)
-    restricted to rows and columns states[c]. A diagonal sum has r = 0.
+    is invariant. `rows` must be a union of such cosets (a union of cosets of a
+    larger span is one); the default is every basis state, under the spin cap.
+    For the span's rank r, states[c, o] is the o-th basis state of the c-th
+    coset inside `rows`, shape (|rows| / 2**r, 2**r), and blocks[c] is
+    to_matrix(s) restricted to rows and columns states[c]. A diagonal sum has
+    r = 0; p parallel pulses give r = p.
     """
-    check_dense(s.n)
-    basis: dict[int, int] = {}  # pivot bit -> span vector, reduced: no other has that bit
-    for x, _ in s._terms:
-        for bit, vec in basis.items():
-            x ^= vec * (x >> bit & 1)
-        if x:
-            pivot = x.bit_length() - 1
-            basis = {bit: vec ^ x * (vec >> pivot & 1) for bit, vec in basis.items()}
-            basis[pivot] = x
+    if rows is None:
+        check_dense(s.n)
+        rows = np.arange(2**s.n)
+    basis = x_basis(s)
     pivots = sorted(basis)
-    free = [bit for bit in range(s.n) if bit not in basis]
-    cosets, offsets = np.arange(2 ** len(free)), np.arange(2 ** len(pivots))
-    reps = sum(((cosets >> j & 1) << bit for j, bit in enumerate(free)), np.zeros_like(cosets))
-    span = np.zeros_like(offsets)
-    for j, bit in enumerate(pivots):
-        span ^= (offsets >> j & 1) * basis[bit]
-    states = reps[:, None] ^ span
+    span = _span(basis)
+    states = rows[(rows & sum(1 << bit for bit in pivots)) == 0][:, None] ^ span
     xs, zs = np.array(list(s._terms), dtype=np.int64).reshape(-1, 2).T
     coords = sum(((xs >> bit & 1) << j for j, bit in enumerate(pivots)), np.zeros_like(xs))
     weights = [c * _PHASES[(x & z).bit_count() % 4] for (x, z), c in s._terms.items()]
     signs = 1.0 - 2.0 * (np.bitwise_count(states & zs[:, None, None]) & 1)  # term, coset, offset
-    blocks = np.zeros((len(cosets), len(offsets), len(offsets)), dtype=complex)
+    blocks = np.zeros((len(states), len(span), len(span)), dtype=complex)
+    offsets = np.arange(len(span))
     # term t adds weights[t] * signs[t] at rows offsets ^ coords[t], columns offsets
     np.add.at(blocks, (slice(None), coords[:, None] ^ offsets, offsets),
               signs.transpose(1, 0, 2) * np.array(weights, dtype=complex)[:, None])

@@ -44,7 +44,7 @@ def _overlap(block: np.ndarray, u_target: np.ndarray, spec: CodeSpec) -> float:
     dim = 2**spec.n_logical
     if u_target.shape != (dim, dim):
         raise ValidationError(f"target shape {u_target.shape}, expected ({dim},{dim})")
-    return float(abs(np.trace(u_target.conj().T @ block)) / dim)
+    return float(abs(np.vdot(u_target, block)) / dim)
 
 
 def fidelity(u_realized: np.ndarray, u_target: np.ndarray, spec: CodeSpec) -> float:
@@ -134,10 +134,10 @@ def _verdict(
     mode_label = mode if mode == "ideal" else f"realistic(r={ratio_text})"
     try:
         schedule = compile_fn(subject, model, sector, parallel, exact_cphase)
-        uv = _evolve(schedule, model, mode, ratio, sector)
+        uv, rows = _evolve(schedule, model, mode, ratio, sector)
         spec = CodeSpec(sector, model.n_spins)
         target = target_fn(subject, model, sector, exact_cphase)
-        block, leak = restrict(uv, spec)
+        block, leak = restrict(uv, spec, rows)
         fid = _overlap(block, target, spec)
     except RecouplerError as exc:
         reason = f"{type(exc).__name__}: {exc}"

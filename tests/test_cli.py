@@ -372,7 +372,10 @@ class TestOutOfRangeModels:
         captured = capsys.readouterr()
         assert captured.err == ""
         reasons = {row["reason"] for row in json.loads(captured.out)}
-        assert reasons == {"CapacityError: 40 spins exceeds dense cap 12 (RECOUPLER_MAX_SPINS)"}
+        assert reasons == {
+            "CapacityError: 40 spins: a code block of 2^20 x 2^20 entries needs 17592186044416 bytes,"
+            " over the 268435456-byte budget of a dense 12-spin matrix (RECOUPLER_MAX_SPINS)"
+        }
 
     def test_simulate_over_cap_exit_2(self, tmp_path, capsys):
         sched = tmp_path / "s.json"

@@ -19,6 +19,7 @@ from recoupler import (
     t_z,
     to_matrix,
 )
+from recoupler.encoding import code_states
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -49,6 +50,14 @@ class TestProjector:
         assert np.linalg.matrix_rank(p) == rank
         assert np.allclose(p @ p, p, atol=1e-14)
         assert np.allclose(p, p.conj().T, atol=1e-14)
+
+    @pytest.mark.parametrize("sector", [SYMMETRIC, ANTISYMMETRIC])
+    def test_code_states_match_code_index(self, sector):
+        for n in (2, 4, 6, 12):
+            spec = CodeSpec(sector, n)
+            want = [code_index(spec, logical) for logical in range(2 ** (n // 2))]
+            assert code_states(spec).tolist() == want
+            assert code_isometry(spec)[want, range(len(want))].tolist() == [1.0] * len(want)
 
     def test_symmetric_two_spin_span(self):
         p = projector(CodeSpec(SYMMETRIC, 2))

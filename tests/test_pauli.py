@@ -17,7 +17,7 @@ from recoupler import (
     to_matrix,
     toggled_generator,
 )
-from recoupler.pauli import to_blocks
+from recoupler.pauli import coset_rows, to_blocks, x_basis
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -295,6 +295,39 @@ class TestToBlocks:
                 states, blocks = to_blocks(s)
                 assert sorted(states.ravel()) == list(range(2**n)), s
                 assert np.array_equal(_scattered(states, blocks), to_matrix(s)), s
+
+    def test_rows_keep_only_the_cosets_inside_them(self):
+        rng = np.random.default_rng(18)
+        for n in range(1, 7):
+            for _ in range(12):
+                s = _random_sum(rng, n, terms=int(rng.integers(0, 6)))
+                wider = x_basis(s, _random_sum(rng, n, terms=int(rng.integers(0, 3))))
+                starts = rng.integers(0, 2**n, size=int(rng.integers(1, 4)))
+                rows = coset_rows(n, wider, starts)
+                states, blocks = to_blocks(s, rows)
+                assert sorted(states.ravel()) == list(rows), s
+                assert set(starts) <= set(rows), s
+                full = to_matrix(s)
+                for coset, block in zip(states, blocks):
+                    assert np.array_equal(block, full[np.ix_(coset, coset)]), s
+                    outside = np.setdiff1d(np.arange(2**n), coset)
+                    assert not full[np.ix_(outside, coset)].any(), s
+
+    def test_x_basis_is_reduced_and_spans_every_x_mask(self):
+        rng = np.random.default_rng(19)
+        for n in range(1, 7):
+            sums = [_random_sum(rng, n, terms=int(rng.integers(0, 5))) for _ in range(3)]
+            basis = x_basis(*sums)
+            for bit, vec in basis.items():
+                assert vec >> bit & 1 and all(not other >> bit & 1 for other in basis.values()
+                                              if other != vec)
+            span = coset_rows(n, basis, [0])
+            assert len(set(span.tolist())) == span.size == 2 ** len(basis)
+            masks = {sum(1 << i for i, c in enumerate(k) if c in "XY") for t in sums for k in t.terms}
+            assert masks <= set(span.tolist())
+            starts = rng.integers(0, 2**n, size=3)
+            rows = coset_rows(n, basis, starts)
+            assert rows.tolist() == sorted(set((starts[:, None] ^ span).ravel().tolist()))
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_empty_sum_is_one_zero_per_state(self, n):

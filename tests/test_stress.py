@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import recoupler.verifier as verifier
 from recoupler import (
     ANTISYMMETRIC,
     SYMMETRIC,
@@ -29,6 +30,7 @@ from recoupler import (
     RecouplerError,
     apply_schedule,
     background_hamiltonian,
+    compile_circuit,
     compile_gate,
     heis,
     j_minus,
@@ -38,11 +40,16 @@ from recoupler import (
     nmr_z_rotation_schedule,
     preset_model,
     propagator,
+    restrict,
     sigma_x,
+    target_circuit,
+    target_logical,
     toggled_generator,
+    verify_circuit,
     verify_gate,
 )
 from recoupler.pauli import to_blocks
+from recoupler.verifier import STANDARD_GATES
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -135,7 +142,7 @@ def test_random_models_and_gates(family):
 
 
 def test_four_logical_qubits_desk_scale():
-    from recoupler import apply_schedule, compile_circuit, fidelity, preset_model, target_circuit
+    from recoupler import fidelity
 
     model = preset_model("electrons_on_helium", 8)
     spec = CodeSpec(SYMMETRIC, 8)
@@ -321,3 +328,123 @@ def test_block_propagation_matches_oracles_on_nmr_sigma_x():
                 PulseSchedule((every_spin, window, every_spin), {"gate": "sigma_x on every spin"}),
             ):
                 _assert_blocks_match_oracles(sched, model, f"nmr draw {draw} J{sign} {sched.metadata}")
+
+
+# -- verdicts on the reachable rows against the dense oracle ---------------------
+
+
+def _drop_targets(schedule):
+    """The hard-pulse variant: every free window evolves the whole background."""
+    return PulseSchedule(
+        [[dataclasses.replace(s, target=None) for s in g] for g in schedule.groups],
+        schedule.metadata,
+    )
+
+
+def _assert_row_verdicts_match_dense(monkeypatch, model, sector, gates, schedule_of, label):
+    """verify_gate on gates[0] and verify_circuit on `gates`, which evolve only the
+    rows the schedule reaches, against restrict(ordered product of dense
+    propagators) on the schedule schedule_of(subject), in ideal, hard-pulse and
+    realistic modes. Returns the number of rows each verdict evolved."""
+    spec = CodeSpec(sector, model.n_spins)
+    seen = []
+    restrict_rows = verifier.restrict
+    monkeypatch.setattr(verifier, "restrict", lambda u, s, rows: seen.append(rows.size)
+                        or restrict_rows(u, s, rows))
+    for hard, mode, ratio in ((False, "ideal", None), (True, "ideal", None),
+                              (False, "realistic", 10.0)):
+        def compiled(subject, *_):
+            return (_drop_targets if hard else lambda s: s)(schedule_of(subject))
+
+        monkeypatch.setattr(verifier, "compile_gate", compiled)
+        monkeypatch.setattr(verifier, "compile_circuit", compiled)
+        for subject, verify, target in (
+            (gates[0], verify_gate, target_logical(gates[0], model, sector)),
+            (gates, verify_circuit, target_circuit(gates, model, sector)),
+        ):
+            rep = verify(subject, model, sector=sector, mode=mode, ratio=ratio)
+            sched = compiled(subject)
+            block, leak = restrict(ordered_product(sched, model, mode, ratio, propagator), spec)
+            fid = abs(np.trace(target.conj().T @ block)) / len(target)
+            where = f"{label} {mode}{' hard' if hard else ''} {verify.__name__}"
+            assert rep.reason == "", where
+            assert abs(rep.fidelity - fid) < 1e-12 and abs(rep.leakage - leak) < 1e-12, where
+            assert rep.passed == (fid >= 1 - 1e-8 and leak <= 1e-8), where
+            steps = (sched.step_count_serial, sched.step_count_parallel)
+            assert (rep.step_count_serial, rep.step_count_parallel) == steps, where
+    return seen
+
+
+@pytest.mark.parametrize("family", FAMILIES + ("json_flip_flop",))
+def test_row_verdicts_match_dense_oracle(family, monkeypatch):
+    rng = np.random.default_rng(sum(map(ord, family)) + 1)
+    if family == "json_flip_flop":
+        drawn = flip_flop_json_model(rng)
+    else:
+        drawn = random_model(rng, family)[0]
+    compiled, rows = 0, []
+    for sign, model in (("+", drawn), ("-", flipped(drawn))):
+        for sector in (SYMMETRIC, ANTISYMMETRIC):
+            for kind in GATE_KINDS:
+                gate = gate_of_kind(rng, kind)
+                try:
+                    compile_gate(gate, model, sector)
+                except RecouplerError as exc:
+                    rep = verify_gate(gate, model, sector=sector)
+                    assert rep.reason == f"{type(exc).__name__}: {exc}"
+                    continue
+                compiled += 1
+
+                def schedule_of(subject, model=model, sector=sector):
+                    if isinstance(subject, LogicalGate):
+                        return compile_gate(subject, model, sector)
+                    return compile_circuit(subject, model, sector)
+
+                label = f"{family} J{sign} {sector} {gate.describe()}"
+                with monkeypatch.context() as patched:
+                    rows += _assert_row_verdicts_match_dense(
+                        patched, model, sector, [gate, gate], schedule_of, label
+                    )
+    assert compiled >= (14 if family == "heisenberg" else 8)
+    if family == "json_flip_flop":  # the always-on T_23 reaches beyond the code states
+        assert max(rows) > 2 ** (drawn.n_spins // 2)
+
+
+def test_row_verdicts_match_dense_oracle_on_nmr_sigma_x(monkeypatch):
+    rng = np.random.default_rng(sum(map(ord, "nmr_ising")) + 1)
+    gates = [LogicalGate("rx", (1,), (0.5,)), LogicalGate("rz", (2,), (1.1,))]
+    for draw in range(2):
+        drawn = random_nmr_model(rng)
+        angle = float(rng.uniform(0.1, 2))  # parallel realistic pulses share |angle|
+        pulses = tuple(PulseStep(sigma_x(i), angle=angle * rng.choice([-1, 1]))
+                       for i in range(1, 5) if rng.random() < 0.6) or (PulseStep(sigma_x(2), angle=angle),)
+        window = (PulseStep(FREE_EVOLUTION, duration=float(rng.uniform(0, 2))),)
+        for sign, model in (("+", drawn), ("-", flipped(drawn))):
+            for sector in (SYMMETRIC, ANTISYMMETRIC):
+                for sched in (
+                    nmr_z_rotation_schedule(0.7, 1),
+                    nmr_ising_schedule(0.4),
+                    PulseSchedule((pulses, window, pulses), {"gate": "random sigma_x"}),
+                ):
+                    label = f"nmr draw {draw} J{sign} {sector} {sched.metadata}"
+                    with monkeypatch.context() as patched:
+                        _assert_row_verdicts_match_dense(
+                            patched, model, sector, gates, lambda _, s=sched: s, label
+                        )
+
+
+@pytest.mark.parametrize("preset", ["electrons_on_helium", "xxz_symmetric", "xxz_antisymmetric"])
+def test_xxz_ideal_verdicts_evolve_only_the_code_states(preset):
+    """Every XXZ schedule maps the code states among themselves, so the leakage
+    is read from no row at all and is exactly zero."""
+    model = preset_model(preset, 8)
+    verdicts = 0
+    for sector in (SYMMETRIC, ANTISYMMETRIC):
+        for gate in STANDARD_GATES.values():
+            for exact in (False, True):
+                rep = verify_gate(gate, model, sector=sector, exact_cphase=exact)
+                if rep.reason.startswith("ControllabilityError"):
+                    continue
+                assert rep.passed and rep.leakage == 0.0, (sector, gate.describe(), rep)
+                verdicts += 1
+    assert verdicts == 8

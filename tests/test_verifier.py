@@ -270,7 +270,10 @@ class TestVerdictContract:
 
     def test_over_cap_register_fails_with_capacity_reason(self):
         rep = verify_gate(CONTRACT_GATES[0], preset_model("xy", 40))
-        assert rep.reason == "CapacityError: 40 spins exceeds dense cap 12 (RECOUPLER_MAX_SPINS)"
+        assert rep.reason == (
+            "CapacityError: 40 spins: a code block of 2^20 x 2^20 entries needs 17592186044416 bytes,"
+            " over the 268435456-byte budget of a dense 12-spin matrix (RECOUPLER_MAX_SPINS)"
+        )
         assert not rep.passed
 
     def test_overflowing_realistic_strength_reason(self):
@@ -306,6 +309,43 @@ class TestVerdictContract:
         assert rep.reason == ""
         assert rep.passed or mode == "realistic"  # realistic xxz cphase is poor at n=12 today
         assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    @pytest.mark.parametrize("preset", ["electrons_on_helium", "xy"])
+    @pytest.mark.parametrize("mode,ratio", CONTRACT_MODES, ids=["ideal", "realistic"])
+    def test_sixteen_spin_verdicts_evolve_only_the_reachable_rows(self, monkeypatch, preset, mode, ratio):
+        # the code columns over all 2**16 rows alone would be 256 MB; the reachable
+        # rows are the 256 code states, or twice that for xy cphase
+        monkeypatch.delenv("RECOUPLER_MAX_SPINS", raising=False)
+        model = preset_model(preset, 16)
+        for gate in STANDARD_GATES.values():
+            tracemalloc.start()
+            try:
+                rep = verify_gate(gate, model, mode=mode, ratio=ratio)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rep.reason == "", (gate.kind, rep.reason)
+            assert rep.passed or mode == "realistic"
+            assert peak < 16 * 2**20, f"{gate.kind}: peak {peak / 2**20:.1f} MB"
+
+    def test_over_budget_rows_fail_before_any_register_sized_allocation(self, monkeypatch):
+        tracemalloc.start()
+        try:
+            rep = verify_gate(CONTRACT_GATES[0], preset_model("xy", 40))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.reason.startswith("CapacityError: 40 spins: a code block of 2^20 x 2^20")
+        assert peak < 2**20, f"peak {peak / 2**20:.1f} MB"
+        # a budget of 16 * 4**4 bytes holds the 4**4-entry code block of 8 spins, and the
+        # 16 code-state rows of an XXZ verdict, but not the 32 rows of xy cphase
+        monkeypatch.setenv("RECOUPLER_MAX_SPINS", "4")
+        assert verify_gate(STANDARD_GATES["cphase"], preset_model("electrons_on_helium", 8)).passed
+        rep = verify_gate(STANDARD_GATES["cphase"], preset_model("xy", 8))
+        assert rep.reason == (
+            "CapacityError: 8 spins: evolving 32 reachable rows needs 8192 bytes,"
+            " over the 4096-byte budget of a dense 4-spin matrix (RECOUPLER_MAX_SPINS)"
+        )
 
     def test_one_restrict_per_verdict(self, monkeypatch):
         import recoupler.verifier as verifier
