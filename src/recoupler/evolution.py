@@ -15,8 +15,11 @@ term, in realistic mode the full background.
 A group's generator is block-diagonal over the cosets of the span of its
 terms' X masks (`pauli.to_blocks`): a diagonal window is a phase per basis
 state, p parallel pulses give blocks of size 2**p, and only a model with
-always-on flip-flops makes them large. Each group is exponentiated block by
-block and applied to a column array. For `apply_schedule` that array is the
+always-on flip-flops makes them large. A compiled schedule repeats a few
+groups many times (every sandwich is a pulse, a window and the inverse pulse),
+so each distinct group is built and exponentiated once per schedule, the
+blocks of all groups of one size in one batched eigh, and applied to a column
+array wherever it stands. For `apply_schedule` that array is the
 identity on every basis state, under the dense spin cap. A verdict needs only
 U V on the 2**(n/2) code states, and every term maps r to r ^ x with x in S,
 the span of all the schedule's X masks, so U V is zero outside the rows
@@ -165,13 +168,22 @@ def _checked(h: PauliSum) -> PauliSum:
     return h
 
 
-def _exponential(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) of a Hermitian matrix, or of a stack of them, by eigendecomposition."""
+def _exponential(
+    h: np.ndarray, t: float | np.ndarray, owner: np.ndarray | None = None
+) -> np.ndarray:
+    """exp(-i h t) of a Hermitian matrix, or of a stack of them with one t each, by
+    eigendecomposition. The unitarity defect is checked over the whole, or per
+    label of `owner` (the group each matrix of the stack belongs to)."""
     evals, evecs = np.linalg.eigh(h)
-    u = (evecs * np.exp(-1j * evals * t)[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
-    defect = np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]))
-    if not defect <= 1e-10:
-        raise ValidationError(f"propagator lost unitarity (defect {defect:.2e})")
+    phases = np.exp(-1j * evals * np.asarray(t)[..., None])
+    u = (evecs * phases[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
+    d = u.shape[-1]
+    residual = (u.conj().swapaxes(-1, -2) @ u - np.eye(d)).reshape(-1, d * d)
+    squares = np.vecdot(residual, residual).real
+    defects = np.sqrt(squares.sum() if owner is None else np.bincount(owner, squares))
+    for defect in np.atleast_1d(defects):
+        if not defect <= 1e-10:
+            raise ValidationError(f"propagator lost unitarity (defect {defect:.2e})")
     return u
 
 
@@ -252,8 +264,10 @@ def _evolve(
     """(U, every basis state), or, given a sector, (the rows of the code columns
     U V that the schedule can reach, those sorted basis states).
 
-    Every generator is built and checked in schedule order before any
-    exponential; then each group's blocks act on the columns, rightmost first.
+    Each distinct group is built and checked once, in order of first appearance
+    and before any exponential, so the first bad group raises. Its blocks are
+    exponentiated once, in one batched eigh with every other group's blocks of
+    the same size; then each group's blocks act on the columns, rightmost first.
     """
     if mode is not None and mode not in ("ideal", "realistic"):
         raise ValidationError(f"bad mode {mode!r}")
@@ -271,19 +285,36 @@ def _evolve(
     else:
         check_bytes(n, 16 * 2**n, f"a code block of 2^{n // 2} x 2^{n // 2} entries")
     background = background_hamiltonian(model)
-    generators = [_group_generator(g, model, mode, strength, background) for g in schedule.groups]
+    distinct: dict[tuple[PulseStep, ...], int] = {}
+    order = [distinct.setdefault(group, len(distinct)) for group in schedule.groups]
+    generators = [_group_generator(g, model, mode, strength, background) for g in distinct]
+    bases = [x_basis(h) for h, _ in generators]
     starts = np.arange(2**n) if sector is None else code_states(CodeSpec(sector, n))
     # at most 2**n states, so the checks above already bound these arrays
     rows = coset_rows(n, x_basis(*(h for h, _ in generators)), starts)
-    widest = 2 ** max([len(x_basis(h)) for h, _ in generators], default=0)
-    nbytes = 16 * rows.size * max(starts.size, widest)
+    held = sum(2 ** len(basis) for basis in bases)  # every block stack is held at once
+    nbytes = 16 * rows.size * max(starts.size, held)
     check_bytes(n, nbytes, f"evolving {rows.size} reachable rows")
+    blocks = [to_blocks(h, rows, basis) for (h, _), basis in zip(generators, bases)]
+    by_size: dict[int, list[int]] = {}
+    for g, (_, stack) in enumerate(blocks):
+        by_size.setdefault(stack.shape[-1], []).append(g)
+    for same in by_size.values():  # one eigh per block size, one t per block
+        stacks = [blocks[g][1] for g in same]
+        counts = [len(stack) for stack in stacks]
+        u = _exponential(
+            stacks[0] if len(stacks) == 1 else np.concatenate(stacks),
+            np.repeat([generators[g][1] for g in same], counts),
+            np.repeat(np.arange(len(same)), counts),
+        )
+        start = 0
+        for g, count in zip(same, counts):  # each group's blocks become their exponentials
+            blocks[g], start = (blocks[g][0], u[start : start + count]), start + count
     columns = np.zeros((rows.size, starts.size), dtype=complex)
     columns[np.searchsorted(rows, starts), np.arange(starts.size)] = 1.0
-    for h, t in reversed(generators):
-        states, blocks = to_blocks(h, rows)
-        at = np.searchsorted(rows, states)
-        columns[at] = _exponential(blocks, t) @ columns[at]
+    for g in reversed(order):
+        at, u = blocks[g]
+        columns[at] = u @ columns[at]
     return columns, rows
 
 

@@ -256,16 +256,17 @@ def x_basis(*sums: PauliSum) -> dict[int, int]:
 
     Maps each pivot bit to its basis vector; no other vector has that bit set,
     so every coset of the span holds exactly one state with all pivot bits clear.
+    Each pivot is its vector's top bit, so the basis is unique and each distinct
+    mask is reduced once, in any order.
     """
     basis: dict[int, int] = {}
-    for s in sums:
-        for x, _ in s._terms:
-            for bit, vec in basis.items():
-                x ^= vec * (x >> bit & 1)
-            if x:
-                pivot = x.bit_length() - 1
-                basis = {bit: vec ^ x * (vec >> pivot & 1) for bit, vec in basis.items()}
-                basis[pivot] = x
+    for x in {x for s in sums for x, _ in s._terms}:
+        for bit, vec in basis.items():
+            x ^= vec * (x >> bit & 1)
+        if x:
+            pivot = x.bit_length() - 1
+            basis = {bit: vec ^ x * (vec >> pivot & 1) for bit, vec in basis.items()}
+            basis[pivot] = x
     return basis
 
 
@@ -290,24 +291,30 @@ def coset_rows(n: int, basis: dict[int, int], states: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mark)
 
 
-def to_blocks(s: PauliSum, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def to_blocks(
+    s: PauliSum, rows: np.ndarray | None = None, basis: dict[int, int] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The matrix of `s` as blocks over the cosets of the span of its X masks.
 
     Every term sends basis state r to r ^ x with x in that span, so each coset
     is invariant. `rows` must be a union of such cosets (a union of cosets of a
-    larger span is one); the default is every basis state, under the spin cap.
-    For the span's rank r, states[c, o] is the o-th basis state of the c-th
-    coset inside `rows`, shape (|rows| / 2**r, 2**r), and blocks[c] is
-    to_matrix(s) restricted to rows and columns states[c]. A diagonal sum has
-    r = 0; p parallel pulses give r = p.
+    larger span is one), or ValidationError is raised; the default is every
+    basis state, under the spin cap. `basis` is `x_basis(s)`, computed here
+    when not given. For the span's rank r, rows[at[c, o]] is the o-th basis
+    state of the c-th coset inside `rows`, shape (|rows| / 2**r, 2**r), and
+    blocks[c] is to_matrix(s) restricted to rows and columns rows[at[c]]. A
+    diagonal sum has r = 0; p parallel pulses give r = p.
     """
     if rows is None:
         check_dense(s.n)
         rows = np.arange(2**s.n)
-    basis = x_basis(s)
+    basis = x_basis(s) if basis is None else basis
     pivots = sorted(basis)
     span = _span(basis)
     states = rows[(rows & sum(1 << bit for bit in pivots)) == 0][:, None] ^ span
+    at = np.searchsorted(rows, states)
+    if not np.array_equal(np.take(rows, at, mode="clip"), states):
+        raise ValidationError("rows are not a union of cosets of the span")
     xs, zs = np.array(list(s._terms), dtype=np.int64).reshape(-1, 2).T
     coords = sum(((xs >> bit & 1) << j for j, bit in enumerate(pivots)), np.zeros_like(xs))
     weights = [c * _PHASES[(x & z).bit_count() % 4] for (x, z), c in s._terms.items()]
@@ -317,4 +324,4 @@ def to_blocks(s: PauliSum, rows: np.ndarray | None = None) -> tuple[np.ndarray, 
     # term t adds weights[t] * signs[t] at rows offsets ^ coords[t], columns offsets
     np.add.at(blocks, (slice(None), coords[:, None] ^ offsets, offsets),
               signs.transpose(1, 0, 2) * np.array(weights, dtype=complex)[:, None])
-    return states, blocks
+    return at, blocks

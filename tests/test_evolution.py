@@ -32,6 +32,7 @@ from recoupler import (
     t_z,
     to_matrix,
 )
+from recoupler.evolution import _exponential
 
 
 def pstr(n, sites):
@@ -88,6 +89,47 @@ class TestPropagator:
         h = random_hermitian_sum(rng, 3)
         u = propagator(h, 1.3)
         assert np.linalg.norm(u.conj().T @ u - np.eye(8)) < 1e-12
+
+
+class TestBatchedExponential:
+    """Blocks of several groups share one eigh; each group keeps its own unitarity defect."""
+
+    @staticmethod
+    def stack(blocks):
+        a = np.random.default_rng(33).normal(size=(blocks, 2, 2, 2)) @ [1, 1j]
+        return a + a.conj().swapaxes(-1, -2)
+
+    def test_nan_group_raises_beside_a_good_one(self):
+        h, t, owner = self.stack(3), np.array([0.4, 0.4, 1.3]), np.array([0, 0, 1])
+        assert np.allclose(_exponential(h, t, owner)[2], expm(-1.3j * h[2]))
+        h[2, 0, 0] = np.nan
+        with pytest.raises(ValidationError, match=r"lost unitarity \(defect nan\)"):
+            _exponential(h, t, owner)
+        with pytest.raises(ValidationError, match=r"lost unitarity \(defect nan\)"):
+            _exponential(h[::-1], t[::-1], owner[::-1])
+        assert np.allclose(_exponential(h[:2], t[:2], owner[:2])[1], expm(-0.4j * h[1]))
+
+    @pytest.mark.parametrize("defects, message", [
+        ((0.8e-10, 0.8e-10), None),  # as one norm over the stack: 1.13e-10, over the bound
+        ((0.0, 1.2e-10), r"lost unitarity \(defect 1\.20e-10\)"),
+        ((1.2e-10, 0.0), r"lost unitarity \(defect 1\.20e-10\)"),
+    ])
+    def test_each_group_is_checked_on_its_own(self, monkeypatch, defects, message):
+        # eigenvectors scaled by s give a 2 x 2 block u^dag u = s^4 I, defect (s^4 - 1) sqrt(2)
+        scale = (1 + np.array(defects) / np.sqrt(2)) ** 0.25
+        eigh = np.linalg.eigh
+
+        def scaled_eigh(h):
+            w, v = eigh(h)
+            return w, v * scale[:, None, None]
+
+        monkeypatch.setattr(np.linalg, "eigh", scaled_eigh)
+        h, t, owner = self.stack(2), np.array([0.4, 1.3]), np.array([0, 1])
+        if message is None:
+            _exponential(h, t, owner)
+        else:
+            with pytest.raises(ValidationError, match=message):
+                _exponential(h, t, owner)
 
 
 class TestApplySchedule:

@@ -304,7 +304,8 @@ class TestToBlocks:
                 wider = x_basis(s, _random_sum(rng, n, terms=int(rng.integers(0, 3))))
                 starts = rng.integers(0, 2**n, size=int(rng.integers(1, 4)))
                 rows = coset_rows(n, wider, starts)
-                states, blocks = to_blocks(s, rows)
+                at, blocks = to_blocks(s, rows)
+                states = rows[at]
                 assert sorted(states.ravel()) == list(rows), s
                 assert set(starts) <= set(rows), s
                 full = to_matrix(s)
@@ -348,3 +349,12 @@ class TestToBlocks:
         monkeypatch.setenv("RECOUPLER_MAX_SPINS", "6")
         with pytest.raises(CapacityError):
             to_blocks(one("I" * 7))
+
+    def test_rows_must_be_a_union_of_cosets(self):
+        # X on spin 1 pairs state 0 with state 1, which the rows leave out
+        with pytest.raises(ValidationError, match="rows are not a union of cosets of the span"):
+            to_blocks(PauliSum(2, {"XI": 1.0}), np.array([0]))
+        with pytest.raises(ValidationError, match="rows are not a union of cosets of the span"):
+            to_blocks(PauliSum(2, {"IX": 1.0}), np.array([0, 1]))
+        at, blocks = to_blocks(PauliSum(2, {"IX": 1.0}), np.array([1, 3]))
+        assert at.tolist() == [[0, 1]] and np.array_equal(blocks, [[[0, 1], [1, 0]]])

@@ -48,6 +48,8 @@ from recoupler import (
     verify_circuit,
     verify_gate,
 )
+from recoupler.encoding import code_states
+from recoupler.evolution import _evolve
 from recoupler.pauli import to_blocks
 from recoupler.verifier import STANDARD_GATES
 
@@ -408,6 +410,46 @@ def test_row_verdicts_match_dense_oracle(family, monkeypatch):
     assert compiled >= (14 if family == "heisenberg" else 8)
     if family == "json_flip_flop":  # the always-on T_23 reaches beyond the code states
         assert max(rows) > 2 ** (drawn.n_spins // 2)
+
+
+def _sandwich(schedule):
+    """P(+pi/2) . W . P(-pi/2) . W . P(+pi/2), with W every group of `schedule` and P
+    a pulse on its first pulsed handle, so the pulse and every group of W recur."""
+    handle = next(s.handle for g in schedule.groups for s in g if s.handle != FREE_EVOLUTION)
+
+    def pulse(angle):
+        return (PulseStep(handle, angle=angle),)
+
+    groups = (pulse(np.pi / 2), *schedule.groups, pulse(-np.pi / 2), *schedule.groups,
+              pulse(np.pi / 2))
+    return PulseSchedule(groups, schedule.metadata)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_repeated_groups_match_the_dense_product(family):
+    """Each distinct group is exponentiated once per schedule; every recurrence of
+    it must still act where it stands, in U and in the verdict's reachable rows."""
+    rng = np.random.default_rng(sum(map(ord, family)) + 2)
+    model = random_model(rng, family)[0]
+    checked = 0
+    for sector in (SYMMETRIC, ANTISYMMETRIC):
+        code = code_states(CodeSpec(sector, model.n_spins))
+        for kind in GATE_KINDS:
+            try:
+                sched = _sandwich(compile_gate(gate_of_kind(rng, kind), model, sector))
+            except RecouplerError:
+                continue
+            assert len(set(sched.groups)) < len(sched.groups)
+            for mode, ratio in (("ideal", None), ("realistic", 10.0)):
+                label = f"{family} {sector} {kind} {mode}"
+                want = ordered_product(sched, model, mode, ratio, propagator)
+                got = apply_schedule(sched, model, mode, ratio)
+                assert np.abs(got - want).max() < 1e-12, label
+                uv, rows = _evolve(sched, model, mode, ratio, sector)
+                assert np.abs(uv - want[np.ix_(rows, code)]).max() < 1e-12, label
+                assert np.abs(np.delete(want[:, code], rows, axis=0)).max(initial=0) < 1e-12, label
+                checked += 1
+    assert checked >= (14 if family == "heisenberg" else 8)
 
 
 def test_row_verdicts_match_dense_oracle_on_nmr_sigma_x(monkeypatch):

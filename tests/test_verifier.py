@@ -8,6 +8,7 @@ from recoupler import (
     SYMMETRIC,
     CodeSpec,
     LogicalGate,
+    compile_circuit,
     cost_report,
     fidelity,
     identity_suite,
@@ -362,6 +363,25 @@ class TestVerdictContract:
         assert len(calls) == 1
         verify_circuit(CONTRACT_GATES, XXZ, mode="realistic", ratio=100.0)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("mode,ratio", CONTRACT_MODES, ids=["ideal", "realistic"])
+    def test_one_generator_per_distinct_group_and_one_eigh_per_block_size(
+        self, monkeypatch, mode, ratio
+    ):
+        import recoupler.evolution as evolution
+
+        gates = CONTRACT_GATES + CONTRACT_GATES[:2]  # rx and rz twice, every sandwich repeats
+        groups = compile_circuit(gates, XXZ).groups
+        assert len(set(groups)) < len(groups)
+        built, sizes = [], []
+        build, eigh = evolution._group_generator, np.linalg.eigh
+        monkeypatch.setattr(evolution, "_group_generator",
+                            lambda group, *args: built.append(group) or build(group, *args))
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: sizes.append(h.shape[-1]) or eigh(h))
+        rep = verify_circuit(gates, XXZ, mode=mode, ratio=ratio)
+        assert rep.reason == ""
+        assert len(built) == len(set(built)) and set(built) == set(groups)
+        assert len(sizes) == len(set(sizes))
 
 
 # -- closed-form oracle for target_logical: the kron embedding, 2x2 rotations and
