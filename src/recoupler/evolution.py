@@ -312,10 +312,14 @@ def _evolve(
             blocks[g], start = (blocks[g][0], u[start : start + count]), start + count
     columns = np.zeros((rows.size, starts.size), dtype=complex)
     columns[np.searchsorted(rows, starts), np.arange(starts.size)] = 1.0
+    # a group gathers rows into block order, then multiplies back; where[r] is r's slot
+    spare, where, slots = np.empty_like(columns), np.arange(rows.size), np.arange(rows.size)
     for g in reversed(order):
-        at, u = blocks[g]
-        columns[at] = u @ columns[at]
-    return columns, rows
+        at, u = blocks[g]  # mode="clip" lets take write into `out` unbuffered
+        np.take(columns, where[at.ravel()], axis=0, out=spare, mode="clip")
+        np.matmul(u, spare.reshape(*at.shape, -1), out=columns.reshape(*at.shape, -1))
+        where[at.ravel()] = slots
+    return np.take(columns, where, axis=0, out=spare, mode="clip"), rows
 
 
 def restrict(

@@ -5,6 +5,10 @@ H_pair = (jx - jy) R^x + (jx + jy) T^x + jz Z Z, i.e. the axially symmetric
 rewriting of sum_alpha J^alpha sigma^alpha sigma^alpha. Stored values are the
 always-on background for non-controllable parameters and the nominal strength
 for controllable ones (which rest at zero between pulses).
+
+A model is read-only (its couplings are a mapping proxy over a private copy),
+so the background, its magnitude and each toggled generator are built on first
+use and stored on the model: once per model, not once per verdict.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import ConnectivityError, ControllabilityError, ValidationError
@@ -142,6 +148,9 @@ class ExchangeModel:
     name: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "epsilon", tuple(self.epsilon))
+        object.__setattr__(self, "couplings", MappingProxyType(dict(self.couplings)))
+        object.__setattr__(self, "controllable", frozenset(self.controllable))
         if self.kind not in MODEL_KINDS:
             raise ValidationError(f"unknown model kind {self.kind!r}")
         if self.n_spins <= 0 or self.n_spins % 2:
@@ -211,9 +220,22 @@ class ExchangeModel:
 
     def background_magnitude(self) -> float:
         """Largest magnitude among fixed energies and always-on couplings."""
+        return self._background[1]
+
+    @cached_property  # kept in the instance __dict__: fields and equality are untouched
+    def _background(self) -> tuple[PauliSum, float]:
+        """(background Hamiltonian, background magnitude), from one walk of the terms."""
+        total = build_H0(self.epsilon)
         vals = [abs(e) for e in self.epsilon]
-        vals += [abs(coeff) for coeff, _, _, _ in _pair_terms(self)]
-        return max(vals) if vals else 1.0
+        for coeff, build, i, j in _pair_terms(self):
+            total = total + coeff * build(self.n_spins, i, j)
+            vals.append(abs(coeff))
+        return total, max(vals) if vals else 1.0
+
+    @cached_property
+    def _generators(self) -> dict[TermHandle, PauliSum]:
+        """Toggled generator of each controllable handle pulsed so far."""
+        return {}
 
 
 def _pair_terms(model: ExchangeModel):
@@ -234,12 +256,9 @@ def background_hamiltonian(model: ExchangeModel) -> PauliSum:
     """H0 plus every non-controllable coupling at its fixed value.
 
     Controllable parameters rest at zero; a controllable heis(i,j) switches the
-    whole pair term off.
+    whole pair term off. Built once per model.
     """
-    total = build_H0(model.epsilon)
-    for coeff, build, i, j in _pair_terms(model):
-        total = total + coeff * build(model.n_spins, i, j)
-    return total
+    return model._background[0]
 
 
 def toggled_generator(model: ExchangeModel, handle: TermHandle) -> PauliSum:
@@ -247,9 +266,15 @@ def toggled_generator(model: ExchangeModel, handle: TermHandle) -> PauliSum:
 
     Raises ConnectivityError for pairs the hardware does not couple and
     ControllabilityError for parameters the platform cannot pulse (the
-    controllability-registry enforcement point).
+    controllability-registry enforcement point). Built once per model and handle.
     """
     model.require_controllable(handle)
+    if handle not in model._generators:
+        model._generators[handle] = _build_generator(model, handle)
+    return model._generators[handle]
+
+
+def _build_generator(model: ExchangeModel, handle: TermHandle) -> PauliSum:
     n = model.n_spins
     k = handle.kind
     if k == "j_plus":
@@ -288,31 +313,31 @@ def _heisenberg(n, epsilon, j=1.0, name=""):
     v = j / 2  # per-axis couplings; the pair term is then j * (T + ZZ/2)
     pairs = {(i, k): Coupling(v, v, v) for i, k in _chain_pairs(n)}
     ctrl = {heis(i, k) for i, k in pairs} | {FREE_EVOLUTION}
-    return ExchangeModel("heisenberg", n, epsilon, pairs, frozenset(ctrl), name)
+    return ExchangeModel("heisenberg", n, epsilon, pairs, ctrl, name)
 
 
 def _xy(n, epsilon, j=0.5, name=""):
     pairs = {(i, k): Coupling(j, j, 0.0) for i, k in _chain_pairs(n) + _nnn_pairs(n)}
     ctrl = {j_plus(i, k) for i, k in pairs} | {FREE_EVOLUTION}
-    return ExchangeModel("xy", n, epsilon, pairs, frozenset(ctrl), name)
+    return ExchangeModel("xy", n, epsilon, pairs, ctrl, name)
 
 
 def _xxz_sym(n, epsilon, j=0.5, jz=0.35, name=""):
     pairs = {(i, k): Coupling(j, j, jz) for i, k in _chain_pairs(n)}
     ctrl = {j_plus(i, k) for i, k in pairs} | {FREE_EVOLUTION}
-    return ExchangeModel("xxz_symmetric", n, epsilon, pairs, frozenset(ctrl), name)
+    return ExchangeModel("xxz_symmetric", n, epsilon, pairs, ctrl, name)
 
 
 def _xxz_anti(n, epsilon, j=0.5, jz=0.35, name=""):
     pairs = {(i, k): Coupling(j, -j, jz) for i, k in _chain_pairs(n)}
     ctrl = {j_minus(i, k) for i, k in pairs} | {FREE_EVOLUTION}
-    return ExchangeModel("xxz_antisymmetric", n, epsilon, pairs, frozenset(ctrl), name)
+    return ExchangeModel("xxz_antisymmetric", n, epsilon, pairs, ctrl, name)
 
 
 def _nmr(n, epsilon, jz=0.25, name=""):
     pairs = {(i, k): Coupling(0.0, 0.0, jz) for i, k in _chain_pairs(n)}
     ctrl = {sigma_x(i) for i in range(1, n + 1)} | {FREE_EVOLUTION}
-    return ExchangeModel("nmr_ising", n, epsilon, pairs, frozenset(ctrl), name)
+    return ExchangeModel("nmr_ising", n, epsilon, pairs, ctrl, name)
 
 
 _PRESET_BUILDERS = {
@@ -336,7 +361,7 @@ PRESET_NAMES = tuple(_PRESET_BUILDERS)
 
 def preset_model(name: str, n_spins: int = 4, epsilon=None) -> ExchangeModel:
     """Named built-in model with the platform's controllability column."""
-    eps = tuple(epsilon) if epsilon is not None else default_epsilon(n_spins)
+    eps = default_epsilon(n_spins) if epsilon is None else epsilon
     try:
         builder = _PRESET_BUILDERS[name]
     except KeyError:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from recoupler import (
     WindowTarget,
     apply_schedule,
     build_zz,
+    compile_gate,
     j_plus,
     nmr_ising_schedule,
     nmr_z_rotation_schedule,
@@ -33,6 +35,7 @@ from recoupler import (
     to_matrix,
 )
 from recoupler.evolution import _exponential
+from recoupler.verifier import STANDARD_GATES
 
 
 def pstr(n, sites):
@@ -145,6 +148,18 @@ class TestApplySchedule:
         monkeypatch.setenv("RECOUPLER_MAX_SPINS", "2")
         with pytest.raises(CapacityError, match="4 spins exceeds dense cap 2"):
             apply_schedule(PulseSchedule((), {}), preset_model("xy", 4))
+
+    def test_groups_update_the_columns_without_temporaries(self):
+        # one spare buffer beside the columns: no gather or product array per group
+        m = preset_model("xy", 10)
+        schedule = compile_gate(STANDARD_GATES["cphase"], m, SYMMETRIC)
+        tracemalloc.start()
+        try:
+            u = apply_schedule(schedule, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * u.nbytes, f"peak {peak / u.nbytes:.2f} x u.nbytes"
 
     def test_nmr_four_step_rotation(self):
         m = preset_model("nmr", 2)

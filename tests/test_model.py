@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from recoupler import (
+    PRESET_NAMES,
     ConnectivityError,
     ControllabilityError,
     Coupling,
@@ -29,7 +31,10 @@ from recoupler import (
     t_z,
     to_matrix,
     toggled_generator,
+    verify_gate,
 )
+from recoupler import model as model_module
+from recoupler.verifier import STANDARD_GATES
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -269,6 +274,83 @@ class TestToggledGenerator:
         # heisenberg presets switch whole pairs off
         hh = toggled_generator(preset_model("spin_dots", 4), TermHandle("free_evolution"))
         assert hh.coeff("ZZII") == 0
+
+
+def exact(s):
+    """A PauliSum's terms (letters stand one to one for (x, z) keys) and
+    coefficients, in order, for exact comparison."""
+    return s.n, list(s)
+
+
+# always-on flip-flops: the next-nearest xy pairs cannot be switched
+ALWAYS_ON_FLIP_FLOPS = {
+    "kind": "xy",
+    "n_spins": 6,
+    "epsilon": [2.0, 1.8, 1.6, 1.4, 1.2, 1.0],
+    "couplings": [{"i": i, "j": j, "jx": 0.5, "jy": 0.5}
+                  for i, j in [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 3), (2, 4)]],
+    "controllable": ["j_plus(1,2)", "j_plus(2,3)", "j_plus(3,4)", "j_plus(4,5)",
+                     "j_plus(5,6)", "free_evolution"],
+}
+
+
+class TestStoredTerms:
+    @pytest.mark.parametrize(
+        "name, n",
+        [(name, n) for name in PRESET_NAMES for n in (4, 6, 8)] + [("json", 6)],
+    )
+    def test_stored_terms_equal_a_fresh_build(self, name, n):
+        model = model_from_dict(ALWAYS_ON_FLIP_FLOPS) if name == "json" else preset_model(name, n)
+        handles = sorted(model.controllable)
+        background = background_hamiltonian(model)
+        generators = [toggled_generator(model, h) for h in handles]
+        for gate in STANDARD_GATES.values():  # verdicts must leave the stored terms as built
+            verify_gate(gate, model, mode="realistic", ratio=10.0)
+        fresh = dataclasses.replace(model)
+        want = build_H0(fresh.epsilon)
+        for coeff, build, i, j in model_module._pair_terms(fresh):
+            want = want + coeff * build(n, i, j)
+        assert background_hamiltonian(model) is background
+        assert exact(background) == exact(want)
+        assert model.background_magnitude() == fresh.background_magnitude()
+        for handle, generator in zip(handles, generators):
+            assert toggled_generator(model, handle) is generator
+            assert exact(generator) == exact(model_module._build_generator(fresh, handle))
+        if name == "json":
+            assert background.coeff("XIXIII") == 0.5  # the always-on flip-flop T_13
+
+    def test_replaced_model_gets_its_own_background(self):
+        model = preset_model("electrons_on_helium", 4)
+        background = background_hamiltonian(model)
+        doubled = dataclasses.replace(model, epsilon=tuple(2 * e for e in model.epsilon))
+        assert background_hamiltonian(doubled).coeff("ZIII") == doubled.epsilon[0] / 2
+        assert doubled.background_magnitude() == max(doubled.epsilon)
+        assert background_hamiltonian(model) is background
+        assert background.coeff("ZIII") == model.epsilon[0] / 2
+        assert model.background_magnitude() == max(model.epsilon)
+
+    def test_failed_handles_raise_on_every_call(self):
+        model = preset_model("electrons_on_helium", 4)
+        for _ in range(2):
+            with pytest.raises(ConnectivityError, match=r"spins \(1,4\) are not coupled"):
+                toggled_generator(model, j_plus(1, 4))
+            with pytest.raises(ControllabilityError, match=r"handle j_z\(1,2\) is not"):
+                toggled_generator(model, j_z(1, 2))
+
+    def test_model_inputs_are_read_only(self):
+        couplings = {(1, 2): Coupling(0.5, 0.5, 0.35), (2, 3): Coupling(0.5, 0.5, 0.35)}
+        model = ExchangeModel("xxz_symmetric", 4, [1.0, 0.8, 0.6, 0.4], couplings,
+                              {j_plus(1, 2)}, "copy")
+        background = exact(background_hamiltonian(model))
+        with pytest.raises(TypeError):
+            model.couplings[(1, 2)] = Coupling()
+        given = dict(couplings)
+        couplings[(1, 2)] = Coupling(0.5, 0.5, 0.0)
+        couplings[(3, 4)] = Coupling(0.5, 0.5, 0.35)
+        assert model.couplings == given
+        assert exact(background_hamiltonian(dataclasses.replace(model))) == background
+        assert model.epsilon == (1.0, 0.8, 0.6, 0.4)
+        assert model.controllable == frozenset({j_plus(1, 2)})
 
 
 class TestStructuralProperties:

@@ -364,6 +364,24 @@ class TestVerdictContract:
         verify_circuit(CONTRACT_GATES, XXZ, mode="realistic", ratio=100.0)
         assert len(calls) == 2
 
+    def test_model_terms_built_once_per_model(self, monkeypatch):
+        import recoupler.model as model_module
+
+        walks, built = [], []
+        walk, build = model_module._pair_terms, model_module._build_generator
+        monkeypatch.setattr(model_module, "_pair_terms", lambda m: walks.append(m) or walk(m))
+        monkeypatch.setattr(model_module, "_build_generator",
+                            lambda m, h: built.append(h) or build(m, h))
+        model = preset_model("electrons_on_helium", 6)  # nothing built for it yet
+        cost_report(model)
+        for ratio in (10.0, 100.0):
+            for gate in STANDARD_GATES.values():
+                verify_gate(gate, model, mode="realistic", ratio=ratio)
+                verify_gate(gate, model)
+        assert len(walks) == 1  # the background and its magnitude share one walk
+        assert built and len(built) == len(set(built))
+        assert set(built) <= model.controllable
+
     @pytest.mark.parametrize("mode,ratio", CONTRACT_MODES, ids=["ideal", "realistic"])
     def test_one_generator_per_distinct_group_and_one_eigh_per_block_size(
         self, monkeypatch, mode, ratio
