@@ -145,10 +145,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite:
-        return cmd_suite(args)
-    if not args.circuit:
-        raise ValidationError("verify needs --circuit (or --suite identities)")
     model = _load_model_arg(args.model)
     gates = _load_circuit(args.circuit)
     tf, tl = _tolerances(args)
@@ -175,8 +171,8 @@ def cmd_verify(args) -> int:
 def cmd_suite(args) -> int:
     entries = identity_suite()
     rows = [e.to_dict() for e in entries]
-    fmt = getattr(args, "format", "table")
-    _write_text(args.out, _format_rows(rows, fmt, ["name", "residual", "bound", "require", "pass"]))
+    columns = ["name", "residual", "bound", "require", "pass"]
+    _write_text(args.out, _format_rows(rows, args.format, columns))
     return 0 if all(e.passed for e in entries) else 1
 
 
@@ -255,10 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="compile + simulate + compare against targets")
     _add_common(p)
-    p.add_argument("--circuit")
+    p.add_argument("--circuit", required=True)
     p.add_argument("--serial", action="store_true")
     p.add_argument("--exact-cphase", action="store_true")
-    p.add_argument("--suite", choices=["identities"], default=None)
     p.add_argument("--tol-fidelity", type=float, default=1e-8)
     p.add_argument("--tol-leakage", type=float, default=1e-8)
     p.add_argument("--format", choices=["json", "csv", "table"], default="json")

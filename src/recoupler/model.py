@@ -19,12 +19,10 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import ConnectivityError, ControllabilityError, ValidationError
 from .pauli import PauliSum, site_letters
-
-MODEL_KINDS = ("heisenberg", "xy", "xxz_symmetric", "xxz_antisymmetric", "nmr_ising")
 
 _HANDLE_RE = re.compile(r"^([a-z_]+)(?:\((\d+)(?:,(\d+))?\))?$")
 
@@ -138,6 +136,30 @@ def _check_pair(n, i, j):
         raise ValidationError(f"pair ({i},{j}) out of range for n={n}")
 
 
+class _Family(NamedTuple):
+    """One exchange family: its coupling rule and what its presets bond and pulse."""
+
+    rule: Callable[[Coupling], bool]
+    message: str  # the rule, as a ValidationError states it
+    coupling: Coupling  # preset coupling of every bonded pair
+    pulsed: Callable[[int, int], TermHandle] | None  # None: sigma_x on every spin
+    next_nearest: bool = False  # presets bond (i, i+2) after the chain
+
+
+_FAMILIES = {
+    "heisenberg": _Family(lambda c: c.jx == c.jy == c.jz, "heisenberg requires jx = jy = jz",
+                          Coupling(0.5, 0.5, 0.5), heis),  # pair term T + ZZ/2
+    "xy": _Family(lambda c: c.jx == c.jy and c.jz == 0.0, "xy requires jx = jy and jz = 0",
+                  Coupling(0.5, 0.5, 0.0), j_plus, next_nearest=True),
+    "xxz_symmetric": _Family(lambda c: c.jx == c.jy, "xxz_symmetric requires jx = jy",
+                             Coupling(0.5, 0.5, 0.35), j_plus),
+    "xxz_antisymmetric": _Family(lambda c: c.jx == -c.jy, "xxz_antisymmetric requires jx = -jy",
+                                 Coupling(0.5, -0.5, 0.35), j_minus),
+    "nmr_ising": _Family(lambda c: c.jx == c.jy == 0.0, "nmr_ising allows only jz couplings",
+                         Coupling(0.0, 0.0, 0.25), None),
+}
+
+
 @dataclass(frozen=True)
 class ExchangeModel:
     kind: str
@@ -151,7 +173,8 @@ class ExchangeModel:
         object.__setattr__(self, "epsilon", tuple(self.epsilon))
         object.__setattr__(self, "couplings", MappingProxyType(dict(self.couplings)))
         object.__setattr__(self, "controllable", frozenset(self.controllable))
-        if self.kind not in MODEL_KINDS:
+        family = _FAMILIES.get(self.kind) if isinstance(self.kind, str) else None
+        if family is None:  # a JSON list or object as kind is unknown, not unhashable
             raise ValidationError(f"unknown model kind {self.kind!r}")
         if self.n_spins <= 0 or self.n_spins % 2:
             raise ValidationError(f"n_spins must be even and positive, got {self.n_spins}")
@@ -165,28 +188,13 @@ class ExchangeModel:
             _check_pair(self.n_spins, i, j)
             if not all(math.isfinite(v) for v in (c.jx, c.jy, c.jz)):
                 raise ValidationError(f"pair ({i},{j}): couplings must be finite (got {c})")
-            self._check_kind_constraint(i, j, c)
+            if not family.rule(c):
+                raise ValidationError(f"pair ({i},{j}): {family.message} (got {c})")
         for h in self.controllable:
             if h.kind in TermHandle.PAIR_KINDS and (h.i, h.j) not in self.couplings:
                 raise ValidationError(f"controllable handle {h} has no coupled pair")
             if h.kind in TermHandle.SITE_KINDS and not 1 <= h.i <= self.n_spins:
                 raise ValidationError(f"controllable handle {h} out of range")
-
-    def _check_kind_constraint(self, i, j, c: Coupling):
-        k = self.kind
-        bad = None
-        if k == "heisenberg" and not (c.jx == c.jy == c.jz):
-            bad = "heisenberg requires jx = jy = jz"
-        elif k == "xy" and not (c.jx == c.jy and c.jz == 0.0):
-            bad = "xy requires jx = jy and jz = 0"
-        elif k == "xxz_symmetric" and c.jx != c.jy:
-            bad = "xxz_symmetric requires jx = jy"
-        elif k == "xxz_antisymmetric" and c.jx != -c.jy:
-            bad = "xxz_antisymmetric requires jx = -jy"
-        elif k == "nmr_ising" and not (c.jx == c.jy == 0.0):
-            bad = "nmr_ising allows only jz couplings"
-        if bad:
-            raise ValidationError(f"pair ({i},{j}): {bad} (got {c})")
 
     # -- queries -------------------------------------------------------------
 
@@ -301,72 +309,42 @@ def default_epsilon(n: int) -> tuple[float, ...]:
     return tuple(1.0 + 0.2 * (n - i) for i in range(1, n + 1))
 
 
-def _chain_pairs(n):
-    return [(i, i + 1) for i in range(1, n)]
-
-
-def _nnn_pairs(n):
-    return [(i, i + 2) for i in range(1, n - 1)]
-
-
-def _heisenberg(n, epsilon, j=1.0, name=""):
-    v = j / 2  # per-axis couplings; the pair term is then j * (T + ZZ/2)
-    pairs = {(i, k): Coupling(v, v, v) for i, k in _chain_pairs(n)}
-    ctrl = {heis(i, k) for i, k in pairs} | {FREE_EVOLUTION}
-    return ExchangeModel("heisenberg", n, epsilon, pairs, ctrl, name)
-
-
-def _xy(n, epsilon, j=0.5, name=""):
-    pairs = {(i, k): Coupling(j, j, 0.0) for i, k in _chain_pairs(n) + _nnn_pairs(n)}
-    ctrl = {j_plus(i, k) for i, k in pairs} | {FREE_EVOLUTION}
-    return ExchangeModel("xy", n, epsilon, pairs, ctrl, name)
-
-
-def _xxz_sym(n, epsilon, j=0.5, jz=0.35, name=""):
-    pairs = {(i, k): Coupling(j, j, jz) for i, k in _chain_pairs(n)}
-    ctrl = {j_plus(i, k) for i, k in pairs} | {FREE_EVOLUTION}
-    return ExchangeModel("xxz_symmetric", n, epsilon, pairs, ctrl, name)
-
-
-def _xxz_anti(n, epsilon, j=0.5, jz=0.35, name=""):
-    pairs = {(i, k): Coupling(j, -j, jz) for i, k in _chain_pairs(n)}
-    ctrl = {j_minus(i, k) for i, k in pairs} | {FREE_EVOLUTION}
-    return ExchangeModel("xxz_antisymmetric", n, epsilon, pairs, ctrl, name)
-
-
-def _nmr(n, epsilon, jz=0.25, name=""):
-    pairs = {(i, k): Coupling(0.0, 0.0, jz) for i, k in _chain_pairs(n)}
-    ctrl = {sigma_x(i) for i in range(1, n + 1)} | {FREE_EVOLUTION}
-    return ExchangeModel("nmr_ising", n, epsilon, pairs, ctrl, name)
-
-
-_PRESET_BUILDERS = {
+_PRESETS = {  # preset name -> family kind
     # physical platforms
-    "spin_dots": _heisenberg,
-    "donor_atoms": _heisenberg,
-    "quantum_hall": _xy,
-    "cavity": _xy,
-    "exciton_dots": _xy,
-    "electrons_on_helium": _xxz_sym,
+    "spin_dots": "heisenberg",
+    "donor_atoms": "heisenberg",
+    "quantum_hall": "xy",
+    "cavity": "xy",
+    "exciton_dots": "xy",
+    "electrons_on_helium": "xxz_symmetric",
     # generic families
-    "heisenberg": _heisenberg,
-    "xy": _xy,
-    "xxz_symmetric": _xxz_sym,
-    "xxz_antisymmetric": _xxz_anti,
-    "nmr": _nmr,
+    "heisenberg": "heisenberg",
+    "xy": "xy",
+    "xxz_symmetric": "xxz_symmetric",
+    "xxz_antisymmetric": "xxz_antisymmetric",
+    "nmr": "nmr_ising",
 }
 
-PRESET_NAMES = tuple(_PRESET_BUILDERS)
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_model(name: str, n_spins: int = 4, epsilon=None) -> ExchangeModel:
     """Named built-in model with the platform's controllability column."""
     eps = default_epsilon(n_spins) if epsilon is None else epsilon
     try:
-        builder = _PRESET_BUILDERS[name]
+        kind = _PRESETS[name]
     except KeyError:
         raise ValidationError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    return builder(n_spins, eps, name=name)
+    family = _FAMILIES[kind]
+    pairs = [(i, i + 1) for i in range(1, n_spins)]
+    if family.next_nearest:
+        pairs += [(i, i + 2) for i in range(1, n_spins - 1)]
+    if family.pulsed is None:
+        ctrl = {sigma_x(i) for i in range(1, n_spins + 1)}
+    else:
+        ctrl = {family.pulsed(i, j) for i, j in pairs}
+    couplings = dict.fromkeys(pairs, family.coupling)
+    return ExchangeModel(kind, n_spins, eps, couplings, ctrl | {FREE_EVOLUTION}, name)
 
 
 # -- JSON --------------------------------------------------------------------

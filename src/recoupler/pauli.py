@@ -292,23 +292,18 @@ def coset_rows(n: int, basis: dict[int, int], states: np.ndarray) -> np.ndarray:
 
 
 def to_blocks(
-    s: PauliSum, rows: np.ndarray | None = None, basis: dict[int, int] | None = None
+    s: PauliSum, rows: np.ndarray, basis: dict[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The matrix of `s` as blocks over the cosets of the span of its X masks.
 
     Every term sends basis state r to r ^ x with x in that span, so each coset
     is invariant. `rows` must be a union of such cosets (a union of cosets of a
-    larger span is one), or ValidationError is raised; the default is every
-    basis state, under the spin cap. `basis` is `x_basis(s)`, computed here
-    when not given. For the span's rank r, rows[at[c, o]] is the o-th basis
-    state of the c-th coset inside `rows`, shape (|rows| / 2**r, 2**r), and
-    blocks[c] is to_matrix(s) restricted to rows and columns rows[at[c]]. A
-    diagonal sum has r = 0; p parallel pulses give r = p.
+    larger span is one), or ValidationError is raised; `basis` is `x_basis(s)`.
+    For the span's rank r, rows[at[c, o]] is the o-th basis state of the c-th
+    coset inside `rows`, shape (|rows| / 2**r, 2**r), and blocks[c] is
+    to_matrix(s) restricted to rows and columns rows[at[c]]. A diagonal sum
+    has r = 0; p parallel pulses give r = p.
     """
-    if rows is None:
-        check_dense(s.n)
-        rows = np.arange(2**s.n)
-    basis = x_basis(s) if basis is None else basis
     pivots = sorted(basis)
     span = _span(basis)
     states = rows[(rows & sum(1 << bit for bit in pivots)) == 0][:, None] ^ span

@@ -9,7 +9,7 @@ Leakage is reported separately so the two failure modes stay distinguishable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -111,18 +111,7 @@ class VerificationReport:
     reason: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "gate": self.gate,
-            "fidelity": self.fidelity,
-            "leakage": self.leakage,
-            "step_count_serial": self.step_count_serial,
-            "step_count_parallel": self.step_count_parallel,
-            "mode": self.mode,
-            "tol_fidelity": self.tol_fidelity,
-            "tol_leakage": self.tol_leakage,
-            "pass": self.passed,
-            "reason": self.reason,
-        }
+        return {"pass" if k == "passed" else k: v for k, v in asdict(self).items()}
 
 
 def _verdict(
@@ -205,13 +194,7 @@ class SuiteEntry:
         return self.residual > self.bound
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "residual": self.residual,
-            "bound": self.bound,
-            "require": self.require,
-            "pass": self.passed,
-        }
+        return {**asdict(self), "pass": self.passed}
 
 
 def _pstr(n: int, sites: dict[int, str]) -> PauliSum:

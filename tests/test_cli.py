@@ -143,17 +143,6 @@ class TestVerify:
         ])
         assert rc == 2
 
-    def test_suite_flag(self, model_file, tmp_path):
-        out = tmp_path / "suite.json"
-        rc = main([
-            "verify", "--model", model_file, "--suite", "identities",
-            "--format", "json", "--out", str(out),
-        ])
-        assert rc == 0
-        entries = json.loads(out.read_text())
-        assert all(e["pass"] for e in entries)
-        assert len(entries) == 12
-
 
 class TestSuiteCommand:
     def test_table_output(self, capsys):
@@ -162,6 +151,13 @@ class TestSuiteCommand:
         out = capsys.readouterr().out
         assert "nmr_ising_recoupling" in out
         assert "xy_cphase_perturbation" in out
+
+    def test_json_out(self, tmp_path):
+        out = tmp_path / "suite.json"
+        assert main(["suite", "--format", "json", "--out", str(out)]) == 0
+        entries = json.loads(out.read_text())
+        assert all(e["pass"] for e in entries)
+        assert len(entries) == 12
 
 
 class TestCost:
@@ -242,8 +238,9 @@ class TestUsage:
     def test_unknown_command_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2
 
-    def test_verify_without_circuit_or_suite_exit_2(self, model_file):
+    def test_verify_without_circuit_exit_2(self, model_file, capsys):
         assert main(["verify", "--model", model_file]) == 2
+        assert "the following arguments are required: --circuit" in capsys.readouterr().err
 
     def test_unparsable_spin_count_exit_2(self, capsys):
         assert main(["cost", "--model", "preset:spin_dots:abc"]) == 2

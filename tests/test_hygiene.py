@@ -4,6 +4,7 @@ import ast
 import importlib
 import re
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -161,3 +162,49 @@ def test_public_names_are_used_or_documented():
         and not any(re.search(rf"\b{name}\b", code) for code in documented)
     ]
     assert not unused, f"exported but neither used in src/ nor named in README: {unused}"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) of each module-level private function, class and constant, and
+    of each private method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _is_private(node.name):
+            yield node.name, node
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and _is_private(target.id):
+                    yield target.id, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and _is_private(item.name):
+                    yield item.name, item
+
+
+def _reads(node) -> Counter:
+    """How often each name is read under `node`: as a name, an attribute or an import."""
+    reads = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            reads[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            reads[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            reads.update(alias.name for alias in sub.names)
+    return reads
+
+
+def test_every_private_name_is_read():
+    """A private name that nothing in src/ reads outside its own definition is dead code."""
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE}
+    total = sum((_reads(tree) for tree in trees.values()), Counter())
+    unread = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree)
+        if total[name] <= _reads(node)[name]
+    ]
+    assert not unread, f"private names defined but never read: {unread}"

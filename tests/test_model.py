@@ -1,10 +1,12 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from recoupler import (
+    FREE_EVOLUTION,
     PRESET_NAMES,
     ConnectivityError,
     ControllabilityError,
@@ -132,12 +134,24 @@ class TestBuildExchange:
 
 class TestValidation:
     def test_kind_constraints(self):
-        with pytest.raises(ValidationError):
-            ExchangeModel("xy", 2, (1, 1), {(1, 2): Coupling(1, 1, 0.5)}, frozenset())
-        with pytest.raises(ValidationError):
-            ExchangeModel("heisenberg", 2, (1, 1), {(1, 2): Coupling(1, 1, 0.5)}, frozenset())
-        with pytest.raises(ValidationError):
-            ExchangeModel("xxz_antisymmetric", 2, (1, 1), {(1, 2): Coupling(1, 1, 0.5)}, frozenset())
+        cases = [
+            ("heisenberg", Coupling(0.5, 0.5, 0.25), "pair (1,2): heisenberg requires "
+             "jx = jy = jz (got Coupling(jx=0.5, jy=0.5, jz=0.25))"),
+            ("xy", Coupling(0.5, 0.5, 0.35), "pair (1,2): xy requires jx = jy and jz = 0 "
+             "(got Coupling(jx=0.5, jy=0.5, jz=0.35))"),
+            ("xxz_symmetric", Coupling(0.5, -0.5, 0.35), "pair (1,2): xxz_symmetric requires "
+             "jx = jy (got Coupling(jx=0.5, jy=-0.5, jz=0.35))"),
+            ("xxz_antisymmetric", Coupling(0.5, 0.5, 0.35), "pair (1,2): xxz_antisymmetric "
+             "requires jx = -jy (got Coupling(jx=0.5, jy=0.5, jz=0.35))"),
+            ("nmr_ising", Coupling(0.5, 0.0, 0.25), "pair (1,2): nmr_ising allows only jz "
+             "couplings (got Coupling(jx=0.5, jy=0.0, jz=0.25))"),
+            ("ising", Coupling(), "unknown model kind 'ising'"),
+            (["xy"], Coupling(), "unknown model kind ['xy']"),
+        ]
+        for kind, coupling, message in cases:
+            with pytest.raises(ValidationError) as exc:
+                ExchangeModel(kind, 2, (1, 1), {(1, 2): coupling}, frozenset())
+            assert str(exc.value) == message
 
     def test_odd_spins_rejected(self):
         with pytest.raises(ValidationError):
@@ -223,6 +237,22 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValidationError):
             preset_model("bogus", 4)
+
+    def test_every_preset_matches_its_golden_digest(self):
+        """Couplings, their order, terms, magnitude and generators of every preset."""
+        digest = hashlib.sha256()
+        for name in PRESET_NAMES:
+            for n in (2, 4, 6, 8, 10):
+                m = preset_model(name, n)
+                digest.update(json.dumps(model_to_dict(m)).encode())
+                digest.update(repr(list(m.couplings.items())).encode())
+                digest.update(repr(list(background_hamiltonian(m))).encode())
+                digest.update(float.hex(m.background_magnitude()).encode())
+                for handle in sorted(m.controllable - {FREE_EVOLUTION}):
+                    digest.update(repr(list(toggled_generator(m, handle))).encode())
+        assert digest.hexdigest() == (
+            "81456a0216e3428ee2325448646ac1570a2b76b2bde08c5ac1657bce3ab1fda8"
+        )
 
 
 class TestToggledGenerator:

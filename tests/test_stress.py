@@ -50,7 +50,7 @@ from recoupler import (
 )
 from recoupler.encoding import code_states
 from recoupler.evolution import _evolve
-from recoupler.pauli import to_blocks
+from recoupler.pauli import to_blocks, x_basis
 from recoupler.verifier import STANDARD_GATES
 
 PAULI = {
@@ -299,7 +299,9 @@ def test_block_propagation_matches_dense_and_expm(family):
     for draw in range(2):
         if family == "json_flip_flop":
             drawn = flip_flop_json_model(rng)
-            assert to_blocks(background_hamiltonian(drawn))[1].shape[-1] == 2  # T_23 couples pairs
+            background = background_hamiltonian(drawn)
+            blocks = to_blocks(background, np.arange(2**background.n), x_basis(background))[1]
+            assert blocks.shape[-1] == 2  # T_23 couples pairs
         else:
             drawn = random_model(rng, family)[0]
         for sign, model in (("+", drawn), ("-", flipped(drawn))):
