@@ -16,17 +16,19 @@ A group's generator is block-diagonal over the cosets of the span of its
 terms' X masks (`pauli.to_blocks`): a diagonal window is a phase per basis
 state, p parallel pulses give blocks of size 2**p, and only a model with
 always-on flip-flops makes them large. A compiled schedule repeats a few
-groups many times (every sandwich is a pulse, a window and the inverse pulse),
-so each distinct group is built and exponentiated once per schedule, the
-blocks of all groups of one size in one batched eigh, and applied to a column
-array wherever it stands. For `apply_schedule` that array is the
-identity on every basis state, under the dense spin cap. A verdict needs only
-U V on the 2**(n/2) code states, and every term maps r to r ^ x with x in S,
-the span of all the schedule's X masks, so U V is zero outside the rows
-code ^ S: the verdict evolves just those rows (the code states themselves for
-every XXZ and one-qubit gate), within a byte budget of one dense matrix at
-the spin cap instead of the cap itself. `propagator` stays the dense
-exponential of one generator.
+generators many times: every sandwich is a pulse, a window and the inverse
+pulse, exp(+i a G) and exp(-i a G) of one G in ideal mode, and every window
+evolves one term for its own duration. So one eigendecomposition is made per
+distinct generator of a schedule, the blocks of all generators of one size in
+one batched eigh; each distinct group rebuilds only its phases from it, and
+is applied to a column array wherever it stands. For `apply_schedule` that
+array is the identity on every basis state, under the dense spin cap. A
+verdict needs only U V on the 2**(n/2) code states, and every term maps r to
+r ^ x with x in S, the span of all the schedule's X masks, so U V is zero
+outside the rows code ^ S: the verdict evolves just those rows (the code
+states themselves for every XXZ and one-qubit gate), within a byte budget of
+one dense matrix at the spin cap instead of the cap itself. `propagator`
+stays the dense exponential of one generator.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -169,12 +172,11 @@ def _checked(h: PauliSum) -> PauliSum:
 
 
 def _exponential(
-    h: np.ndarray, t: float | np.ndarray, owner: np.ndarray | None = None
+    evals: np.ndarray, evecs: np.ndarray, t: float | np.ndarray, owner: np.ndarray | None = None
 ) -> np.ndarray:
-    """exp(-i h t) of a Hermitian matrix, or of a stack of them with one t each, by
-    eigendecomposition. The unitarity defect is checked over the whole, or per
-    label of `owner` (the group each matrix of the stack belongs to)."""
-    evals, evecs = np.linalg.eigh(h)
+    """exp(-i h t) from the eigendecomposition of a Hermitian h, or of a stack of them
+    with one t each. The unitarity defect is checked over the whole, or per label
+    of `owner` (the group each matrix of the stack belongs to)."""
     phases = np.exp(-1j * evals * np.asarray(t)[..., None])
     u = (evecs * phases[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
     d = u.shape[-1]
@@ -189,56 +191,53 @@ def _exponential(
 
 def propagator(h: PauliSum, t: float) -> np.ndarray:
     """exp(-i h t) via Hermitian eigendecomposition of the dense generator."""
-    return _exponential(to_matrix(_checked(h)), t)
+    return _exponential(*np.linalg.eigh(to_matrix(_checked(h))), t)
 
 
-def _group_generator(
-    group: tuple[PulseStep, ...],
-    model: ExchangeModel,
-    mode: str | None,
-    strength: float | None,
-    background: PauliSum,
-) -> tuple[PauliSum, float]:
-    """(h, t) with exp(-i h t) the group's propagator; h is checked."""
-    n = model.n_spins
+def _group_key(
+    group: tuple[PulseStep, ...], model: ExchangeModel, mode: str | None, strength: float | None
+) -> tuple[tuple, float]:
+    """(key, t) with exp(-i h t) the group's propagator and h = `_generator(key)`.
+
+    The key is (base, ((handle, c), ...)) for h = base + sum c G_handle, the base
+    a window's `WindowTarget`, "background" or None (zero), so a sandwich's +a and
+    -a pulses, and windows of different durations, share one generator."""
     step_mode = mode or group[0].mode
     if mode is None and any(s.mode != step_mode for s in group):
         raise ValidationError("steps in one group carry different modes")
-
-    free = group[0].handle.kind == "free_evolution"
-    if free:
-        step = group[0]
+    step = group[0]
+    if step.handle.kind == "free_evolution":
         if not model.is_controllable(step.handle):
             raise ControllabilityError(
                 f"free evolution is not controllable in model {model.name or model.kind!r}"
             )
-        if step_mode == "ideal" and step.target is not None:
-            gen = step.target.term(model)
-        else:
-            gen = background
-        return _checked(gen), step.duration
-
-    if step_mode == "ideal":
-        gen = PauliSum.zero(n)
-        for step in group:
-            if step.angle:
-                gen = gen + step.angle * toggled_generator(model, step.handle)
-        return _checked(gen), 1.0
-
+        ideal = step_mode == "ideal" and step.target is not None
+        return (step.target if ideal else "background", ()), step.duration
+    pulses = [s for s in group if s.angle]
+    if not pulses:
+        return (None, ()), 0.0
+    first = pulses[0].angle
+    if step_mode == "ideal":  # angle a applies exp(-i a G): t is the first angle
+        return (None, tuple((s.handle, s.angle / first) for s in pulses)), first
     # realistic: finite pulse strength, background always on
-    angles = {abs(s.angle) for s in group if s.angle}
-    if not angles:
-        return PauliSum.zero(n), 0.0
-    if len(angles) > 1:
+    if any(abs(s.angle) != abs(first) for s in pulses):
         raise ValidationError("realistic parallel steps must share a pulse duration")
     if not strength:
         raise ValidationError("realistic pulse strength is zero: the background sets no scale")
-    dt = angles.pop() / strength
-    gen = background
-    for step in group:
-        if step.angle:
-            gen = gen + np.sign(step.angle) * strength * toggled_generator(model, step.handle)
-    return _checked(gen), dt
+    pairs = tuple((s.handle, np.sign(s.angle) * strength) for s in pulses)
+    return ("background", pairs), abs(first) / strength
+
+
+def _generator(key: tuple, model: ExchangeModel, background: PauliSum) -> PauliSum:
+    """The checked generator a `_group_key` key stands for."""
+    base, pairs = key
+    if base is None:
+        gen = PauliSum.zero(model.n_spins)
+    else:
+        gen = background if base == "background" else base.term(model)
+    for handle, c in pairs:
+        gen = gen + c * toggled_generator(model, handle)
+    return _checked(gen)
 
 
 def apply_schedule(
@@ -264,10 +263,12 @@ def _evolve(
     """(U, every basis state), or, given a sector, (the rows of the code columns
     U V that the schedule can reach, those sorted basis states).
 
-    Each distinct group is built and checked once, in order of first appearance
-    and before any exponential, so the first bad group raises. Its blocks are
-    exponentiated once, in one batched eigh with every other group's blocks of
-    the same size; then each group's blocks act on the columns, rightmost first.
+    Each distinct group is keyed, and its generator built and checked if the key
+    is new, in order of first appearance and before any exponential, so the
+    first bad group raises. A generator's blocks are diagonalized once, in one
+    batched eigh with every other generator's blocks of the same size; each
+    group's exponential is rebuilt from them with its own t, and each group's
+    blocks act on the columns, rightmost first.
     """
     if mode is not None and mode not in ("ideal", "realistic"):
         raise ValidationError(f"bad mode {mode!r}")
@@ -287,35 +288,49 @@ def _evolve(
     background = background_hamiltonian(model)
     distinct: dict[tuple[PulseStep, ...], int] = {}
     order = [distinct.setdefault(group, len(distinct)) for group in schedule.groups]
-    generators = [_group_generator(g, model, mode, strength, background) for g in distinct]
-    bases = [x_basis(h) for h, _ in generators]
+    keys: dict[tuple, int] = {}
+    generators, key_of, times = [], [], []  # per key; each distinct group's key and t
+    for group in distinct:
+        key, t = _group_key(group, model, mode, strength)
+        if key not in keys:
+            keys[key] = len(generators)
+            generators.append(_generator(key, model, background))
+        key_of.append(keys[key])
+        times.append(t)
+    bases = [x_basis(h) for h in generators]
     starts = np.arange(2**n) if sector is None else code_states(CodeSpec(sector, n))
     # at most 2**n states, so the checks above already bound these arrays
-    rows = coset_rows(n, x_basis(*(h for h, _ in generators)), starts)
-    held = sum(2 ** len(basis) for basis in bases)  # every block stack is held at once
+    rows = coset_rows(n, x_basis(*generators), starts)
+    held = sum(2 ** len(bases[k]) for k in key_of)  # every group's unitaries are held at once
     nbytes = 16 * rows.size * max(starts.size, held)
     check_bytes(n, nbytes, f"evolving {rows.size} reachable rows")
-    blocks = [to_blocks(h, rows, basis) for (h, _), basis in zip(generators, bases)]
+    blocks = [to_blocks(h, rows, basis) for h, basis in zip(generators, bases)]
     by_size: dict[int, list[int]] = {}
-    for g, (_, stack) in enumerate(blocks):
-        by_size.setdefault(stack.shape[-1], []).append(g)
-    for same in by_size.values():  # one eigh per block size, one t per block
-        stacks = [blocks[g][1] for g in same]
-        counts = [len(stack) for stack in stacks]
-        u = _exponential(
-            stacks[0] if len(stacks) == 1 else np.concatenate(stacks),
-            np.repeat([generators[g][1] for g in same], counts),
-            np.repeat(np.arange(len(same)), counts),
+    for k, (at, _) in enumerate(blocks):
+        by_size.setdefault(at.shape[-1], []).append(k)
+    unitaries = [None] * len(key_of)
+    for same in by_size.values():  # one eigh per block size over its keys' blocks
+        stacks = [blocks[k][1] for k in same]
+        evals, evecs = np.linalg.eigh(stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
+        first = dict(zip(same, accumulate((len(stack) for stack in stacks), initial=0)))
+        groups = [g for g, k in enumerate(key_of) if k in first]
+        counts = [len(blocks[key_of[g]][1]) for g in groups]
+        if [key_of[g] for g in groups] != same:  # some key serves several groups
+            pick = np.concatenate([np.arange(c) + first[key_of[g]] for g, c in zip(groups, counts)])
+            evals, evecs = evals[pick], evecs[pick]
+        u = _exponential(  # one rebuild over its groups, one t per block
+            evals, evecs, np.repeat([times[g] for g in groups], counts),
+            np.repeat(np.arange(len(groups)), counts),
         )
         start = 0
-        for g, count in zip(same, counts):  # each group's blocks become their exponentials
-            blocks[g], start = (blocks[g][0], u[start : start + count]), start + count
+        for g, count in zip(groups, counts):
+            unitaries[g], start = (blocks[key_of[g]][0], u[start : start + count]), start + count
     columns = np.zeros((rows.size, starts.size), dtype=complex)
     columns[np.searchsorted(rows, starts), np.arange(starts.size)] = 1.0
     # a group gathers rows into block order, then multiplies back; where[r] is r's slot
     spare, where, slots = np.empty_like(columns), np.arange(rows.size), np.arange(rows.size)
     for g in reversed(order):
-        at, u = blocks[g]  # mode="clip" lets take write into `out` unbuffered
+        at, u = unitaries[g]  # mode="clip" lets take write into `out` unbuffered
         np.take(columns, where[at.ravel()], axis=0, out=spare, mode="clip")
         np.matmul(u, spare.reshape(*at.shape, -1), out=columns.reshape(*at.shape, -1))
         where[at.ravel()] = slots

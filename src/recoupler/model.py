@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -330,6 +331,8 @@ PRESET_NAMES = tuple(_PRESETS)
 
 def preset_model(name: str, n_spins: int = 4, epsilon=None) -> ExchangeModel:
     """Named built-in model with the platform's controllability column."""
+    if isinstance(n_spins, bool) or not isinstance(n_spins, numbers.Integral):
+        raise ValidationError(f"n_spins must be an integer, got {n_spins!r}")
     eps = default_epsilon(n_spins) if epsilon is None else epsilon
     try:
         kind = _PRESETS[name]

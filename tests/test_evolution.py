@@ -95,7 +95,8 @@ class TestPropagator:
 
 
 class TestBatchedExponential:
-    """Blocks of several groups share one eigh; each group keeps its own unitarity defect."""
+    """One eigh serves every group of a generator; each group rebuilds its own phases
+    and keeps its own unitarity defect."""
 
     @staticmethod
     def stack(blocks):
@@ -104,35 +105,42 @@ class TestBatchedExponential:
 
     def test_nan_group_raises_beside_a_good_one(self):
         h, t, owner = self.stack(3), np.array([0.4, 0.4, 1.3]), np.array([0, 0, 1])
-        assert np.allclose(_exponential(h, t, owner)[2], expm(-1.3j * h[2]))
+        assert np.allclose(_exponential(*np.linalg.eigh(h), t, owner)[2], expm(-1.3j * h[2]))
         h[2, 0, 0] = np.nan
         with pytest.raises(ValidationError, match=r"lost unitarity \(defect nan\)"):
-            _exponential(h, t, owner)
+            _exponential(*np.linalg.eigh(h), t, owner)
         with pytest.raises(ValidationError, match=r"lost unitarity \(defect nan\)"):
-            _exponential(h[::-1], t[::-1], owner[::-1])
-        assert np.allclose(_exponential(h[:2], t[:2], owner[:2])[1], expm(-0.4j * h[1]))
+            _exponential(*np.linalg.eigh(h[::-1]), t[::-1], owner[::-1])
+        good = _exponential(*np.linalg.eigh(h[:2]), t[:2], owner[:2])
+        assert np.allclose(good[1], expm(-0.4j * h[1]))
 
     @pytest.mark.parametrize("defects, message", [
         ((0.8e-10, 0.8e-10), None),  # as one norm over the stack: 1.13e-10, over the bound
         ((0.0, 1.2e-10), r"lost unitarity \(defect 1\.20e-10\)"),
         ((1.2e-10, 0.0), r"lost unitarity \(defect 1\.20e-10\)"),
     ])
-    def test_each_group_is_checked_on_its_own(self, monkeypatch, defects, message):
+    def test_each_group_is_checked_on_its_own(self, defects, message):
         # eigenvectors scaled by s give a 2 x 2 block u^dag u = s^4 I, defect (s^4 - 1) sqrt(2)
         scale = (1 + np.array(defects) / np.sqrt(2)) ** 0.25
-        eigh = np.linalg.eigh
-
-        def scaled_eigh(h):
-            w, v = eigh(h)
-            return w, v * scale[:, None, None]
-
-        monkeypatch.setattr(np.linalg, "eigh", scaled_eigh)
-        h, t, owner = self.stack(2), np.array([0.4, 1.3]), np.array([0, 1])
+        evals, evecs = np.linalg.eigh(self.stack(2))
+        t, owner = np.array([0.4, 1.3]), np.array([0, 1])
         if message is None:
-            _exponential(h, t, owner)
+            _exponential(evals, evecs * scale[:, None, None], t, owner)
         else:
             with pytest.raises(ValidationError, match=message):
-                _exponential(h, t, owner)
+                _exponential(evals, evecs * scale[:, None, None], t, owner)
+
+    def test_a_shared_eigendecomposition_keeps_each_groups_own_defect(self):
+        # two groups of one generator: the same eigenvectors and eigenvalues, each with
+        # its own t; a NaN t gives NaN phases in its own group only
+        evals, evecs = np.linalg.eigh(self.stack(1))
+        shared = np.repeat(evals, 2, axis=0), np.repeat(evecs, 2, axis=0)
+        owner = np.array([0, 1])
+        u = _exponential(*shared, np.array([0.4, -0.4]), owner)
+        assert np.allclose(u[0] @ u[1], np.eye(2), atol=1e-14)
+        for t in ([0.4, np.nan], [np.nan, 0.4]):
+            with pytest.raises(ValidationError, match=r"lost unitarity \(defect nan\)"):
+                _exponential(*shared, np.array(t), owner)
 
 
 class TestApplySchedule:

@@ -238,6 +238,12 @@ class TestPresets:
         with pytest.raises(ValidationError):
             preset_model("bogus", 4)
 
+    @pytest.mark.parametrize("n_spins", [4.0, "4", True, None])
+    def test_spin_count_must_be_an_integer(self, n_spins):
+        with pytest.raises(ValidationError, match=f"n_spins must be an integer, got {n_spins!r}"):
+            preset_model("xy", n_spins)
+        assert preset_model("xy", np.int64(4)).n_spins == 4
+
     def test_every_preset_matches_its_golden_digest(self):
         """Couplings, their order, terms, magnitude and generators of every preset."""
         digest = hashlib.sha256()

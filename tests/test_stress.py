@@ -10,6 +10,7 @@ dense propagators and of `expm`.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from recoupler import (
     PulseSchedule,
     PulseStep,
     RecouplerError,
+    ValidationError,
+    WindowTarget,
     apply_schedule,
     background_hamiltonian,
     compile_circuit,
@@ -174,15 +177,17 @@ def dense(ps):
 def group_generators(schedule, model, mode, ratio):
     """(h, t) of every group, rebuilt from the model: an ideal window keeps its
     target term, or the whole background without one; a realistic pulse group
-    adds sign(angle) strength G to the background for |angle| / strength."""
+    adds sign(angle) strength G to the background for |angle| / strength. With
+    `mode` None each group takes its steps' own mode."""
     background = background_hamiltonian(model)
     strength = None if ratio is None else ratio * model.background_magnitude()
     for group in schedule.groups:
         step = group[0]
+        group_mode = mode or step.mode
         if step.handle == FREE_EVOLUTION:
-            keeps_target = mode == "ideal" and step.target is not None
+            keeps_target = group_mode == "ideal" and step.target is not None
             yield (step.target.term(model) if keeps_target else background), step.duration
-        elif mode == "ideal":
+        elif group_mode == "ideal":
             yield sum((s.angle * toggled_generator(model, s.handle) for s in group),
                       PauliSum.zero(model.n_spins)), 1.0
         elif any(s.angle for s in group):
@@ -492,3 +497,92 @@ def test_xxz_ideal_verdicts_evolve_only_the_code_states(preset):
                 assert rep.passed and rep.leakage == 0.0, (sector, gate.describe(), rep)
                 verdicts += 1
     assert verdicts == 8
+
+
+# -- one eigendecomposition per distinct generator, against expm of every group ----
+
+ORACLE_PRESETS = ("electrons_on_helium", "xxz_antisymmetric", "xy", "spin_dots", "nmr")
+
+
+def random_pulse_group(rng, model, mode):
+    """Parallel pulses on disjoint spins, some at angle zero; ideal angles differ,
+    realistic ones share |angle|, as one pulse strength requires."""
+    handles = sorted(h for h in model.controllable if h != FREE_EVOLUTION)
+    size, angle = int(rng.integers(1, 4)), float(rng.uniform(0.2, 2.5))
+    steps, used = [], set()
+    for k in rng.permutation(len(handles)):
+        spins = {handles[k].i, handles[k].j} - {None}
+        if len(steps) == size or used & spins:
+            continue
+        used |= spins
+        if rng.random() < 0.2:
+            a = 0.0
+        elif mode == "ideal":
+            a = float(rng.uniform(-2.5, 2.5))
+        else:
+            a = angle * float(rng.choice([-1.0, 1.0]))
+        steps.append(PulseStep(handles[k], angle=a, mode=mode))
+    return tuple(steps)
+
+
+def random_window(rng, model, mode):
+    """A free window, its duration left to the caller, keeping a random term or none."""
+    n = model.n_spins
+    i, m = int(rng.integers(1, n)), int(rng.integers(1, n // 2 + 1))
+    targets = (None, WindowTarget("t_z", m), WindowTarget("r_z", m), WindowTarget("zz", i, i + 1))
+    return PulseStep(FREE_EVOLUTION, duration=0.0, target=targets[int(rng.integers(4))], mode=mode)
+
+
+def oracle_schedule(rng, model):
+    """Three sandwiches P . W(d) . P^-1 . W(d'), each group in a random mode: every
+    pulse group recurs with its angles negated and every window with another
+    duration."""
+    groups = []
+    for _ in range(3):
+        pulse_mode, window_mode = (str(m) for m in rng.choice(["ideal", "realistic"], size=2))
+        pulse = random_pulse_group(rng, model, pulse_mode)
+        window = random_window(rng, model, window_mode)
+        inverse = tuple(dataclasses.replace(s, angle=-s.angle) for s in pulse)
+        first, second = (dataclasses.replace(window, duration=float(d)) for d in rng.uniform(0, 2, 2))
+        groups += [pulse, (first,), inverse, (second,)]
+    return PulseSchedule(groups, {"gate": "oracle sandwiches"})
+
+
+@pytest.mark.parametrize("preset", ORACLE_PRESETS + ("json_flip_flop",))
+def test_shared_generators_match_expm_of_every_group(preset):
+    """A group that shares another's generator (a negated pulse, a window of another
+    duration) must still act with its own time, in U and in every verdict's rows."""
+    rng = np.random.default_rng(sum(map(ord, preset)) + 3)
+    for n in (4,) if preset == "json_flip_flop" else (4, 6, 8):
+        if preset == "json_flip_flop":
+            model = flip_flop_json_model(rng)
+        else:
+            model = preset_model(preset, n, epsilon=tuple(rng.uniform(-2, 2, size=n)))
+        sched = oracle_schedule(rng, model)
+        for mode, ratio in ((None, 10.0), ("ideal", None)):
+            label = f"{preset} n={n} mode={mode}"
+            want = ordered_product(sched, model, mode, ratio, _expm)
+            got = apply_schedule(sched, model, mode, ratio)
+            assert np.abs(got - want).max() < 1e-10, label
+            for sector in (SYMMETRIC, ANTISYMMETRIC):
+                code = code_states(CodeSpec(sector, n))
+                uv, rows = _evolve(sched, model, mode, ratio, sector)
+                assert np.abs(uv - want[np.ix_(rows, code)]).max() < 1e-10, f"{label} {sector}"
+                outside = np.delete(want[:, code], rows, axis=0)
+                assert np.abs(outside).max(initial=0) < 1e-10, f"{label} {sector}"
+
+
+@pytest.mark.parametrize("mode, ratio", [("ideal", None), ("realistic", 10.0)])
+def test_a_bad_group_sharing_a_good_groups_generator_raises_its_own_defect(mode, ratio):
+    """W(1) and W(1e308) share the background's eigendecomposition; the second one's
+    phases overflow to NaN, which raises as it did when each window had its own."""
+    model = preset_model("xy", 4)
+
+    def window(duration):
+        return (PulseStep(FREE_EVOLUTION, duration=duration),)
+
+    for groups in ((window(1.0), window(1e308)), (window(1e308), window(1.0))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing phases
+            with pytest.raises(ValidationError, match=r"^propagator lost unitarity \(defect nan\)$"):
+                apply_schedule(PulseSchedule(groups), model, mode, ratio)

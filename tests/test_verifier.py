@@ -5,13 +5,18 @@ import pytest
 
 from recoupler import (
     ANTISYMMETRIC,
+    FREE_EVOLUTION,
     SYMMETRIC,
     CodeSpec,
     LogicalGate,
+    PulseSchedule,
+    PulseStep,
+    apply_schedule,
     compile_circuit,
     cost_report,
     fidelity,
     identity_suite,
+    j_plus,
     preset_model,
     target_logical,
     verify_circuit,
@@ -329,6 +334,22 @@ class TestVerdictContract:
             assert rep.passed or mode == "realistic"
             assert peak < 16 * 2**20, f"{gate.kind}: peak {peak / 2**20:.1f} MB"
 
+    @pytest.mark.parametrize("mode,ratio,bound_mb", [("ideal", None, 90), ("realistic", 100.0, 100)])
+    def test_twenty_spin_rz_peak_memory(self, monkeypatch, mode, ratio, bound_mb):
+        # rz's pulse groups hold 512 x 512 blocks; the ideal P(+a) and P(-a) share one
+        # block build and eigh, the realistic ones differ by the background's sign
+        monkeypatch.delenv("RECOUPLER_MAX_SPINS", raising=False)
+        model = preset_model("xy", 20)
+        tracemalloc.start()
+        try:
+            rep = verify_gate(STANDARD_GATES["rz"], model, mode=mode, ratio=ratio)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.reason == ""
+        assert rep.passed or mode == "realistic"
+        assert peak <= bound_mb * 2**20, f"peak {peak / 2**20:.1f} MB"
+
     def test_over_budget_rows_fail_before_any_register_sized_allocation(self, monkeypatch):
         tracemalloc.start()
         try:
@@ -383,23 +404,49 @@ class TestVerdictContract:
         assert set(built) <= model.controllable
 
     @pytest.mark.parametrize("mode,ratio", CONTRACT_MODES, ids=["ideal", "realistic"])
-    def test_one_generator_per_distinct_group_and_one_eigh_per_block_size(
+    def test_one_generator_per_distinct_key_and_one_eigh_per_block_size(
         self, monkeypatch, mode, ratio
     ):
         import recoupler.evolution as evolution
 
         gates = CONTRACT_GATES + CONTRACT_GATES[:2]  # rx and rz twice, every sandwich repeats
         groups = compile_circuit(gates, XXZ).groups
-        assert len(set(groups)) < len(groups)
-        built, sizes = [], []
-        build, eigh = evolution._group_generator, np.linalg.eigh
-        monkeypatch.setattr(evolution, "_group_generator",
-                            lambda group, *args: built.append(group) or build(group, *args))
+        strength = ratio and ratio * XXZ.background_magnitude()
+        keys = [evolution._group_key(group, XXZ, mode, strength)[0] for group in groups]
+        assert len(set(keys)) < len(set(groups)) < len(groups)
+        built, sizes, owners = [], [], []
+        build, eigh, rebuild = evolution._generator, np.linalg.eigh, evolution._exponential
+        monkeypatch.setattr(evolution, "_generator",
+                            lambda key, *args: built.append(key) or build(key, *args))
         monkeypatch.setattr(np.linalg, "eigh", lambda h: sizes.append(h.shape[-1]) or eigh(h))
+        monkeypatch.setattr(evolution, "_exponential",
+                            lambda *args: owners.append(args[3]) or rebuild(*args))
         rep = verify_circuit(gates, XXZ, mode=mode, ratio=ratio)
         assert rep.reason == ""
-        assert len(built) == len(set(built)) and set(built) == set(groups)
-        assert len(sizes) == len(set(sizes))
+        assert built == list(dict.fromkeys(keys))  # once each, in order of first appearance
+        assert len(sizes) == len(set(sizes)) == len(owners)  # one eigh and one rebuild per size
+        assert sum(np.unique(owner).size for owner in owners) == len(set(groups))  # own defects
+
+    @pytest.mark.parametrize("mode,ratio,pulse_builds", [("ideal", None, 1), ("realistic", 100.0, 2)])
+    def test_a_sandwich_builds_its_pulse_generators_once(self, monkeypatch, mode, ratio, pulse_builds):
+        # P(+a) . W(1) . P(-a) . W(2): the windows share one generator, and the two
+        # pulses share exp(-i a G) in ideal mode but not with the background on
+        import recoupler.evolution as evolution
+
+        def pulse(angle):
+            return (PulseStep(j_plus(1, 2), angle=angle),)
+
+        def window(duration):
+            return (PulseStep(FREE_EVOLUTION, duration=duration),)
+
+        schedule = PulseSchedule((pulse(0.9), window(1.0), pulse(-0.9), window(2.0)))
+        built = []
+        build = evolution._generator
+        monkeypatch.setattr(evolution, "_generator",
+                            lambda key, *args: built.append(key) or build(key, *args))
+        apply_schedule(schedule, XXZ, mode=mode, ratio=ratio)
+        assert [pairs != () for _, pairs in built].count(True) == pulse_builds
+        assert len(built) == pulse_builds + 1
 
 
 # -- closed-form oracle for target_logical: the kron embedding, 2x2 rotations and
