@@ -284,8 +284,9 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
+    try:  # an overflowing schedule ends in a RecouplerError, not numpy warnings first
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (RecouplerError, OSError) as exc:  # OSError: writing --out
         print(f"error: {exc}", file=sys.stderr)
         return 2

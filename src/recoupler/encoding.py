@@ -87,13 +87,15 @@ def code_isometry(spec: CodeSpec) -> np.ndarray:
 
 
 def encode(spec: CodeSpec, logical_state: np.ndarray) -> np.ndarray:
-    """Isometric embedding of a logical state vector into the physical register."""
+    """Isometric embedding of a logical state vector into the physical register: V psi."""
     psi = np.asarray(logical_state, dtype=complex)
     if psi.shape != (2**spec.n_logical,):
         raise DimensionError(
             f"logical state has shape {psi.shape}, expected ({2**spec.n_logical},)"
         )
-    return code_isometry(spec) @ psi
+    out = np.zeros(2**spec.n_spins, dtype=complex)
+    out[code_states(spec)] = psi
+    return out
 
 
 def decode(spec: CodeSpec, physical_state: np.ndarray):
@@ -111,8 +113,7 @@ def decode(spec: CodeSpec, physical_state: np.ndarray):
     norm = np.linalg.norm(psi)
     if norm == 0:
         raise ValidationError("cannot decode the zero vector")
-    psi = psi / norm
-    amps = code_isometry(spec).conj().T @ psi
+    amps = psi[code_states(spec)] / norm
     in_norm = np.linalg.norm(amps)
     leakage = float(np.sqrt(max(0.0, 1.0 - in_norm**2)))
     if in_norm < 1e-12:
@@ -121,10 +122,10 @@ def decode(spec: CodeSpec, physical_state: np.ndarray):
 
 
 def logical_matrix(op: PauliSum, spec: CodeSpec) -> np.ndarray:
-    """Compress a Pauli sum on the physical register to the logical basis: V^dag M V."""
+    """Compress a Pauli sum M on the physical register to V^dag M V, its code rows and columns."""
     if not isinstance(op, PauliSum):
         raise ValidationError(f"logical_matrix takes a PauliSum, got {type(op).__name__}")
     if op.n != spec.n_spins:
         raise DimensionError(f"operator acts on {op.n} spins, code has {spec.n_spins}")
-    v = code_isometry(spec)
-    return v.conj().T @ to_matrix(op) @ v
+    code = code_states(spec)
+    return to_matrix(op)[np.ix_(code, code)]

@@ -27,8 +27,10 @@ verdict needs only U V on the 2**(n/2) code states, and every term maps r to
 r ^ x with x in S, the span of all the schedule's X masks, so U V is zero
 outside the rows code ^ S: the verdict evolves just those rows (the code
 states themselves for every XXZ and one-qubit gate), within a byte budget of
-one dense matrix at the spin cap instead of the cap itself. `propagator`
-stays the dense exponential of one generator.
+one dense matrix at the spin cap instead of the cap itself. The code states
+are basis states, so `restrict` reads V^dag U V off the code rows of U V and
+the leakage off the others, from all of U or from a verdict's rows.
+`propagator` stays the dense exponential of one generator.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from itertools import accumulate
 import numpy as np
 
 from .encoding import CodeSpec, code_isometry, code_states, r_z, t_z
-from .errors import ControllabilityError, ValidationError
+from .errors import ControllabilityError, DimensionError, ValidationError
 from .model import (
     MALFORMED_JSON,
     ExchangeModel,
@@ -120,14 +122,6 @@ class PulseStep:
             if value is not None and not math.isfinite(value):
                 raise ValidationError(f"step {self.handle}: {name} must be finite, got {value}")
 
-    def support(self, n_spins: int) -> frozenset[int]:
-        h = self.handle
-        if h.kind == "free_evolution":
-            return frozenset(range(1, n_spins + 1))
-        if h.j is not None:
-            return frozenset((h.i, h.j))
-        return frozenset((h.i,))
-
 
 @dataclass(frozen=True)
 class PulseSchedule:
@@ -142,11 +136,11 @@ class PulseSchedule:
             if len(group) > 1 and any(s.handle.kind == "free_evolution" for s in group):
                 raise ValidationError("free evolution cannot share a parallel group")
 
-    def validate_supports(self, n_spins: int):
+    def validate_supports(self):
         for g, group in enumerate(self.groups):
             seen: set[int] = set()
             for step in group:
-                sup = step.support(n_spins)
+                sup = {step.handle.i, step.handle.j} - {None}  # empty for a lone window
                 if seen & sup:
                     raise ValidationError(f"group {g}: overlapping supports {sorted(seen & sup)}")
                 seen |= sup
@@ -273,7 +267,7 @@ def _evolve(
     if mode is not None and mode not in ("ideal", "realistic"):
         raise ValidationError(f"bad mode {mode!r}")
     n = model.n_spins
-    schedule.validate_supports(n)
+    schedule.validate_supports()
     modes = {mode} if mode else {s.mode for group in schedule.groups for s in group}
     if "realistic" in modes and (ratio is None or not 0 < ratio < math.inf):
         raise ValidationError("realistic mode needs a finite positive strength ratio")
@@ -304,17 +298,19 @@ def _evolve(
     held = sum(2 ** len(bases[k]) for k in key_of)  # every group's unitaries are held at once
     nbytes = 16 * rows.size * max(starts.size, held)
     check_bytes(n, nbytes, f"evolving {rows.size} reachable rows")
-    blocks = [to_blocks(h, rows, basis) for h, basis in zip(generators, bases)]
-    by_size: dict[int, list[int]] = {}
-    for k, (at, _) in enumerate(blocks):
-        by_size.setdefault(at.shape[-1], []).append(k)
+    # per key its block states, and its Hermitian blocks until their eigh; keys by block size
+    at, hermitian, by_size = {}, {}, {}
+    for k, (h, basis) in enumerate(zip(generators, bases)):
+        at[k], hermitian[k] = to_blocks(h, rows, basis)
+        by_size.setdefault(at[k].shape[-1], []).append(k)
     unitaries = [None] * len(key_of)
     for same in by_size.values():  # one eigh per block size over its keys' blocks
-        stacks = [blocks[k][1] for k in same]
-        evals, evecs = np.linalg.eigh(stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
-        first = dict(zip(same, accumulate((len(stack) for stack in stacks), initial=0)))
+        stack = [hermitian.pop(k) for k in same]  # eigh is each stack's last use
+        evals, evecs = np.linalg.eigh(stack[0] if len(stack) == 1 else np.concatenate(stack))
+        del stack
+        first = dict(zip(same, accumulate((len(at[k]) for k in same), initial=0)))
         groups = [g for g, k in enumerate(key_of) if k in first]
-        counts = [len(blocks[key_of[g]][1]) for g in groups]
+        counts = [len(at[key_of[g]]) for g in groups]
         if [key_of[g] for g in groups] != same:  # some key serves several groups
             pick = np.concatenate([np.arange(c) + first[key_of[g]] for g, c in zip(groups, counts)])
             evals, evecs = evals[pick], evecs[pick]
@@ -324,7 +320,7 @@ def _evolve(
         )
         start = 0
         for g, count in zip(groups, counts):
-            unitaries[g], start = (blocks[key_of[g]][0], u[start : start + count]), start + count
+            unitaries[g], start = (at[key_of[g]], u[start : start + count]), start + count
     columns = np.zeros((rows.size, starts.size), dtype=complex)
     columns[np.searchsorted(rows, starts), np.arange(starts.size)] = 1.0
     # a group gathers rows into block order, then multiplies back; where[r] is r's slot
@@ -340,23 +336,21 @@ def _evolve(
 def restrict(
     u: np.ndarray, spec: CodeSpec, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
-    """Compress a full-register unitary U, or its code columns U V, to the code space.
+    """Compress a full-register unitary U, or the rows of its code columns U V, to the code space.
 
-    Returns (B, leakage) with B = V^dag U V and
-    leakage = ||(I - P) U P||_F / ||P||_F, in [0, 1] for unitary U. Given the
-    sorted basis states `rows` that U V is zero outside, `u` holds only those
-    rows of U V: B is read from the code rows and leakage from the others.
+    Returns (B, leakage) with B = V^dag U V, read from the code rows of U V, and
+    leakage = ||(I - P) U P||_F / ||P||_F, in [0, 1] for unitary U, from the
+    others. `u` is all of U or, given the sorted basis states `rows` that U V
+    is zero outside, just those rows of U V; other shapes raise DimensionError.
     """
     u = np.asarray(u, dtype=complex)
-    if rows is not None:
-        code = np.searchsorted(rows, code_states(spec))
-        return u[code], float(np.linalg.norm(np.delete(u, code, axis=0)) / np.sqrt(code.size))
-    v = code_isometry(spec)
-    uv = u if u.shape[-1] == v.shape[1] else u @ v
-    b = v.conj().T @ uv
-    out = uv - v @ b
-    leakage = float(np.linalg.norm(out) / np.sqrt(v.shape[1]))
-    return b, leakage
+    dim, k = 2**spec.n_spins, 2**spec.n_logical
+    if rows is None and u.shape == (dim, dim):
+        u, rows = u @ code_isometry(spec), np.arange(dim)
+    elif rows is None or u.shape != (len(rows), k):
+        raise DimensionError(f"restrict takes {dim} x {dim} or (len(rows), {k}), got {u.shape}")
+    code = np.searchsorted(rows, code_states(spec))
+    return u[code], float(np.linalg.norm(np.delete(u, code, axis=0)) / np.sqrt(k))
 
 
 # -- JSON --------------------------------------------------------------------

@@ -71,7 +71,10 @@ def _anticommute(a: _Key, b: _Key) -> bool:
 
 def max_spins() -> int:
     """Dense-matrix spin cap, overridable via RECOUPLER_MAX_SPINS."""
-    return int(os.environ.get("RECOUPLER_MAX_SPINS", "12"))
+    text = os.environ.get("RECOUPLER_MAX_SPINS", "12")
+    if not text.strip().removeprefix("+").isdecimal() or int(text) < 1:
+        raise ValidationError(f"RECOUPLER_MAX_SPINS must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def check_dense(n: int):

@@ -248,6 +248,16 @@ class TestUsage:
             "error: bad spin count 'abc' in 'preset:spin_dots:abc'\n"
         )
 
+    @pytest.mark.parametrize("value", ["abc", "", "0", "-3"])
+    def test_bad_spin_cap_exit_2(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("RECOUPLER_MAX_SPINS", value)
+        assert main(["suite"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: RECOUPLER_MAX_SPINS must be a positive integer, got {value!r}\n"
+        )
+
 
 class TestNonFiniteInput:
     def test_infinite_gate_angle_exit_2(self, model_file, tmp_path, capsys):
@@ -265,6 +275,20 @@ class TestNonFiniteInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: step free_evolution: duration must be finite, got inf\n"
+
+    @pytest.mark.parametrize("step", [
+        '{"handle": "heis(1,2)", "angle": -1.7e308}',
+        '{"handle": "free_evolution", "duration": 1e308}',
+    ])
+    def test_overflowing_phases_print_only_the_error(self, tmp_path, capsys, step):
+        # finite inputs whose phases overflow: the NaN defect is the one message
+        sched = tmp_path / "overflow.json"
+        sched.write_text('{"groups": [[' + step + ']]}')
+        argv = ["simulate", "--model", "preset:spin_dots:4", "--schedule", str(sched)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: propagator lost unitarity (defect nan)\n"
 
     @pytest.mark.parametrize("ratio", ["nan", "inf"])
     def test_non_finite_realistic_ratio_exit_2(self, model_file, circuit_file, capsys, ratio):

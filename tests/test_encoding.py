@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,11 @@ from recoupler import (
     code_isometry,
     decode,
     encode,
+    fidelity,
     logical_matrix,
     r_x,
     r_z,
+    restrict,
     t_x,
     t_z,
     to_matrix,
@@ -183,3 +187,73 @@ class TestAlgebra:
         for sector in (SYMMETRIC, ANTISYMMETRIC):
             v = code_isometry(CodeSpec(sector, 6))
             assert np.allclose(v.conj().T @ v, np.eye(8))
+
+
+def _unitary(rng, dim):
+    return np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+
+
+class TestIsometryOracle:
+    """Compression picks the code states by index; the dense isometry V stays the oracle."""
+
+    @pytest.mark.parametrize("sector", [SYMMETRIC, ANTISYMMETRIC])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_picking_code_states_equals_the_isometry_products(self, sector, n):
+        rng = np.random.default_rng(n + 100 * (sector == SYMMETRIC))
+        spec = CodeSpec(sector, n)
+        v, dim, k = code_isometry(spec), 2**n, 2 ** (n // 2)
+        psi = rng.normal(size=k) + 1j * rng.normal(size=k)
+        assert np.array_equal(encode(spec, psi), v @ psi)
+        phys = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        amps, leak = decode(spec, phys)
+        want = v.conj().T @ (phys / np.linalg.norm(phys))
+        assert np.array_equal(amps, want / np.linalg.norm(want))
+        assert leak == np.sqrt(1 - np.linalg.norm(want) ** 2)
+        letters = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(6)]
+        op = PauliSum(n, {w: rng.normal() + 1j * rng.normal() for w in letters})
+        assert np.array_equal(logical_matrix(op, spec), v.conj().T @ to_matrix(op) @ v)
+
+        def oracle(u):
+            uv = u @ v
+            b = v.conj().T @ uv
+            return b, np.linalg.norm(uv - v @ b) / np.sqrt(k)
+
+        # U is unitary on the code states and some others, the identity elsewhere, so
+        # U V is zero outside those rows; the all-rows case is the full-height U V
+        code = code_states(spec)
+        others = np.setdiff1d(np.arange(dim), code)
+        some = np.union1d(code, rng.choice(others, size=len(others) // 3))
+        for rows in (some, np.arange(dim)):
+            u = np.eye(dim, dtype=complex)
+            u[np.ix_(rows, rows)] = _unitary(rng, rows.size)
+            want_b, want_leak = oracle(u)
+            for got_b, got_leak in (restrict(u, spec), restrict((u @ v)[rows], spec, rows)):
+                assert np.array_equal(got_b, want_b)
+                # the Frobenius norm's summation order follows the BLAS kernel
+                assert got_leak == pytest.approx(want_leak, rel=0, abs=1e-14)
+
+    def test_wrong_shapes_raise_dimension_error(self):
+        spec = CodeSpec(SYMMETRIC, 4)
+        u = _unitary(np.random.default_rng(3), 16)
+        uv = u @ code_isometry(spec)
+        for bad in (np.eye(8), u[:, :15], u[0], uv):  # uv: full-height U V without rows
+            with pytest.raises(DimensionError, match=r"takes 16 x 16 or \(len\(rows\), 4\)"):
+                restrict(bad, spec)
+        with pytest.raises(DimensionError, match=r"4\), got \(8, 8\)$"):
+            fidelity(np.eye(8), np.eye(4), spec)
+        with pytest.raises(DimensionError):
+            restrict(uv[1:], spec, np.arange(16))
+        with pytest.raises(DimensionError):
+            restrict(uv, spec, np.arange(15))
+
+    def test_encode_decode_peak_memory_at_fourteen_spins(self):
+        spec = CodeSpec(SYMMETRIC, 14)
+        psi = np.full(2**7, 2**-3.5, dtype=complex)
+        tracemalloc.start()
+        try:
+            amps, leak = decode(spec, encode(spec, psi))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.allclose(amps, psi) and leak == 0.0
+        assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MB"

@@ -334,7 +334,7 @@ class TestVerdictContract:
             assert rep.passed or mode == "realistic"
             assert peak < 16 * 2**20, f"{gate.kind}: peak {peak / 2**20:.1f} MB"
 
-    @pytest.mark.parametrize("mode,ratio,bound_mb", [("ideal", None, 90), ("realistic", 100.0, 100)])
+    @pytest.mark.parametrize("mode,ratio,bound_mb", [("ideal", None, 90), ("realistic", 100.0, 80)])
     def test_twenty_spin_rz_peak_memory(self, monkeypatch, mode, ratio, bound_mb):
         # rz's pulse groups hold 512 x 512 blocks; the ideal P(+a) and P(-a) share one
         # block build and eigh, the realistic ones differ by the background's sign
