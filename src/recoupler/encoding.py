@@ -5,11 +5,13 @@ symmetric code is |0_L> = |ud>, |1_L> = |du>; the antisymmetric code is
 |0_L> = |uu>, |1_L> = |dd>. Logical basis ordering mirrors the physical bit
 convention: logical qubit 1 is the least significant bit. The T generators
 act on the symmetric code and the R generators on the antisymmetric one.
+The code states of each `CodeSpec` are computed once and shared read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -71,11 +73,15 @@ def code_index(spec: CodeSpec, logical: int) -> int:
     return idx
 
 
+@cache
 def code_states(spec: CodeSpec) -> np.ndarray:
-    """Physical basis index of every logical computational state, in logical order."""
+    """Physical basis index of every logical computational state, in logical order;
+    built once per spec and shared read-only."""
     k = spec.n_logical
     pairs = np.array([b1 | b2 << 1 for b1, b2 in _PATTERNS[spec.sector]])  # per-qubit pair value
-    return (pairs[np.arange(2**k)[:, None] >> np.arange(k) & 1] << 2 * np.arange(k)).sum(axis=1)
+    states = (pairs[np.arange(2**k)[:, None] >> np.arange(k) & 1] << 2 * np.arange(k)).sum(axis=1)
+    states.flags.writeable = False
+    return states
 
 
 def code_isometry(spec: CodeSpec) -> np.ndarray:
@@ -93,6 +99,8 @@ def encode(spec: CodeSpec, logical_state: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"logical state has shape {psi.shape}, expected ({2**spec.n_logical},)"
         )
+    if not np.isfinite(psi).all():
+        raise ValidationError("logical state has a non-finite entry")
     out = np.zeros(2**spec.n_spins, dtype=complex)
     out[code_states(spec)] = psi
     return out
@@ -103,17 +111,24 @@ def decode(spec: CodeSpec, physical_state: np.ndarray):
 
     Returns (logical_state, leakage_norm) where leakage_norm = ||(I-P) psi||
     for a normalized input and the logical part is renormalized. A state with
-    no in-code component returns (None, 1.0).
+    no in-code component returns (None, 1.0). The state is scaled to its largest
+    entry before any norm, so huge entries cannot overflow; a non-finite entry
+    raises ValidationError.
     """
     psi = np.asarray(physical_state, dtype=complex)
     if psi.shape != (2**spec.n_spins,):
         raise DimensionError(
             f"physical state has shape {psi.shape}, expected ({2**spec.n_spins},)"
         )
-    norm = np.linalg.norm(psi)
-    if norm == 0:
+    if not np.isfinite(psi).all():
+        raise ValidationError("physical state has a non-finite entry")
+    largest = max(np.abs(psi.real).max(), np.abs(psi.imag).max())
+    if largest == 0:
         raise ValidationError("cannot decode the zero vector")
-    amps = psi[code_states(spec)] / norm
+    # by a power of two: exact, so bit for bit the unscaled result; the bound keeps
+    # the factor finite for subnormal input
+    psi = psi * 2.0 ** -max(np.frexp(largest)[1], -1000)
+    amps = psi[code_states(spec)] / np.linalg.norm(psi)
     in_norm = np.linalg.norm(amps)
     leakage = float(np.sqrt(max(0.0, 1.0 - in_norm**2)))
     if in_norm < 1e-12:

@@ -15,22 +15,24 @@ term, in realistic mode the full background.
 A group's generator is block-diagonal over the cosets of the span of its
 terms' X masks (`pauli.to_blocks`): a diagonal window is a phase per basis
 state, p parallel pulses give blocks of size 2**p, and only a model with
-always-on flip-flops makes them large. A compiled schedule repeats a few
-generators many times: every sandwich is a pulse, a window and the inverse
-pulse, exp(+i a G) and exp(-i a G) of one G in ideal mode, and every window
-evolves one term for its own duration. So one eigendecomposition is made per
-distinct generator of a schedule, the blocks of all generators of one size in
-one batched eigh; each distinct group rebuilds only its phases from it, and
-is applied to a column array wherever it stands. For `apply_schedule` that
-array is the identity on every basis state, under the dense spin cap. A
-verdict needs only U V on the 2**(n/2) code states, and every term maps r to
-r ^ x with x in S, the span of all the schedule's X masks, so U V is zero
-outside the rows code ^ S: the verdict evolves just those rows (the code
-states themselves for every XXZ and one-qubit gate), within a byte budget of
-one dense matrix at the spin cap instead of the cap itself. The code states
-are basis states, so `restrict` reads V^dag U V off the code rows of U V and
-the leakage off the others, from all of U or from a verdict's rows.
-`propagator` stays the dense exponential of one generator.
+always-on flip-flops makes them large. It is never summed as a PauliSum: its
+term arrays are those of the model-owned background, window term and toggled
+generators, concatenated and scaled (`pauli.scaled_sum`). A compiled schedule
+repeats a few generators many times: every sandwich is a pulse, a window and
+the inverse pulse, exp(+i a G) and exp(-i a G) of one G in ideal mode, and
+every window evolves one term for its own duration. So one eigendecomposition
+is made per distinct generator of a schedule, the blocks of all generators of
+one size in one batched eigh; each distinct group rebuilds only its phases
+from it, and is applied to a column array wherever it stands. For
+`apply_schedule` that array is the identity on every basis state, under the
+dense spin cap. A verdict needs only U V on the 2**(n/2) code states, and
+every term maps r to r ^ x with x in S, the span of all the schedule's X
+masks, so U V is zero outside the rows code ^ S: the verdict evolves just
+those rows (the code states themselves for every XXZ and one-qubit gate),
+within a byte budget of one dense matrix at the spin cap instead of the cap
+itself. The code states are basis states, so `restrict` reads V^dag U V off
+the code rows of U V and the leakage off the others, from all of U or from a
+verdict's rows. `propagator` stays the dense exponential of one generator.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ from .model import (
     read_json,
     toggled_generator,
 )
-from .pauli import PauliSum, check_bytes, check_dense, coset_rows, to_blocks, to_matrix, x_basis
+from .pauli import PauliSum, Terms, check_bytes, check_dense, coset_rows, scaled_sum
+from .pauli import to_blocks, to_matrix, x_basis
 
 _TARGET_RE = re.compile(r"^(t_z|r_z)\((\d+)\)$|^zz\((\d+),(\d+)\)$")
 
@@ -92,11 +95,15 @@ class WindowTarget:
         return model.eps_minus(self.i) if self.kind == "t_z" else model.eps_plus(self.i)
 
     def term(self, model: ExchangeModel) -> PauliSum:
-        """The kept term with its model coefficient."""
-        n, coeff = model.n_spins, self.coefficient(model)
-        if self.kind == "zz":
-            return coeff * build_zz(n, self.i, self.j)
-        return coeff * (t_z if self.kind == "t_z" else r_z)(n, self.i)
+        """The kept term with its model coefficient, built once per model and target."""
+
+        def build():
+            n, coeff = model.n_spins, self.coefficient(model)
+            if self.kind == "zz":
+                return coeff * build_zz(n, self.i, self.j)
+            return coeff * (t_z if self.kind == "t_z" else r_z)(n, self.i)
+
+        return model.term(self, build)
 
 
 @dataclass(frozen=True)
@@ -154,13 +161,11 @@ class PulseSchedule:
         return len(self.groups)
 
 
-def _checked(h: PauliSum) -> PauliSum:
-    """h itself, once it is a Hermitian PauliSum whose entries cannot overflow."""
-    if not isinstance(h, PauliSum):
-        raise ValidationError(f"propagator takes a PauliSum generator, got {type(h).__name__}")
-    if math.isinf(sum(abs(c) for c in h.coeffs())):  # bounds every matrix entry
+def _checked(h: Terms) -> Terms:
+    """h itself, once it is a Hermitian generator whose entries cannot overflow."""
+    if math.isinf(sum(np.abs(h.coeffs).tolist())):  # bounds every entry; inf, not a warning
         raise ValidationError("propagator generator overflows: sum of |coefficients| is inf")
-    if not h.is_hermitian(1e-10):
+    if not np.all(np.abs(h.coeffs.imag) <= 1e-10):
         raise ValidationError("propagator requires a Hermitian generator")
     return h
 
@@ -185,7 +190,10 @@ def _exponential(
 
 def propagator(h: PauliSum, t: float) -> np.ndarray:
     """exp(-i h t) via Hermitian eigendecomposition of the dense generator."""
-    return _exponential(*np.linalg.eigh(to_matrix(_checked(h))), t)
+    if not isinstance(h, PauliSum):
+        raise ValidationError(f"propagator takes a PauliSum generator, got {type(h).__name__}")
+    _checked(h.arrays)
+    return _exponential(*np.linalg.eigh(to_matrix(h)), t)
 
 
 def _group_key(
@@ -222,16 +230,12 @@ def _group_key(
     return ("background", pairs), abs(first) / strength
 
 
-def _generator(key: tuple, model: ExchangeModel, background: PauliSum) -> PauliSum:
-    """The checked generator a `_group_key` key stands for."""
+def _generator(key: tuple, model: ExchangeModel, background: PauliSum) -> Terms:
+    """The checked terms of the generator a `_group_key` key stands for."""
     base, pairs = key
-    if base is None:
-        gen = PauliSum.zero(model.n_spins)
-    else:
-        gen = background if base == "background" else base.term(model)
-    for handle, c in pairs:
-        gen = gen + c * toggled_generator(model, handle)
-    return _checked(gen)
+    parts = [] if base is None else [(background if base == "background" else base.term(model), 1)]
+    parts += [(toggled_generator(model, handle), c) for handle, c in pairs]
+    return _checked(scaled_sum(parts))
 
 
 def apply_schedule(
@@ -341,16 +345,23 @@ def restrict(
     Returns (B, leakage) with B = V^dag U V, read from the code rows of U V, and
     leakage = ||(I - P) U P||_F / ||P||_F, in [0, 1] for unitary U, from the
     others. `u` is all of U or, given the sorted basis states `rows` that U V
-    is zero outside, just those rows of U V; other shapes raise DimensionError.
+    is zero outside, just those rows of U V; other shapes raise DimensionError,
+    and a non-finite B or leakage raises ValidationError.
     """
     u = np.asarray(u, dtype=complex)
     dim, k = 2**spec.n_spins, 2**spec.n_logical
     if rows is None and u.shape == (dim, dim):
-        u, rows = u @ code_isometry(spec), np.arange(dim)
+        with np.errstate(invalid="ignore"):  # inf * 0 is NaN: the check below reports it
+            u, rows = u @ code_isometry(spec), np.arange(dim)
     elif rows is None or u.shape != (len(rows), k):
         raise DimensionError(f"restrict takes {dim} x {dim} or (len(rows), {k}), got {u.shape}")
     code = np.searchsorted(rows, code_states(spec))
-    return u[code], float(np.linalg.norm(np.delete(u, code, axis=0)) / np.sqrt(k))
+    outside = np.ones(len(rows), dtype=bool)
+    outside[code] = False
+    block, leakage = u[code], float(np.linalg.norm(u[outside]) / np.sqrt(k))
+    if not (np.isfinite(block).all() and math.isfinite(leakage)):
+        raise ValidationError("restrict: the code block or its leakage is not finite")
+    return block, leakage
 
 
 # -- JSON --------------------------------------------------------------------

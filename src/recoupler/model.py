@@ -7,8 +7,9 @@ always-on background for non-controllable parameters and the nominal strength
 for controllable ones (which rest at zero between pulses).
 
 A model is read-only (its couplings are a mapping proxy over a private copy),
-so the background, its magnitude and each toggled generator are built on first
-use and stored on the model: once per model, not once per verdict.
+so the background, its magnitude, each toggled generator and each free
+window's kept term are built on first use and stored on the model: once per
+model, not once per verdict.
 """
 
 from __future__ import annotations
@@ -241,9 +242,15 @@ class ExchangeModel:
             vals.append(abs(coeff))
         return total, max(vals) if vals else 1.0
 
+    def term(self, key, build: Callable[[], PauliSum]) -> PauliSum:
+        """The term kept under `key` (a pulsed handle, a window's target), from
+        `build()` on first use: built once per model."""
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
     @cached_property
-    def _generators(self) -> dict[TermHandle, PauliSum]:
-        """Toggled generator of each controllable handle pulsed so far."""
+    def _built(self) -> dict:
         return {}
 
 
@@ -278,9 +285,7 @@ def toggled_generator(model: ExchangeModel, handle: TermHandle) -> PauliSum:
     controllability-registry enforcement point). Built once per model and handle.
     """
     model.require_controllable(handle)
-    if handle not in model._generators:
-        model._generators[handle] = _build_generator(model, handle)
-    return model._generators[handle]
+    return model.term(handle, lambda: _build_generator(model, handle))
 
 
 def _build_generator(model: ExchangeModel, handle: TermHandle) -> PauliSum:

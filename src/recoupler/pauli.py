@@ -15,7 +15,7 @@ Conventions (used everywhere in this package):
 from __future__ import annotations
 
 import os
-from typing import Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import CapacityError, DimensionError, UnsupportedGeneratorError, Va
 COEFF_EPS = 1e-14  # canonicalization threshold for PauliSum coefficients
 
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+_PHASE_ARRAY = np.array(_PHASES)
 _X_BITS = str.maketrans("IXYZ", "0110")
 _Z_BITS = str.maketrans("IXYZ", "0011")
 _LETTER = "IXZY"  # indexed by x_bit | z_bit << 1
@@ -105,6 +106,17 @@ def site_letters(n: int, sites: Mapping[int, str]) -> str:
     return "".join(letters)
 
 
+class Terms(NamedTuple):
+    """Read-only parallel arrays of terms; entries of a repeated term add when read."""
+
+    x: np.ndarray
+    z: np.ndarray
+    coeffs: np.ndarray
+
+
+_NO_TERMS = Terms(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, complex))
+
+
 class PauliSum:
     """Finite complex-weighted sum of Pauli strings on a fixed spin count.
 
@@ -112,18 +124,29 @@ class PauliSum:
     COEFF_EPS are dropped on construction; NaN is kept.
     """
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "_terms", "_arrays")
 
     def __init__(self, n: int, terms: Mapping[str, complex] | None = None):
         self.n = int(n)
         self._terms = _canonical(
             {_key(self.n, letters): coeff for letters, coeff in (terms or {}).items()}
         )
+        self._arrays = None
 
     def _new(self, terms: Mapping[_Key, complex]) -> "PauliSum":
         out = PauliSum.__new__(PauliSum)
-        out.n, out._terms = self.n, _canonical(terms)
+        out.n, out._terms, out._arrays = self.n, _canonical(terms), None
         return out
+
+    @property
+    def arrays(self) -> Terms:
+        """The terms as read-only `Terms`, built on first use: the sum is immutable."""
+        if self._arrays is None:
+            keys = np.array(list(self._terms), dtype=np.int64).reshape(-1, 2).T.copy()
+            self._arrays = Terms(*keys, np.array(list(self._terms.values()), dtype=complex))
+            for a in self._arrays:
+                a.flags.writeable = False
+        return self._arrays
 
     @classmethod
     def zero(cls, n: int) -> "PauliSum":
@@ -132,10 +155,6 @@ class PauliSum:
     @property
     def terms(self) -> dict[str, complex]:
         return {_letters(self.n, k): c for k, c in self._terms.items()}
-
-    def coeffs(self) -> list[complex]:
-        """The coefficients in term order, with no letters formatted."""
-        return list(self._terms.values())
 
     def __len__(self):
         return len(self._terms)
@@ -254,7 +273,35 @@ def to_matrix(s: PauliSum) -> np.ndarray:
     return out
 
 
-def x_basis(*sums: PauliSum) -> dict[int, int]:
+def scaled_sum(parts: Iterable[tuple[PauliSum, complex]]) -> Terms:
+    """The terms of sum c * s over the (s, c) of `parts`, concatenated, not merged."""
+    scaled = [s.arrays if c == 1 else s.arrays._replace(coeffs=s.arrays.coeffs * c) for s, c in parts]
+    return scaled[0] if len(scaled) == 1 else Terms(*map(np.concatenate, zip(_NO_TERMS, *scaled)))
+
+
+def _arrays(s: PauliSum | Terms) -> Terms:
+    return s if isinstance(s, Terms) else s.arrays
+
+
+def rotate(matrix: np.ndarray, letters: str, angle: float):
+    """M <- exp(-i angle P) M = cos(angle) M - i sin(angle) P M in place, P the string
+    of `letters`, a signed permutation: (P M)[r] = i**|x&z| (-1)**|(r^x)&z| M[r^x].
+    A diagonal P scales each row; any other takes one temporary the size of M."""
+    x, z = _key(len(letters), letters)
+    rows = np.arange(len(matrix))
+    # bitwise_count gives uint8, where an integer (-1) ** count would wrap: use the parity
+    signs = 1.0 - 2.0 * (np.bitwise_count((rows ^ x) & z) & 1)
+    weights = (-1j * np.sin(angle) * _PHASES[(x & z).bit_count() % 4]) * signs
+    if not x:
+        matrix *= (np.cos(angle) + weights)[:, None]
+        return
+    turned = matrix[rows ^ x]
+    turned *= weights[:, None]
+    matrix *= np.cos(angle)
+    matrix += turned
+
+
+def x_basis(*sums: PauliSum | Terms) -> dict[int, int]:
     """Reduced GF(2) basis of the span of the X masks of `sums`.
 
     Maps each pivot bit to its basis vector; no other vector has that bit set,
@@ -263,7 +310,7 @@ def x_basis(*sums: PauliSum) -> dict[int, int]:
     mask is reduced once, in any order.
     """
     basis: dict[int, int] = {}
-    for x in {x for s in sums for x, _ in s._terms}:
+    for x in {x for s in sums for x in _arrays(s).x.tolist()}:
         for bit, vec in basis.items():
             x ^= vec * (x >> bit & 1)
         if x:
@@ -295,7 +342,7 @@ def coset_rows(n: int, basis: dict[int, int], states: np.ndarray) -> np.ndarray:
 
 
 def to_blocks(
-    s: PauliSum, rows: np.ndarray, basis: dict[int, int]
+    s: PauliSum | Terms, rows: np.ndarray, basis: dict[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The matrix of `s` as blocks over the cosets of the span of its X masks.
 
@@ -313,13 +360,13 @@ def to_blocks(
     at = np.searchsorted(rows, states)
     if not np.array_equal(np.take(rows, at, mode="clip"), states):
         raise ValidationError("rows are not a union of cosets of the span")
-    xs, zs = np.array(list(s._terms), dtype=np.int64).reshape(-1, 2).T
+    xs, zs, coeffs = _arrays(s)
     coords = sum(((xs >> bit & 1) << j for j, bit in enumerate(pivots)), np.zeros_like(xs))
-    weights = [c * _PHASES[(x & z).bit_count() % 4] for (x, z), c in s._terms.items()]
+    weights = coeffs * _PHASE_ARRAY[np.bitwise_count(xs & zs) & 3]
     signs = 1.0 - 2.0 * (np.bitwise_count(states & zs[:, None, None]) & 1)  # term, coset, offset
     blocks = np.zeros((len(states), len(span), len(span)), dtype=complex)
     offsets = np.arange(len(span))
     # term t adds weights[t] * signs[t] at rows offsets ^ coords[t], columns offsets
     np.add.at(blocks, (slice(None), coords[:, None] ^ offsets, offsets),
-              signs.transpose(1, 0, 2) * np.array(weights, dtype=complex)[:, None])
+              signs.transpose(1, 0, 2) * weights[:, None])
     return at, blocks

@@ -4,6 +4,9 @@ The fidelity metric is the normalized trace overlap of the code-space block,
 |Tr(U_target^dag V^dag U V)| / 2^{n_logical}: global-phase invariant, equal to
 one iff the restricted block matches the target exactly and is unitary.
 Leakage is reported separately so the two failure modes stay distinguishable.
+Each target factor exp(-i a P) of a logical Pauli string P is a signed
+permutation of the logical basis states and is applied in place (`rotate`) to
+one matrix: the identity for a gate, one running product for a circuit.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .model import (
     build_zz,
     preset_model,
 )
-from .pauli import PauliSum, conjugate, site_letters, to_matrix
+from .pauli import PauliSum, conjugate, rotate, site_letters, to_matrix
 
 
 def _overlap(block: np.ndarray, u_target: np.ndarray, spec: CodeSpec) -> float:
@@ -52,49 +55,35 @@ def fidelity(u_realized: np.ndarray, u_target: np.ndarray, spec: CodeSpec) -> fl
     return _overlap(restrict(u_realized, spec)[0], u_target, spec)
 
 
-def _rotation(k: int, sites: dict[int, str], angle: float) -> np.ndarray:
-    """exp(-i angle P) for the logical string P = sites, as cos(angle) I - i sin(angle) P."""
-    terms = {"I" * k: np.cos(angle), site_letters(k, sites): -1j * np.sin(angle)}
-    return to_matrix(PauliSum(k, terms))
-
-
-def target_logical(
-    gate: LogicalGate,
-    model: ExchangeModel,
-    sector: str = SYMMETRIC,
-    exact_cphase: bool = False,
-) -> np.ndarray:
-    """The documented logical unitary a compiled gate realizes on the code space.
-
-    Each target is a Pauli sum on the k = n/2 logical qubits (logical qubit 1
-    least significant), realized with `to_matrix`.
-    """
-    k = model.n_spins // 2
-    m = gate.targets[0]
-    if gate.kind == "rx":
-        return _rotation(k, {m: "X"}, gate.params[0] / 2)
-    if gate.kind == "rz":
-        return _rotation(k, {m: "Z"}, gate.params[0] / 2)
-    if gate.kind == "euler":
-        a, b, g = gate.params
-        x = {m: "X"}
-        return _rotation(k, x, a / 2) @ _rotation(k, {m: "Z"}, b / 2) @ _rotation(k, x, g / 2)
-    sector_sign = -1.0 if sector == SYMMETRIC else 1.0  # sigma_z sigma_z |code = sign * ZZ
-    zz = {m: "Z", m + 1: "Z"}
-    if gate.kind == "heis_zz":
-        jz = model.coupling(2 * m, 2 * m + 1).jz
-        return _rotation(k, zz, sector_sign * jz * gate.params[0])
-    if exact_cphase:  # (I + Z_m + Z_{m+1} - Z_m Z_{m+1}) / 2 = diag(1, 1, 1, -1)
-        halves = (({}, 0.5), ({m: "Z"}, 0.5), ({m + 1: "Z"}, 0.5), (zz, -0.5))
-        return to_matrix(PauliSum(k, {site_letters(k, s): c for s, c in halves}))
-    return _rotation(k, zz, sector_sign * math.pi / 4)
-
-
 def target_circuit(gates, model, sector=SYMMETRIC, exact_cphase=False) -> np.ndarray:
-    out = np.eye(2 ** (model.n_spins // 2), dtype=complex)
-    for gate in gates:  # time order: later gates multiply on the left
-        out = target_logical(gate, model, sector, exact_cphase) @ out
+    """The logical unitary a gate list in time order realizes on the code space, on
+    the k = n/2 logical qubits (logical qubit 1 least significant)."""
+    k = model.n_spins // 2
+    sector_sign = -1.0 if sector == SYMMETRIC else 1.0  # sigma_z sigma_z |code = sign * ZZ
+    out = np.eye(2**k, dtype=complex)
+    for gate in gates:  # each gate multiplies on the left
+        m, kind, params = gate.targets[0], gate.kind, gate.params
+        if kind in ("rx", "rz", "euler"):
+            x, z = site_letters(k, {m: "X"}), site_letters(k, {m: "Z"})
+            factors = [(x if kind == "rx" else z, params[0])]
+            if kind == "euler":  # Rx(a) Rz(b) Rx(g): the rightmost factor first
+                factors = [(x, params[2]), (z, params[1]), (x, params[0])]
+            for letters, angle in factors:
+                rotate(out, letters, angle / 2)
+            continue
+        zz = site_letters(k, {m: "Z", m + 1: "Z"})
+        if kind == "heis_zz":
+            rotate(out, zz, sector_sign * model.coupling(2 * m, 2 * m + 1).jz * params[0])
+        elif exact_cphase:  # diag(1, 1, 1, -1) on qubits m, m + 1
+            out[(np.arange(2**k) >> (m - 1) & 3) == 3] *= -1
+        else:
+            rotate(out, zz, sector_sign * math.pi / 4)
     return out
+
+
+def target_logical(gate, model, sector=SYMMETRIC, exact_cphase=False) -> np.ndarray:
+    """The documented logical unitary a compiled gate realizes on the code space."""
+    return target_circuit([gate], model, sector, exact_cphase)
 
 
 @dataclass

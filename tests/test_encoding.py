@@ -63,6 +63,13 @@ class TestProjector:
             assert code_states(spec).tolist() == want
             assert code_isometry(spec)[want, range(len(want))].tolist() == [1.0] * len(want)
 
+    def test_code_states_are_built_once_and_read_only(self):
+        states = code_states(CodeSpec(ANTISYMMETRIC, 6))
+        assert code_states(CodeSpec(ANTISYMMETRIC, 6)) is states
+        with pytest.raises(ValueError, match="read-only"):
+            states[0] = 1
+        assert code_states(CodeSpec(ANTISYMMETRIC, 6)).tolist() == [0, 3, 12, 15, 48, 51, 60, 63]
+
     def test_symmetric_two_spin_span(self):
         p = projector(CodeSpec(SYMMETRIC, 2))
         # spans |ud> (index 2) and |du> (index 1)
@@ -105,6 +112,31 @@ class TestEncodeDecode:
         out, leak = decode(spec, psi)
         assert leak == pytest.approx(0.5)
         assert np.allclose(out, [1.0, 0.0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_entries_decode_without_overflow(self):
+        spec = CodeSpec(SYMMETRIC, 2)  # code states |ud> = 2 and |du> = 1
+        for huge, phase in ((1e308, 1), (1.7e308 + 1.7e308j, (1 + 1j) / np.sqrt(2)), (-1e300j, -1j)):
+            out, leak = decode(spec, [0, huge, huge, 0])
+            assert np.allclose(out, np.full(2, np.sqrt(0.5) * phase), rtol=0, atol=1e-15)
+            assert leak < 1e-7  # sqrt(1 - |P psi|^2) resolves no smaller leakage
+        # a power-of-two scale changes nothing, down to subnormal entries
+        psi = np.array([0.25, 1 - 2j, 0.5j, 3.0])
+        want_out, want_leak = decode(spec, psi)
+        for scale in (2.0**1000, 2.0**-1070):
+            out, leak = decode(spec, psi * scale)
+            assert np.array_equal(out, want_out) and leak == want_leak
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(1, np.inf)])
+    def test_non_finite_states_raise(self, bad):
+        spec = CodeSpec(SYMMETRIC, 2)
+        with pytest.raises(ValidationError, match="physical state has a non-finite entry"):
+            decode(spec, [0, 1, bad, 0])
+        with pytest.raises(ValidationError, match="physical state has a non-finite entry"):
+            decode(spec, [bad, 1, 0, 0])  # outside the code space too
+        with pytest.raises(ValidationError, match="logical state has a non-finite entry"):
+            encode(spec, [1, bad])
 
     def test_dimension_checks(self):
         spec = CodeSpec(SYMMETRIC, 4)

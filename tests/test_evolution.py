@@ -19,8 +19,10 @@ from recoupler import (
     ValidationError,
     WindowTarget,
     apply_schedule,
+    background_hamiltonian,
     build_zz,
     compile_gate,
+    fidelity,
     j_plus,
     nmr_ising_schedule,
     nmr_z_rotation_schedule,
@@ -33,8 +35,10 @@ from recoupler import (
     sigma_x,
     t_z,
     to_matrix,
+    toggled_generator,
 )
-from recoupler.evolution import _exponential
+from recoupler.evolution import _exponential, _generator
+from recoupler.pauli import to_blocks, x_basis
 from recoupler.verifier import STANDARD_GATES
 
 
@@ -310,6 +314,78 @@ class TestRestrict:
         u = propagator(h23, 1.0 / j23)
         _, leak = restrict(u, spec)
         assert leak > 0.1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_block_or_leakage_raises(self, bad):
+        spec = CodeSpec(SYMMETRIC, 2)  # code states 2 and 1; 0 and 3 leak
+        with pytest.raises(ValidationError, match="code block or its leakage is not finite"):
+            restrict(np.full((4, 4), bad), spec)
+        for row in range(4):  # in a code row it reaches the block, elsewhere the leakage
+            uv = np.zeros((4, 2), dtype=complex)
+            uv[[2, 1], [0, 1]] = 1.0
+            uv[row, 1] = bad
+            with pytest.raises(ValidationError, match="not finite"):
+                restrict(uv, spec, np.arange(4))
+            u = np.eye(4, dtype=complex)
+            u[row, 1] = bad
+            with pytest.raises(ValidationError, match="not finite"):
+                fidelity(u, np.eye(2), spec)
+
+
+def _dense(terms, n):
+    """The 2**n x 2**n matrix of term arrays, assembled from their blocks."""
+    at, blocks = to_blocks(terms, np.arange(2**n), x_basis(terms))
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for states, block in zip(at, blocks):
+        out[np.ix_(states, states)] = block
+    return out
+
+
+class TestGeneratorTerms:
+    """Each key's term arrays against the generator summed as a PauliSum."""
+
+    @pytest.mark.parametrize("preset", ["electrons_on_helium", "heisenberg", "xy", "nmr"])
+    def test_every_key_shape_matches_the_summed_generator(self, preset):
+        model = preset_model(preset, 6)
+        background = background_hamiltonian(model)
+        handles = sorted(h for h in model.controllable if h != FREE_EVOLUTION)
+        first = handles[0]
+        second = next(h for h in handles if not {h.i, h.j} & {first.i, first.j} - {None})
+        strength = 100.0 * model.background_magnitude()
+        keys = [
+            (None, ()),
+            (WindowTarget("t_z", 2), ()),
+            (WindowTarget("r_z", 1), ()),
+            (WindowTarget("zz", 3, 4), ()),
+            ("background", ()),
+            (None, ((first, 1.0),)),
+            (None, ((first, 1.0), (second, -0.37))),
+            ("background", ((first, strength),)),
+            ("background", ((first, -strength), (second, strength))),
+        ]
+        for key in keys:
+            base, pairs = key
+            want = PauliSum.zero(6)
+            if base is not None:
+                want = background if base == "background" else base.term(model)
+            for handle, c in pairs:
+                want = want + c * toggled_generator(model, handle)
+            got, want = _dense(_generator(key, model, background), 6), to_matrix(want)
+            # summed in another order: within rounding of the largest entry
+            assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(want))), key
+
+    def test_single_terms_are_the_model_owned_arrays(self):
+        model = preset_model("electrons_on_helium", 6)
+        background = background_hamiltonian(model)
+        handle = j_plus(1, 2)
+        assert _generator(("background", ()), model, background) is background.arrays
+        assert _generator((None, ((handle, 1.0),)), model, background) is (
+            toggled_generator(model, handle).arrays
+        )
+        target = WindowTarget("t_z", 1)
+        assert target.term(model) is target.term(model)
+        assert not background.arrays.coeffs.flags.writeable
 
 
 class TestScheduleJson:

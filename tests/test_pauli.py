@@ -129,7 +129,7 @@ class TestLetters:
     def test_coeff_lookup(self):
         s = PauliSum(2, {"XZ": 1.5, "YI": -2j})
         assert s.coeff("YI") == -2j and s.coeff("ZZ") == 0
-        assert s.coeffs() == [1.5, -2j]
+        assert s.arrays.coeffs.tolist() == [1.5, -2j]
         with pytest.raises(DimensionError):
             s.coeff("X")
         with pytest.raises(ValidationError, match="invalid Pauli letters 'AB'"):

@@ -18,10 +18,13 @@ from recoupler import (
     identity_suite,
     j_plus,
     preset_model,
+    target_circuit,
     target_logical,
+    to_matrix,
     verify_circuit,
     verify_gate,
 )
+from recoupler.pauli import PauliSum, site_letters
 from recoupler.verifier import STANDARD_GATES
 
 XXZ = preset_model("electrons_on_helium", 4)
@@ -448,6 +451,28 @@ class TestVerdictContract:
         assert [pairs != () for _, pairs in built].count(True) == pulse_builds
         assert len(built) == pulse_builds + 1
 
+    @pytest.mark.parametrize("mode,ratio", CONTRACT_MODES, ids=["ideal", "realistic"])
+    def test_a_repeat_verdict_builds_no_pauli_sum_and_no_dense_matrix(self, monkeypatch, mode, ratio):
+        # the model owns every term a verdict evolves, and targets are signed permutations
+        import recoupler.encoding as encoding
+        import recoupler.evolution as evolution
+        import recoupler.verifier as verifier
+
+        model = preset_model("electrons_on_helium", 8)
+        gates = [LogicalGate("rx", (1,), (1.1,)), LogicalGate("rz", (2,), (0.7,)),
+                 LogicalGate("cphase", (1, 2)), LogicalGate("euler", (3,), (0.5, 1.2, -0.8))]
+        first = verify_circuit(gates, model, mode=mode, ratio=ratio)
+        assert first.reason == ""
+        sums, dense = [], []
+        init, new = PauliSum.__init__, PauliSum._new
+        monkeypatch.setattr(PauliSum, "__init__", lambda s, *args: sums.append(args) or init(s, *args))
+        monkeypatch.setattr(PauliSum, "_new", lambda s, terms: sums.append(terms) or new(s, terms))
+        for module in (encoding, evolution, verifier):
+            build = module.to_matrix
+            monkeypatch.setattr(module, "to_matrix", lambda s, build=build: dense.append(s) or build(s))
+        assert verify_circuit(gates, model, mode=mode, ratio=ratio) == first
+        assert sums == [] and dense == []
+
 
 # -- closed-form oracle for target_logical: the kron embedding, 2x2 rotations and
 # diagonal phases it was written with before it went through the Pauli core
@@ -535,6 +560,21 @@ class TestTargetOracle:
             want = _closed_form_target(gate, model, sector, exact_cphase)
             assert np.max(np.abs(got - want)) <= 1e-15, gate.describe()
 
+    @pytest.mark.parametrize("exact_cphase", [False, True])
+    @pytest.mark.parametrize("sector", [SYMMETRIC, ANTISYMMETRIC])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_circuit_matches_the_dense_rotation_product(self, k, sector, exact_cphase):
+        rng = np.random.default_rng(10 * k + 2 * (sector == SYMMETRIC) + exact_cphase)
+        model = preset_model("heisenberg", 2 * k)
+        kinds = ["rx", "rz", "euler"] + ["cphase", "heis_zz"] * (k > 1)
+        for _ in range(8):
+            gates = [_random_gate(rng, str(rng.choice(kinds)), k) for _ in range(rng.integers(1, 13))]
+            want = np.eye(2**k)
+            for gate in gates:
+                want = _dense_target(gate, model, sector, exact_cphase) @ want
+            got = target_circuit(gates, model, sector, exact_cphase)
+            assert np.max(np.abs(got - want)) <= 1e-14, [g.describe() for g in gates]
+
     @pytest.mark.parametrize("sector", [SYMMETRIC, ANTISYMMETRIC])
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_exact_cphase_is_exactly_diagonal_signs(self, k, sector):
@@ -543,3 +583,41 @@ class TestTargetOracle:
             got = target_logical(LogicalGate("cphase", (m, m + 1)), model, sector, True)
             assert np.array_equal(got, _cphase_exact(m, k))
             assert set(np.diag(got)) == {1.0, -1.0}
+
+
+# -- dense oracle for target_circuit: each rotation as the dense Pauli sum
+# cos(a) I - i sin(a) P, each gate as their matrix product
+
+
+def _dense_rotation(k, sites, angle):
+    terms = {"I" * k: np.cos(angle), site_letters(k, sites): -1j * np.sin(angle)}
+    return to_matrix(PauliSum(k, terms))
+
+
+def _dense_target(gate, model, sector, exact_cphase):
+    k = model.n_spins // 2
+    m = gate.targets[0]
+    if gate.kind in ("rx", "rz"):
+        return _dense_rotation(k, {m: gate.kind[1].upper()}, gate.params[0] / 2)
+    if gate.kind == "euler":
+        a, b, g = gate.params
+        x = {m: "X"}
+        return _dense_rotation(k, x, a / 2) @ _dense_rotation(k, {m: "Z"}, b / 2) @ _dense_rotation(
+            k, x, g / 2
+        )
+    sector_sign = -1.0 if sector == SYMMETRIC else 1.0
+    zz = {m: "Z", m + 1: "Z"}
+    if gate.kind == "heis_zz":
+        jz = model.coupling(2 * m, 2 * m + 1).jz
+        return _dense_rotation(k, zz, sector_sign * jz * gate.params[0])
+    if exact_cphase:  # (I + Z_m + Z_{m+1} - Z_m Z_{m+1}) / 2
+        halves = (({}, 0.5), ({m: "Z"}, 0.5), ({m + 1: "Z"}, 0.5), (zz, -0.5))
+        return to_matrix(PauliSum(k, {site_letters(k, s): c for s, c in halves}))
+    return _dense_rotation(k, zz, sector_sign * np.pi / 4)
+
+
+def _random_gate(rng, kind, k):
+    m = int(rng.integers(1, k + (kind in ("rx", "rz", "euler"))))
+    params = {"rx": 1, "rz": 1, "euler": 3, "cphase": 0, "heis_zz": 1}[kind]
+    targets = (m,) if kind in ("rx", "rz", "euler") else (m, m + 1)
+    return LogicalGate(kind, targets, tuple(rng.uniform(-2 * np.pi, 2 * np.pi, size=params)))
