@@ -6,14 +6,8 @@ fidelity, leakage, and step counts.
 from .compiler import (
     LogicalGate,
     circuit_from_list,
-    compile_cphase_xxz,
-    compile_cphase_xy,
     compile_circuit,
-    compile_euler,
     compile_gate,
-    compile_heis_zz,
-    compile_rx,
-    compile_rz,
     nmr_ising_schedule,
     nmr_z_rotation_schedule,
 )
@@ -21,7 +15,6 @@ from .encoding import (
     ANTISYMMETRIC,
     SYMMETRIC,
     CodeSpec,
-    code_index,
     code_isometry,
     decode,
     encode,

@@ -24,15 +24,19 @@ W is a free window, F an NMR free period.
   nmr:         F . conj(F, [sigma_x(spin)], pi/2) for a z rotation, and
                F . conj(conj(F, [sigma_x(1)], pi/2), [sigma_x(2)], pi/2) for Ising.
 
-`compile_gate` applies the per-gate layout options once, after lowering:
-`exact_cphase` prepends the local rz corrections to every cphase family, and
-`parallel=False` splits every group into single-step groups in order.
+`_GATES` maps each gate kind to its target count, parameters and lowering;
+`LogicalGate`, `gate_from_dict` and `compile_gate` read it and nothing else.
+`compile_gate` checks the sector and the target qubits once, lowers, and then
+applies the per-gate layout options once: `exact_cphase` prepends the local
+rz corrections to every cphase family, and `parallel=False` splits every
+group into single-step groups in order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .encoding import SYMMETRIC, CodeSpec
 from .errors import (
@@ -61,22 +65,19 @@ _ZERO = 1e-12
 
 @dataclass(frozen=True)
 class LogicalGate:
-    kind: str  # rx | rz | euler | cphase | heis_zz
+    kind: str  # a key of _GATES: rx | rz | euler | cphase | heis_zz
     targets: tuple[int, ...]  # 1-based logical indices
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        kinds = {"rx": 1, "rz": 1, "euler": 1, "cphase": 2, "heis_zz": 2}
-        if self.kind not in kinds:
-            raise ValidationError(f"unknown gate kind {self.kind!r}")
-        if len(self.targets) != kinds[self.kind]:
-            raise ValidationError(f"{self.kind} takes {kinds[self.kind]} target(s)")
-        nparams = {"rx": 1, "rz": 1, "euler": 3, "cphase": 0, "heis_zz": 1}[self.kind]
-        if len(self.params) != nparams:
-            raise ValidationError(f"{self.kind} takes {nparams} parameter(s)")
+        gate = _gate(self.kind)
+        if len(self.targets) != gate.qubits:
+            raise ValidationError(f"{self.kind} takes {gate.qubits} target(s)")
+        if len(self.params) != gate.params:
+            raise ValidationError(f"{self.kind} takes {gate.params} parameter(s)")
         if not all(math.isfinite(p) for p in self.params):
             raise ValidationError(f"{self.kind} parameters must be finite, got {self.params}")
-        if self.kind in ("cphase", "heis_zz") and self.targets[1] != self.targets[0] + 1:
+        if gate.qubits == 2 and self.targets[1] != self.targets[0] + 1:
             raise ConnectivityError(
                 f"{self.kind} couples adjacent logical qubits, got {self.targets}"
             )
@@ -142,28 +143,28 @@ def _free_window(target: WindowTarget, coeff: float, angle: float, period: float
     return PulseStep(FREE_EVOLUTION, duration=a / coeff, target=target)
 
 
-def compile_rx(m: int, theta: float, model: ExchangeModel, sector: str = SYMMETRIC) -> PulseSchedule:
-    """One-step rotation about the encoded x axis."""
-    _check_logical(model, sector, m)
-    handle = _x_handle(model, sector, m)
-    meta = {"gate": "rx", "m": m, "theta": theta, "sector": sector}
-    if _is_zero_mod(theta, 4 * math.pi):
-        return PulseSchedule((), meta)
-    return PulseSchedule(((PulseStep(handle, angle=theta / 2),),), meta)
-
-
 def _z_target(sector: str, m: int) -> WindowTarget:
     return WindowTarget("t_z" if sector == SYMMETRIC else "r_z", m)
 
 
-def compile_rz(m: int, theta: float, model: ExchangeModel, sector: str = SYMMETRIC) -> PulseSchedule:
+# -- lowerings: (model, sector, m, *params) -> groups, qubits already checked ------
+
+
+def _rx(model: ExchangeModel, sector: str, m: int, theta: float) -> tuple:
+    """One-step rotation about the encoded x axis."""
+    handle = _x_handle(model, sector, m)
+    if _is_zero_mod(theta, 4 * math.pi):
+        return ()
+    return ((PulseStep(handle, angle=theta / 2),),)
+
+
+def _rz(model: ExchangeModel, sector: str, m: int, theta: float) -> tuple:
     """Four-step rotation about the encoded z axis via the recoupling sandwich.
 
     The free windows accumulate theta/4 of the target pair's z splitting each;
     conjugating by the spectator qubits' x generators doubles the kept term and
     cancels every z-type background term that anticommutes with them.
     """
-    _check_logical(model, sector, m)
     model.require_controllable(FREE_EVOLUTION)
     target = _z_target(sector, m)
     coeff = target.coefficient(model)
@@ -172,45 +173,25 @@ def compile_rz(m: int, theta: float, model: ExchangeModel, sector: str = SYMMETR
             f"logical qubit {m}: zero z splitting (eps_m "
             f"{'minus' if sector == SYMMETRIC else 'plus'}); encoded rz is unreachable"
         )
-    meta = {"gate": "rz", "m": m, "theta": theta, "sector": sector}
     if _is_zero_mod(theta, 4 * math.pi):
-        return PulseSchedule((), meta)
+        return ()
 
     spectators = [k for k in range(1, model.n_spins // 2 + 1) if k != m]
     if not spectators:
         # nothing to refocus on a single-logical-qubit register
-        window = _free_window(target, coeff, theta / 2, 2 * math.pi)
-        return PulseSchedule(((window,),), meta)
+        return ((_free_window(target, coeff, theta / 2, 2 * math.pi),),)
 
     handles = [_x_handle(model, sector, k) for k in spectators]
     window = (_free_window(target, coeff, theta / 4, math.pi),)
-    return PulseSchedule((window,) + _conjugated((window,), handles, math.pi / 2), meta)
+    return (window,) + _conjugated((window,), handles, math.pi / 2)
 
 
-def compile_euler(
-    m: int,
-    alpha: float,
-    beta: float,
-    gamma: float,
-    model: ExchangeModel,
-    sector: str = SYMMETRIC,
-) -> PulseSchedule:
+def _euler(model: ExchangeModel, sector: str, m: int, alpha, beta, gamma) -> tuple:
     """Rx(alpha) Rz(beta) Rx(gamma); at most 1 + 4 + 1 = 6 steps after elision."""
-    parts = (
-        compile_rx(m, alpha, model, sector),
-        compile_rz(m, beta, model, sector),
-        compile_rx(m, gamma, model, sector),
-    )
-    meta = {"gate": "euler", "m": m, "angles": [alpha, beta, gamma], "sector": sector}
-    return PulseSchedule(sum((p.groups for p in parts), ()), meta)
+    return _rx(model, sector, m, alpha) + _rz(model, sector, m, beta) + _rx(model, sector, m, gamma)
 
 
-def compile_cphase_xxz(
-    m: int,
-    model: ExchangeModel,
-    angle: float = math.pi / 4,
-    sector: str = SYMMETRIC,
-) -> PulseSchedule:
+def _cphase_xxz(model: ExchangeModel, sector: str, m: int, angle: float) -> tuple:
     """Entangling ZZ phase between logical m and m+1 from the inter-pair J^z.
 
     The sandwich doubles the always-on sigma_z sigma_z coupling between spins
@@ -218,11 +199,6 @@ def compile_cphase_xxz(
     splittings. `angle` is the accumulated sigma_z sigma_z angle; pi/4 gives
     the controlled-phase gate up to local z rotations (see `compile_gate`).
     """
-    _check_logical(model, sector, m, m + 1)
-    if model.kind == "xy":
-        raise ControllabilityError(
-            "xy models have no sigma_z sigma_z coupling; use the xy cphase construction"
-        )
     b, c = 2 * m, 2 * m + 1
     target = WindowTarget("zz", b, c)
     jz = target.coefficient(model)  # ConnectivityError if uncoupled
@@ -230,19 +206,13 @@ def compile_cphase_xxz(
         raise ValidationError(f"pair ({b},{c}) has no zz coupling to recouple")
     model.require_controllable(FREE_EVOLUTION)
     handles = [_x_handle(model, sector, m), _x_handle(model, sector, m + 1)]
-    meta = {"gate": "cphase", "m": m, "angle": angle, "sector": sector}
     if _is_zero_mod(angle, 2 * math.pi):
-        return PulseSchedule((), meta)
+        return ()
     window = (_free_window(target, jz, angle / 2, math.pi),)
-    return PulseSchedule((window,) + _conjugated((window,), handles, math.pi / 2), meta)
+    return (window,) + _conjugated((window,), handles, math.pi / 2)
 
 
-def compile_cphase_xy(
-    m: int,
-    model: ExchangeModel,
-    angle: float = math.pi / 4,
-    sector: str = SYMMETRIC,
-) -> PulseSchedule:
+def _cphase_xy(model: ExchangeModel, sector: str, m: int, angle: float) -> tuple:
     """Five-step XY-model ZZ phase using a next-nearest-neighbor flip-flop.
 
     Conjugating the (2m, 2m+1) pulse by the intra-pair pi/2 pulse and the
@@ -250,36 +220,30 @@ def compile_cphase_xy(
     sigma_{2m}^z (sigma_{2m+1}^z - sigma_{2m-1}^z)/2, a pure phase whose
     intra-pair half is constant on the code space.
     """
-    _check_logical(model, sector, m, m + 1)
     if sector != SYMMETRIC:
         raise SectorError("the xy construction drives T generators (symmetric sector)")
     a, b, c = 2 * m - 1, 2 * m, 2 * m + 1
     for (i, j) in ((a, b), (b, c)):
         model.require_controllable(j_plus(i, j))
     if not model.has_pair(a, c):
-        raise ConnectivityError(
-            f"xy cphase needs the next-nearest-neighbor pair ({a},{c})"
-        )
+        raise ConnectivityError(f"xy cphase needs the next-nearest-neighbor pair ({a},{c})")
     model.require_controllable(j_plus(a, c))
-
-    meta = {"gate": "cphase", "m": m, "angle": angle, "sector": sector}
     if _is_zero_mod(angle, 2 * math.pi):
-        return PulseSchedule((), meta)
+        return ()
     inner = ((PulseStep(j_plus(b, c), angle=2 * angle),),)
     inner = _conjugated(inner, [j_plus(a, b)], math.pi / 2)
-    return PulseSchedule(_conjugated(inner, [j_plus(a, c)], math.pi / 4), meta)
+    return _conjugated(inner, [j_plus(a, c)], math.pi / 4)
 
 
-def compile_heis_zz(m: int, t: float, model: ExchangeModel) -> PulseSchedule:
+def _heis_zz(model: ExchangeModel, sector: str, m: int, t: float) -> tuple:
     """Six-step selective ZZ evolution exp(-i J_bc t Z_b Z_c) for isotropic exchange.
 
     Two half-windows of the bare inter-pair exchange sandwich a free-evolution
     window of T_m^z angle pi (that is exp(-i pi T_m^z) = Z_{2m-1} Z_{2m}, which
     flips the exchange's transverse part); the trailing three steps realize the
     closing window through the x-pulse sign-flip identity, keeping every window
-    non-negative in time.
+    non-negative in time. The construction is the same in both sectors.
     """
-    _check_logical(model, SYMMETRIC, m, m + 1)
     if model.kind != "heisenberg":
         raise ControllabilityError("heis_zz requires an isotropic-exchange model")
     a, b, c = 2 * m - 1, 2 * m, 2 * m + 1
@@ -293,13 +257,49 @@ def compile_heis_zz(m: int, t: float, model: ExchangeModel) -> PulseSchedule:
         raise DegenerateSpectrumError(
             f"logical qubit {m}: zero z splitting; the recoupling windows are unreachable"
         )
-    meta = {"gate": "heis_zz", "m": m, "t": t, "jz": jz, "sector": SYMMETRIC}
     if abs(t) < _ZERO:
-        return PulseSchedule((), meta)
+        return ()
     half = (PulseStep(heis(b, c), angle=jz * t),)
     window = (_free_window(target, coeff, math.pi, 2 * math.pi),)
-    groups = (half, window, half) + _conjugated((window,), [heis(a, b)], math.pi / 2)
-    return PulseSchedule(groups, meta)
+    return (half, window, half) + _conjugated((window,), [heis(a, b)], math.pi / 2)
+
+
+def _zz_phase(model: ExchangeModel, sector: str, m: int, angle: float) -> tuple:
+    """ZZ phase `angle` between logical m and m+1 by the model family's construction:
+    xy, heisenberg (heis_zz for time angle / J^z), or else XXZ."""
+    if model.kind == "xy":
+        return _cphase_xy(model, sector, m, angle)
+    if model.kind != "heisenberg":
+        return _cphase_xxz(model, sector, m, angle)
+    jz = model.coupling(2 * m, 2 * m + 1).jz
+    if abs(jz) < _ZERO:
+        raise ValidationError(f"pair ({2 * m},{2 * m + 1}) has no exchange coupling")
+    return _heis_zz(model, sector, m, angle / jz)
+
+
+class _Gate(NamedTuple):
+    """One gate kind: the shape of a `LogicalGate` and a circuit record of it, and its lowering."""
+
+    qubits: int  # 2: the adjacent logical qubits m and m+1
+    params: int
+    field: str | None  # circuit-JSON key of the parameters, a list when there are several
+    lower: Callable[..., tuple]  # (model, sector, m, *params) -> groups
+
+
+_GATES = {
+    "rx": _Gate(1, 1, "angle", _rx),
+    "rz": _Gate(1, 1, "angle", _rz),
+    "euler": _Gate(1, 3, "angles", _euler),
+    "cphase": _Gate(2, 0, None, lambda model, sector, m: _zz_phase(model, sector, m, math.pi / 4)),
+    "heis_zz": _Gate(2, 1, "time", _heis_zz),
+}
+
+
+def _gate(kind) -> _Gate:
+    gate = _GATES.get(kind) if isinstance(kind, str) else None
+    if gate is None:  # a JSON list or object as kind is unknown, not unhashable
+        raise ValidationError(f"unknown gate kind {kind!r}")
+    return gate
 
 
 def compile_gate(
@@ -309,40 +309,23 @@ def compile_gate(
     parallel: bool = True,
     exact_cphase: bool = False,
 ) -> PulseSchedule:
-    """Lower one logical gate with the construction matching the model family.
+    """Lower one logical gate with its kind's construction for the model family.
 
+    The sector and the target qubits are checked once, before any lowering.
     `exact_cphase` prepends the local rz corrections that turn any cphase
     family's bare ZZ phase into an exact CPHASE; `parallel=False` then splits
-    every group into single-step groups, keeping their order. The metadata
-    records the requested sector.
+    every group into single-step groups, keeping their order.
     """
-    CodeSpec(sector, model.n_spins)  # rejects an unknown sector before any lowering
-    m, params = gate.targets[0], gate.params
-    if gate.kind == "rx":
-        schedule = compile_rx(m, params[0], model, sector)
-    elif gate.kind == "rz":
-        schedule = compile_rz(m, params[0], model, sector)
-    elif gate.kind == "euler":
-        schedule = compile_euler(m, *params, model, sector)
-    elif gate.kind == "heis_zz":
-        schedule = compile_heis_zz(m, params[0], model)
-    elif model.kind == "xy":
-        schedule = compile_cphase_xy(m, model, sector=sector)
-    elif model.kind == "heisenberg":
-        jz = model.coupling(2 * m, 2 * m + 1).jz
-        if abs(jz) < _ZERO:
-            raise ValidationError(f"pair ({2 * m},{2 * m + 1}) has no exchange coupling")
-        schedule = compile_heis_zz(m, (math.pi / 4) / jz, model)
-    else:
-        schedule = compile_cphase_xxz(m, model, sector=sector)
-    groups = schedule.groups
+    m = gate.targets[0]
+    _check_logical(model, sector, *gate.targets)
+    groups = _GATES[gate.kind].lower(model, sector, m, *gate.params)
     if gate.kind == "cphase" and exact_cphase:
         theta = math.pi / 2 if sector == SYMMETRIC else -math.pi / 2
-        rz1, rz2 = (compile_rz(k, theta, model, sector) for k in (m, m + 1))
-        groups = rz1.groups + rz2.groups + groups
+        groups = _rz(model, sector, m, theta) + _rz(model, sector, m + 1, theta) + groups
     if not parallel:
         groups = tuple((step,) for group in groups for step in group)
-    return PulseSchedule(groups, {**schedule.metadata, "sector": sector})
+    meta = dict(gate=gate.kind, targets=list(gate.targets), params=list(gate.params), sector=sector)
+    return PulseSchedule(groups, meta)
 
 
 def compile_circuit(
@@ -403,15 +386,10 @@ def gate_from_dict(data: dict) -> LogicalGate:
             targets = tuple(json_index(t) + 1 for t in data["targets"])
         else:
             targets = (json_index(data["target"]) + 1,)
-        if kind in ("rx", "rz"):
-            params = (float(data["angle"]),)
-        elif kind == "euler":
-            params = tuple(float(a) for a in data["angles"])
-        elif kind == "heis_zz":
-            params = (float(data["time"]),)
-        else:
-            params = ()
-        if kind in ("cphase", "heis_zz") and len(targets) == 1:
+        gate = _gate(kind)
+        value = data[gate.field] if gate.field else ()
+        params = (float(value),) if gate.params == 1 else tuple(float(a) for a in value)
+        if gate.qubits == 2 and len(targets) == 1:
             targets = (targets[0], targets[0] + 1)
         return LogicalGate(kind, targets, params)
     except MALFORMED_JSON as exc:

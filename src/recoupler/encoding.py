@@ -62,17 +62,6 @@ def r_x(n: int, m: int) -> PauliSum:
     return build_R(n, 2 * m - 1, 2 * m)
 
 
-def code_index(spec: CodeSpec, logical: int) -> int:
-    """Physical basis index of logical computational state |logical>."""
-    pats = _PATTERNS[spec.sector]
-    idx = 0
-    for m in range(spec.n_logical):
-        b1, b2 = pats[(logical >> m) & 1]
-        idx |= b1 << (2 * m)
-        idx |= b2 << (2 * m + 1)
-    return idx
-
-
 @cache
 def code_states(spec: CodeSpec) -> np.ndarray:
     """Physical basis index of every logical computational state, in logical order;
@@ -109,11 +98,11 @@ def encode(spec: CodeSpec, logical_state: np.ndarray) -> np.ndarray:
 def decode(spec: CodeSpec, physical_state: np.ndarray):
     """Project back to the code space.
 
-    Returns (logical_state, leakage_norm) where leakage_norm = ||(I-P) psi||
-    for a normalized input and the logical part is renormalized. A state with
-    no in-code component returns (None, 1.0). The state is scaled to its largest
-    entry before any norm, so huge entries cannot overflow; a non-finite entry
-    raises ValidationError.
+    Returns (logical_state, leakage_norm) where leakage_norm = ||(I-P) psi|| / ||psi||,
+    read off the entries outside the code states as `restrict` does, and the
+    logical part is renormalized. A state with no in-code component returns
+    (None, 1.0). The state is scaled to its largest entry before any norm, so
+    huge entries cannot overflow; a non-finite entry raises ValidationError.
     """
     psi = np.asarray(physical_state, dtype=complex)
     if psi.shape != (2**spec.n_spins,):
@@ -128,12 +117,14 @@ def decode(spec: CodeSpec, physical_state: np.ndarray):
     # by a power of two: exact, so bit for bit the unscaled result; the bound keeps
     # the factor finite for subnormal input
     psi = psi * 2.0 ** -max(np.frexp(largest)[1], -1000)
-    amps = psi[code_states(spec)] / np.linalg.norm(psi)
+    code, norm = code_states(spec), np.linalg.norm(psi)
+    amps = psi[code] / norm
     in_norm = np.linalg.norm(amps)
-    leakage = float(np.sqrt(max(0.0, 1.0 - in_norm**2)))
     if in_norm < 1e-12:
         return None, 1.0
-    return amps / in_norm, leakage
+    outside = np.ones(psi.size, dtype=bool)
+    outside[code] = False
+    return amps / in_norm, float(np.linalg.norm(psi[outside]) / norm)
 
 
 def logical_matrix(op: PauliSum, spec: CodeSpec) -> np.ndarray:

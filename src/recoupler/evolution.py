@@ -142,9 +142,6 @@ class PulseSchedule:
                 raise ValidationError(f"group {g} is empty")
             if len(group) > 1 and any(s.handle.kind == "free_evolution" for s in group):
                 raise ValidationError("free evolution cannot share a parallel group")
-
-    def validate_supports(self):
-        for g, group in enumerate(self.groups):
             seen: set[int] = set()
             for step in group:
                 sup = {step.handle.i, step.handle.j} - {None}  # empty for a lone window
@@ -271,7 +268,6 @@ def _evolve(
     if mode is not None and mode not in ("ideal", "realistic"):
         raise ValidationError(f"bad mode {mode!r}")
     n = model.n_spins
-    schedule.validate_supports()
     modes = {mode} if mode else {s.mode for group in schedule.groups for s in group}
     if "realistic" in modes and (ratio is None or not 0 < ratio < math.inf):
         raise ValidationError("realistic mode needs a finite positive strength ratio")

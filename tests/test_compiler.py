@@ -22,14 +22,9 @@ from recoupler import (
     apply_schedule,
     circuit_from_list,
     code_isometry,
+    PulseSchedule,
     compile_circuit,
-    compile_cphase_xxz,
-    compile_cphase_xy,
-    compile_euler,
     compile_gate,
-    compile_heis_zz,
-    compile_rx,
-    compile_rz,
     fidelity,
     j_plus,
     nmr_ising_schedule,
@@ -42,6 +37,7 @@ from recoupler import (
     to_matrix,
     verify_gate,
 )
+from recoupler.compiler import _GATES, _cphase_xxz, _cphase_xy, gate_from_dict
 from recoupler.verifier import STANDARD_GATES
 
 XXZ = preset_model("electrons_on_helium", 4)
@@ -51,6 +47,21 @@ HEIS = preset_model("spin_dots", 4)
 
 SPEC_SYM = CodeSpec(SYMMETRIC, 4)
 SPEC_ANTI = CodeSpec(ANTISYMMETRIC, 4)
+
+
+def rx(m, theta):
+    return LogicalGate("rx", (m,), (theta,))
+
+
+def rz(m, theta):
+    return LogicalGate("rz", (m,), (theta,))
+
+
+def heis_zz(m, t):
+    return LogicalGate("heis_zz", (m, m + 1), (t,))
+
+
+CPHASE = LogicalGate("cphase", (1, 2))
 
 
 def check_gate(gate, model, sector=SYMMETRIC, parallel=True, tol=1e-10):
@@ -67,7 +78,7 @@ def check_gate(gate, model, sector=SYMMETRIC, parallel=True, tol=1e-10):
 
 class TestRx:
     def test_zero_angle_elided(self):
-        assert compile_rx(1, 0.0, XXZ).step_count_serial == 0
+        assert compile_gate(rx(1, 0.0), XXZ).step_count_serial == 0
 
     def test_one_step_logical_x(self):
         sched = check_gate(LogicalGate("rx", (1,), (np.pi,)), XXZ)
@@ -85,14 +96,14 @@ class TestRx:
 
     def test_sector_model_mismatch(self):
         with pytest.raises(ControllabilityError):
-            compile_rx(1, 1.0, XXZ, sector=ANTISYMMETRIC)  # no J- handles
+            compile_gate(rx(1, 1.0), XXZ, ANTISYMMETRIC)  # no J- handles
         with pytest.raises(SectorError):
-            compile_rx(1, 1.0, HEIS, sector=ANTISYMMETRIC)
+            compile_gate(rx(1, 1.0), HEIS, ANTISYMMETRIC)
 
 
 class TestRz:
     def test_zero_angle_empty(self):
-        assert compile_rz(1, 0.0, XXZ).step_count_serial == 0
+        assert compile_gate(rz(1, 0.0), XXZ).step_count_serial == 0
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("theta", [np.pi / 2, -1.1, 5.0])
@@ -103,7 +114,7 @@ class TestRz:
 
     def test_windows_have_nonnegative_duration(self):
         for theta in (-3.0, -0.2, 0.4, 6.9):
-            sched = compile_rz(1, theta, XXZ)
+            sched = compile_gate(rz(1, theta), XXZ)
             for group in sched.groups:
                 for step in group:
                     if step.duration is not None:
@@ -112,8 +123,8 @@ class TestRz:
     def test_degenerate_spectrum(self):
         m = preset_model("electrons_on_helium", 4, epsilon=(1.0, 1.0, 2.0, 1.0))
         with pytest.raises(DegenerateSpectrumError):
-            compile_rz(1, 0.5, m)
-        compile_rz(2, 0.5, m)  # pair 2 is fine
+            compile_gate(rz(1, 0.5), m)
+        compile_gate(rz(2, 0.5), m)  # pair 2 is fine
 
     def test_antisymmetric_sector(self):
         check_gate(LogicalGate("rz", (1,), (0.8,)), XXZ_ANTI, sector=ANTISYMMETRIC)
@@ -126,7 +137,7 @@ class TestRz:
 
 class TestEuler:
     def test_collapses_to_rx(self):
-        sched = compile_euler(1, 0.7, 0.0, 0.0, XXZ)
+        sched = compile_gate(LogicalGate("euler", (1,), (0.7, 0.0, 0.0)), XXZ)
         assert sched.step_count_serial == 1
 
     def test_generic_six_steps(self):
@@ -167,7 +178,7 @@ class TestCphaseXxz:
         assert sched.step_count_parallel == 6
 
     def test_logical_action_on_basis(self):
-        sched = compile_cphase_xxz(1, XXZ)
+        sched = compile_gate(CPHASE, XXZ)
         u = apply_schedule(sched, XXZ)
         block, _ = restrict(u, SPEC_SYM)
         # exp(+i pi/4 ZZ): |00> and |11> pick up e^{+i pi/4}, others e^{-i pi/4}
@@ -176,10 +187,6 @@ class TestCphaseXxz:
         assert np.allclose(phases[[1, 2]], -np.pi / 4, atol=1e-10)
         off = block - np.diag(np.diag(block))
         assert np.linalg.norm(off) < 1e-10
-
-    def test_xy_model_redirects(self):
-        with pytest.raises(ControllabilityError):
-            compile_cphase_xxz(1, XY)
 
     def test_antisymmetric_sector(self):
         check_gate(LogicalGate("cphase", (1, 2)), XXZ_ANTI, sector=ANTISYMMETRIC)
@@ -198,11 +205,11 @@ class TestCphaseXy:
             frozenset({j_plus(i, i + 1) for i in range(1, 4)}),
         )
         with pytest.raises(ConnectivityError):
-            compile_cphase_xy(1, model)
+            compile_gate(CPHASE, model)
 
     def test_wrong_sector(self):
         with pytest.raises(SectorError):
-            compile_cphase_xy(1, XY, sector=ANTISYMMETRIC)
+            compile_gate(CPHASE, XY, ANTISYMMETRIC)
 
     def test_composite_generator_identity(self):
         # the conjugated pulse generator is the pure-phase combination
@@ -232,7 +239,7 @@ class TestHeisZz:
 
     def test_full_space_equals_pure_zz(self):
         t = 1.7
-        sched = compile_heis_zz(1, t, HEIS)
+        sched = compile_gate(heis_zz(1, t), HEIS)
         u = apply_schedule(sched, HEIS)
         jz = HEIS.coupling(2, 3).jz
         from recoupler import PauliSum, propagator
@@ -248,19 +255,19 @@ class TestHeisZz:
         t = 1.0 / jz
         h23 = PauliSum(4, {"I" + a + a + "I": jz for a in "XYZ"})
         _, bare_leak = restrict(propagator(h23, t), SPEC_SYM)
-        sched = compile_heis_zz(1, t, HEIS)
+        sched = compile_gate(heis_zz(1, t), HEIS)
         _, compiled_leak = restrict(apply_schedule(sched, HEIS), SPEC_SYM)
         assert bare_leak > 0.1
         assert compiled_leak <= 1e-10
 
     def test_requires_isotropic_model(self):
         with pytest.raises(ControllabilityError):
-            compile_heis_zz(1, 1.0, XXZ)
+            compile_gate(heis_zz(1, 1.0), XXZ)
 
     def test_degenerate_spectrum(self):
         m = preset_model("spin_dots", 4, epsilon=(1.0, 1.0, 1.0, 1.0))
         with pytest.raises(DegenerateSpectrumError):
-            compile_heis_zz(1, 1.0, m)
+            compile_gate(heis_zz(1, 1.0), m)
 
 
 class TestCompileGateOptions:
@@ -403,7 +410,7 @@ class TestSectorIndependence:
         assert np.linalg.norm(block - phase * np.eye(4)) < 1e-10
 
     def test_cphase_block_structure(self):
-        sched = compile_cphase_xxz(1, XXZ)
+        sched = compile_gate(CPHASE, XXZ)
         u = apply_schedule(sched, XXZ)
         for spec in (SPEC_SYM, SPEC_ANTI):
             block, leak = restrict(u, spec)
@@ -450,24 +457,55 @@ class TestCompileCircuitErrors:
             circuit_from_list([{"gate": "heis_zz", "targets": [0, 1], "time": bad}])
 
 
-DIRECT_COMPILERS = {
-    "rx": lambda model, sector: compile_rx(1, 0.5, model, sector),
-    "rz": lambda model, sector: compile_rz(1, 0.5, model, sector),
-    "euler": lambda model, sector: compile_euler(1, 0.5, 1.2, -0.8, model, sector),
-    "cphase_xxz": lambda model, sector: compile_cphase_xxz(1, model, sector=sector),
-    "cphase_xy": lambda model, sector: compile_cphase_xy(1, model, sector=sector),
+SECTOR_CASES = {
+    "rx": (rx(1, 0.5), XXZ_ANTI),
+    "rz": (rz(1, 0.5), XXZ_ANTI),
+    "euler": (LogicalGate("euler", (1,), (0.5, 1.2, -0.8)), XXZ_ANTI),
+    "cphase_xxz": (CPHASE, XXZ_ANTI),
+    "cphase_xy": (CPHASE, XY),
+    "heis_zz": (heis_zz(1, 0.5), HEIS),
 }
 
 
-class TestDirectCompilerSector:
-    """Each per-gate compiler rejects an unknown sector before lowering anything."""
+class TestCompileGateSector:
+    """compile_gate rejects an unknown sector before lowering anything, for every construction."""
 
     @pytest.mark.parametrize("sector", ["symmetric", "bogus"])
-    @pytest.mark.parametrize("name", sorted(DIRECT_COMPILERS))
+    @pytest.mark.parametrize("name", sorted(SECTOR_CASES))
     def test_unknown_sector_rejected(self, name, sector):
-        model = XY if name == "cphase_xy" else XXZ_ANTI
+        gate, model = SECTOR_CASES[name]
         with pytest.raises(ValidationError, match=f"^unknown sector '{sector}'$"):
-            DIRECT_COMPILERS[name](model, sector)
+            compile_gate(gate, model, sector)
+
+
+class TestGateTable:
+    """LogicalGate, gate_from_dict and compile_gate read one table of gate kinds."""
+
+    @pytest.mark.parametrize("kind", sorted(_GATES))
+    def test_circuit_record_round_trips(self, kind):
+        entry = _GATES[kind]
+        params = tuple(0.25 * (i + 1) for i in range(entry.params))
+        targets = tuple(range(1, entry.qubits + 1))
+        record = {"gate": kind, "targets": [t - 1 for t in targets]}
+        if entry.field is not None:
+            record[entry.field] = list(params) if entry.params > 1 else params[0]
+        gate = LogicalGate(kind, targets, params)
+        assert gate_from_dict(record) == gate
+        sched = compile_gate(gate, HEIS)
+        assert sched.metadata == {
+            "gate": kind, "targets": list(targets), "params": list(params), "sector": SYMMETRIC,
+        }
+        assert schedule_from_dict(json.loads(json.dumps(schedule_to_dict(sched)))) == sched
+
+    def test_isotropic_cphase_past_the_register_is_a_qubit_error(self):
+        with pytest.raises(ValidationError, match=r"^logical qubit 3 outside 1\.\.2$"):
+            compile_gate(LogicalGate("cphase", (2, 3)), HEIS)
+
+    def test_unhashable_kind_is_unknown(self):
+        with pytest.raises(ValidationError, match=r"^unknown gate kind \['rx'\]$"):
+            LogicalGate(["rx"], (1,), (1.0,))
+        with pytest.raises(ValidationError, match=r"^unknown gate kind \['rx'\]$"):
+            gate_from_dict({"gate": ["rx"], "target": 0, "angle": 1.0})
 
 
 GOLDEN_GATES = [
@@ -516,7 +554,7 @@ class TestScheduleJsonGolden:
 
 
 def _parallel_path_lines():
-    """Groups only: per-gate compiles, family compilers at explicit angles, NMR templates."""
+    """Groups only: per-gate compiles, ZZ lowerings at explicit angles, NMR templates."""
 
     def groups(thunk):
         try:
@@ -546,8 +584,8 @@ def _parallel_path_lines():
                 for gate in gates:
                     yield groups(lambda: compile_gate(gate, model, sector))
                 for angle in (0.6, -0.3, 0.0, np.pi / 4):
-                    yield groups(lambda: compile_cphase_xxz(1, model, angle=angle, sector=sector))
-                    yield groups(lambda: compile_cphase_xy(k - 1, model, angle=angle, sector=sector))
+                    yield groups(lambda: PulseSchedule(_cphase_xxz(model, sector, 1, angle)))
+                    yield groups(lambda: PulseSchedule(_cphase_xy(model, sector, k - 1, angle)))
     for tau in (0.4, 1.7):
         yield groups(lambda: nmr_ising_schedule(tau))
         for spin in (1, 2):
@@ -556,8 +594,10 @@ def _parallel_path_lines():
 
 class TestParallelPathGolden:
     def test_parallel_groups_are_pinned(self):
-        # parallel, non-exact lowering of every construction; layout options must not leak in
+        # parallel, non-exact lowering of every construction; layout options must not leak in.
+        # The XXZ lowering on an xy-family model reads ValidationError (no zz coupling to
+        # recouple): compile_gate routes xy cphase to the xy construction before it.
         lines = list(_parallel_path_lines())
         assert len(lines) == 11 * 3 * 2 * (12 + 8) + 2 * 3
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == "cce7e609a8fca562ab30108b3f19b336c7b80f4798893c3a567b03be4f155d0f"
+        assert digest == "0dfae3d66baefc9c9fc256d2bbe23bfcf85b6af7cae74a9440b80935cdea8d9f"

@@ -15,15 +15,13 @@ from recoupler import (
     ValidationError,
     WindowTarget,
     apply_schedule,
-    compile_cphase_xxz,
-    compile_cphase_xy,
     compile_gate,
-    compile_heis_zz,
     fidelity,
     preset_model,
     restrict,
     verify_gate,
 )
+from recoupler.compiler import _cphase_xxz, _cphase_xy
 
 
 class TestEulerBranches:
@@ -37,7 +35,7 @@ class TestCustomPhaseAngles:
     @pytest.mark.parametrize("angle", [0.3, -0.9, 2.8])
     def test_xxz_zz_phase_angle(self, angle):
         model = preset_model("electrons_on_helium", 4)
-        sched = compile_cphase_xxz(1, model, angle=angle)
+        sched = PulseSchedule(_cphase_xxz(model, SYMMETRIC, 1, angle))
         u = apply_schedule(sched, model)
         block, leak = restrict(u, CodeSpec(SYMMETRIC, 4))
         want = np.diag(np.exp(+1j * angle * np.array([1.0, -1.0, -1.0, 1.0])))
@@ -47,7 +45,7 @@ class TestCustomPhaseAngles:
     @pytest.mark.parametrize("angle", [0.3, -0.9])
     def test_xy_zz_phase_angle(self, angle):
         model = preset_model("quantum_hall", 4)
-        sched = compile_cphase_xy(1, model, angle=angle)
+        sched = PulseSchedule(_cphase_xy(model, SYMMETRIC, 1, angle))
         u = apply_schedule(sched, model)
         block, leak = restrict(u, CodeSpec(SYMMETRIC, 4))
         want = np.diag(np.exp(+1j * angle * np.array([1.0, -1.0, -1.0, 1.0])))
@@ -56,7 +54,7 @@ class TestCustomPhaseAngles:
 
     def test_antisymmetric_sign_flips(self):
         model = preset_model("xxz_antisymmetric", 4)
-        sched = compile_cphase_xxz(1, model, angle=0.6, sector=ANTISYMMETRIC)
+        sched = PulseSchedule(_cphase_xxz(model, ANTISYMMETRIC, 1, 0.6))
         u = apply_schedule(sched, model)
         block, leak = restrict(u, CodeSpec(ANTISYMMETRIC, 4))
         want = np.diag(np.exp(-1j * 0.6 * np.array([1.0, -1.0, -1.0, 1.0])))
@@ -87,7 +85,7 @@ class TestHeisVariants:
 
     def test_negative_splitting_keeps_durations_physical(self):
         model = preset_model("spin_dots", 4, epsilon=(1.0, 1.4, 1.2, 1.0))  # eps_1^- < 0
-        sched = compile_heis_zz(1, 2.0, model)
+        sched = compile_gate(LogicalGate("heis_zz", (1, 2), (2.0,)), model)
         for group in sched.groups:
             for step in group:
                 if step.duration is not None:

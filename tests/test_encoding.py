@@ -10,7 +10,6 @@ from recoupler import (
     DimensionError,
     PauliSum,
     ValidationError,
-    code_index,
     code_isometry,
     decode,
     encode,
@@ -34,6 +33,18 @@ def pstr(n, sites):
     for i, a in sites.items():
         letters[i - 1] = a
     return PauliSum(n, {"".join(letters): 1.0})
+
+
+def code_index(spec, logical):
+    """Physical basis index of logical state |logical>, one bit pair at a time: the
+    per-index oracle for `code_states`."""
+    pats = {SYMMETRIC: ((0, 1), (1, 0)), ANTISYMMETRIC: ((0, 0), (1, 1))}[spec.sector]
+    idx = 0
+    for m in range(spec.n_logical):
+        b1, b2 = pats[(logical >> m) & 1]
+        idx |= b1 << (2 * m)
+        idx |= b2 << (2 * m + 1)
+    return idx
 
 
 def projector(spec):
@@ -104,6 +115,11 @@ class TestEncodeDecode:
         out, leak = decode(spec, psi)
         assert out is None and leak == 1.0
 
+    def test_code_state_has_zero_leakage(self):
+        # read off the entries outside the code states, not as sqrt(1 - |P psi|^2)
+        out, leak = decode(CodeSpec(SYMMETRIC, 2), [0, 1, 1, 0])
+        assert leak == 0.0 and np.allclose(out, [np.sqrt(0.5)] * 2)
+
     def test_partial_leakage(self):
         spec = CodeSpec(SYMMETRIC, 2)
         psi = np.zeros(4, dtype=complex)
@@ -119,7 +135,7 @@ class TestEncodeDecode:
         for huge, phase in ((1e308, 1), (1.7e308 + 1.7e308j, (1 + 1j) / np.sqrt(2)), (-1e300j, -1j)):
             out, leak = decode(spec, [0, huge, huge, 0])
             assert np.allclose(out, np.full(2, np.sqrt(0.5) * phase), rtol=0, atol=1e-15)
-            assert leak < 1e-7  # sqrt(1 - |P psi|^2) resolves no smaller leakage
+            assert leak == 0.0
         # a power-of-two scale changes nothing, down to subnormal entries
         psi = np.array([0.25, 1 - 2j, 0.5j, 3.0])
         want_out, want_leak = decode(spec, psi)
@@ -240,7 +256,8 @@ class TestIsometryOracle:
         amps, leak = decode(spec, phys)
         want = v.conj().T @ (phys / np.linalg.norm(phys))
         assert np.array_equal(amps, want / np.linalg.norm(want))
-        assert leak == np.sqrt(1 - np.linalg.norm(want) ** 2)
+        residual = np.linalg.norm(phys - v @ v.conj().T @ phys) / np.linalg.norm(phys)
+        assert leak == pytest.approx(residual, rel=0, abs=1e-14)
         letters = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(6)]
         op = PauliSum(n, {w: rng.normal() + 1j * rng.normal() for w in letters})
         assert np.array_equal(logical_matrix(op, spec), v.conj().T @ to_matrix(op) @ v)
