@@ -23,16 +23,17 @@ the inverse pulse, exp(+i a G) and exp(-i a G) of one G in ideal mode, and
 every window evolves one term for its own duration. So one eigendecomposition
 is made per distinct generator of a schedule, the blocks of all generators of
 one size in one batched eigh; each distinct group rebuilds only its phases
-from it, and is applied to a column array wherever it stands. For
-`apply_schedule` that array is the identity on every basis state, under the
-dense spin cap. A verdict needs only U V on the 2**(n/2) code states, and
-every term maps r to r ^ x with x in S, the span of all the schedule's X
-masks, so U V is zero outside the rows code ^ S: the verdict evolves just
-those rows (the code states themselves for every XXZ and one-qubit gate),
-within a byte budget of one dense matrix at the spin cap instead of the cap
-itself. The code states are basis states, so `restrict` reads V^dag U V off
-the code rows of U V and the leakage off the others, from all of U or from a
-verdict's rows. `propagator` stays the dense exponential of one generator.
+from it, and is applied to a column array wherever it stands. Every term maps
+r to r ^ x with x in S, the span of all the schedule's X masks (rank R), so U
+is zero wherever r ^ c is not in S. `apply_schedule`, under the dense spin
+cap, evolves 2**R column slots per row, slot j the start state rep ^ span[j]
+of the row's coset (`pauli.coset_offsets`), and scatters them into U at the
+end. A verdict needs only U V on the 2**(n/2) code states, so it evolves just
+the rows code ^ S (the code states themselves for every XXZ and one-qubit
+gate), within the byte budget of one dense matrix at the spin cap, not the
+cap itself. The code states are basis states, so `restrict` reads V^dag U V
+off the code rows of U V and the leakage off the others, from all of U or
+from a verdict's rows. `propagator` stays the dense exponential of one generator.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ from .model import (
     read_json,
     toggled_generator,
 )
-from .pauli import PauliSum, Terms, check_bytes, check_dense, coset_rows, scaled_sum
-from .pauli import to_blocks, to_matrix, x_basis
+from .pauli import PauliSum, Terms, check_bytes, check_dense, coset_offsets, coset_rows
+from .pauli import scaled_sum, to_blocks, to_matrix, x_basis, x_span
 
 _TARGET_RE = re.compile(r"^(t_z|r_z)\((\d+)\)$|^zz\((\d+),(\d+)\)$")
 
@@ -263,7 +264,7 @@ def _evolve(
     first bad group raises. A generator's blocks are diagonalized once, in one
     batched eigh with every other generator's blocks of the same size; each
     group's exponential is rebuilt from them with its own t, and each group's
-    blocks act on the columns, rightmost first.
+    blocks act on the columns (for U, 2**R slots per row), rightmost first.
     """
     if mode is not None and mode not in ("ideal", "realistic"):
         raise ValidationError(f"bad mode {mode!r}")
@@ -291,10 +292,10 @@ def _evolve(
             generators.append(_generator(key, model, background))
         key_of.append(keys[key])
         times.append(t)
-    bases = [x_basis(h) for h in generators]
+    bases, full = [x_basis(h) for h in generators], x_basis(*generators)
     starts = np.arange(2**n) if sector is None else code_states(CodeSpec(sector, n))
     # at most 2**n states, so the checks above already bound these arrays
-    rows = coset_rows(n, x_basis(*generators), starts)
+    rows = coset_rows(n, full, starts)
     held = sum(2 ** len(bases[k]) for k in key_of)  # every group's unitaries are held at once
     nbytes = 16 * rows.size * max(starts.size, held)
     check_bytes(n, nbytes, f"evolving {rows.size} reachable rows")
@@ -321,8 +322,12 @@ def _evolve(
         start = 0
         for g, count in zip(groups, counts):
             unitaries[g], start = (at[key_of[g]], u[start : start + count]), start + count
-    columns = np.zeros((rows.size, starts.size), dtype=complex)
-    columns[np.searchsorted(rows, starts), np.arange(starts.size)] = 1.0
+    if sector is None:  # row r's slot j is the start state reps[r] ^ span[j] of its coset
+        (reps, slot), width = coset_offsets(full, starts), 2 ** len(full)
+    else:
+        slot, width = np.arange(starts.size), starts.size
+    columns = np.zeros((rows.size, width), dtype=complex)
+    columns[np.searchsorted(rows, starts), slot] = 1.0
     # a group gathers rows into block order, then multiplies back; where[r] is r's slot
     spare, where, slots = np.empty_like(columns), np.arange(rows.size), np.arange(rows.size)
     for g in reversed(order):
@@ -330,7 +335,12 @@ def _evolve(
         np.take(columns, where[at.ravel()], axis=0, out=spare, mode="clip")
         np.matmul(u, spare.reshape(*at.shape, -1), out=columns.reshape(*at.shape, -1))
         where[at.ravel()] = slots
-    return np.take(columns, where, axis=0, out=spare, mode="clip"), rows
+    columns = np.take(columns, where, axis=0, out=spare, mode="clip")
+    if sector is not None:
+        return columns, rows
+    u = np.zeros((rows.size, rows.size), dtype=complex)  # zero where r ^ c is not in the span
+    np.put_along_axis(u, reps[:, None] ^ x_span(full), columns, axis=1)
+    return u, rows
 
 
 def restrict(

@@ -320,13 +320,25 @@ def x_basis(*sums: PauliSum | Terms) -> dict[int, int]:
     return basis
 
 
-def _span(basis: dict[int, int]) -> np.ndarray:
+def x_span(basis: dict[int, int]) -> np.ndarray:
     """Every vector of the span, the o-th one the XOR of the basis vectors of the
     set bits of o, with bit j standing for the j-th lowest pivot."""
     span = np.zeros(1, dtype=np.int64)
     for bit in sorted(basis):
         span = np.concatenate([span, span ^ basis[bit]])
     return span
+
+
+def coset_offsets(basis: dict[int, int], states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, offsets) with states[i] = reps[i] ^ x_span(basis)[offsets[i]]: reps[i] the
+    state of its coset with every pivot bit clear, offsets[i] its pivot bits compressed."""
+    reps = np.array(states, dtype=np.int64)
+    offsets = np.zeros_like(reps)
+    for j, bit in enumerate(sorted(basis)):
+        on = reps >> bit & 1
+        reps ^= on * basis[bit]
+        offsets |= on << j
+    return reps, offsets
 
 
 def coset_rows(n: int, basis: dict[int, int], states: np.ndarray) -> np.ndarray:
@@ -337,7 +349,7 @@ def coset_rows(n: int, basis: dict[int, int], states: np.ndarray) -> np.ndarray:
         reps ^= (reps >> bit & 1) * vec
     mark = np.zeros(2**n, dtype=bool)  # deduplicates and sorts without a sort
     mark[reps] = True
-    mark[(np.flatnonzero(mark)[:, None] ^ _span(basis)).ravel()] = True
+    mark[(np.flatnonzero(mark)[:, None] ^ x_span(basis)).ravel()] = True
     return np.flatnonzero(mark)
 
 
@@ -355,7 +367,7 @@ def to_blocks(
     has r = 0; p parallel pulses give r = p.
     """
     pivots = sorted(basis)
-    span = _span(basis)
+    span = x_span(basis)
     states = rows[(rows & sum(1 << bit for bit in pivots)) == 0][:, None] ^ span
     at = np.searchsorted(rows, states)
     if not np.array_equal(np.take(rows, at, mode="clip"), states):

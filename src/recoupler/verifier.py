@@ -74,6 +74,8 @@ def target_circuit(gates, model, sector=SYMMETRIC, exact_cphase=False) -> np.nda
         zz = site_letters(k, {m: "Z", m + 1: "Z"})
         if kind == "heis_zz":
             rotate(out, zz, sector_sign * model.coupling(2 * m, 2 * m + 1).jz * params[0])
+        elif kind != "cphase":
+            raise ValidationError(f"gate kind {kind!r} has no logical target")
         elif exact_cphase:  # diag(1, 1, 1, -1) on qubits m, m + 1
             out[(np.arange(2**k) >> (m - 1) & 3) == 3] *= -1
         else:

@@ -173,7 +173,7 @@ def work(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(invocation=invocations())
 def test_any_argv_exits_cleanly(work, invocation):
     argv, files = invocation

@@ -17,7 +17,7 @@ from recoupler import (
     to_matrix,
     toggled_generator,
 )
-from recoupler.pauli import coset_rows, to_blocks, x_basis
+from recoupler.pauli import coset_offsets, coset_rows, to_blocks, x_basis, x_span
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -334,6 +334,22 @@ class TestToBlocks:
             starts = rng.integers(0, 2**n, size=3)
             rows = coset_rows(n, basis, starts)
             assert rows.tolist() == sorted(set((starts[:, None] ^ span).ravel().tolist()))
+
+    def test_coset_offsets_name_each_state_by_its_representative_and_slot(self):
+        rng = np.random.default_rng(20)
+        for n in range(1, 7):
+            basis = x_basis(*[_random_sum(rng, n, terms=int(rng.integers(0, 4))) for _ in range(2)])
+            states = np.arange(2**n)
+            reps, offsets = coset_offsets(basis, states)
+            span = x_span(basis)
+            assert np.array_equal(reps ^ span[offsets], states)
+            pivots = sum(1 << bit for bit in basis)
+            assert not (reps & pivots).any()
+            # one representative per coset, and each coset's states fill its 2**r slots once
+            for rep in np.unique(reps):
+                coset = states[reps == rep]
+                assert sorted(coset.tolist()) == sorted((rep ^ span).tolist())
+                assert sorted(offsets[reps == rep].tolist()) == list(range(span.size))
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_empty_sum_is_one_zero_per_state(self, n):

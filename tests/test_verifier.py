@@ -297,6 +297,17 @@ class TestVerdictContract:
         assert rep.passed and rep.reason == ""
         assert (rep.step_count_serial, rep.step_count_parallel) == (0, 0)
 
+    def test_a_kind_without_a_logical_target_fails_its_verdict(self, monkeypatch):
+        # a new lowering row must not be verified against the cphase target
+        from recoupler import compiler
+
+        monkeypatch.setitem(compiler._GATES, "zz", compiler._GATES["cphase"])
+        for verify, subject in ((verify_gate, LogicalGate("zz", (1, 2))),
+                                (verify_circuit, [LogicalGate("zz", (1, 2))])):
+            rep = verify(subject, XXZ)
+            assert not rep.passed
+            assert rep.reason == "ValidationError: gate kind 'zz' has no logical target"
+
     def test_circuit_reason_names_the_failing_gate(self):
         m = preset_model("electrons_on_helium", 4, epsilon=(1.0, 1.0, 1.5, 1.0))
         gates = [LogicalGate("rx", (1,), (0.7,)), LogicalGate("rz", (1,), (0.7,))]
