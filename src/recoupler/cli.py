@@ -37,6 +37,8 @@ _SECTORS = {"symmetric": SYMMETRIC, "antisymmetric": ANTISYMMETRIC}
 def _load_model_arg(value: str) -> ExchangeModel:
     if value.startswith("preset:"):
         parts = value.split(":")
+        if len(parts) > 3:
+            raise ValidationError(f"extra fields after the spin count in {value!r}")
         try:
             n = int(parts[2]) if len(parts) > 2 else 4
         except ValueError:

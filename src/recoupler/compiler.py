@@ -24,12 +24,10 @@ W is a free window, F an NMR free period.
   nmr:         F . conj(F, [sigma_x(spin)], pi/2) for a z rotation, and
                F . conj(conj(F, [sigma_x(1)], pi/2), [sigma_x(2)], pi/2) for Ising.
 
-`_GATES` maps each gate kind to its target count, parameters and lowering;
-`LogicalGate`, `gate_from_dict` and `compile_gate` read it and nothing else.
-`compile_gate` checks the sector and the target qubits once, lowers, and then
-applies the per-gate layout options once: `exact_cphase` prepends the local
-rz corrections to every cphase family, and `parallel=False` splits every
-group into single-step groups in order.
+`_GATES` holds one record per gate kind: target count, parameters, lowering,
+logical target and step counts. `LogicalGate`, `gate_from_dict`, `compile_gate`,
+`target_circuit` and `cost_report` read it through `_gate`, which alone picks the
+exact-CPHASE variant of a record when `exact_cphase` is set.
 """
 
 from __future__ import annotations
@@ -57,6 +55,7 @@ from .model import (
     j_minus,
     j_plus,
     json_index,
+    json_number,
     sigma_x,
 )
 
@@ -65,7 +64,7 @@ _ZERO = 1e-12
 
 @dataclass(frozen=True)
 class LogicalGate:
-    kind: str  # a key of _GATES: rx | rz | euler | cphase | heis_zz
+    kind: str  # a key of _GATES
     targets: tuple[int, ...]  # 1-based logical indices
     params: tuple[float, ...] = ()
 
@@ -197,7 +196,7 @@ def _cphase_xxz(model: ExchangeModel, sector: str, m: int, angle: float) -> tupl
     The sandwich doubles the always-on sigma_z sigma_z coupling between spins
     (2m, 2m+1) while the +/-pi/2 x pulses on both qubits cancel the z
     splittings. `angle` is the accumulated sigma_z sigma_z angle; pi/4 gives
-    the controlled-phase gate up to local z rotations (see `compile_gate`).
+    the controlled-phase gate up to local z rotations (see `_exact_cphase`).
     """
     b, c = 2 * m, 2 * m + 1
     target = WindowTarget("zz", b, c)
@@ -264,9 +263,9 @@ def _heis_zz(model: ExchangeModel, sector: str, m: int, t: float) -> tuple:
     return (half, window, half) + _conjugated((window,), [heis(a, b)], math.pi / 2)
 
 
-def _zz_phase(model: ExchangeModel, sector: str, m: int, angle: float) -> tuple:
-    """ZZ phase `angle` between logical m and m+1 by the model family's construction:
-    xy, heisenberg (heis_zz for time angle / J^z), or else XXZ."""
+def _zz_phase(model: ExchangeModel, sector: str, m: int, angle: float = math.pi / 4) -> tuple:
+    """ZZ phase `angle`, pi/4 for a cphase, between logical m and m+1 by the model family's
+    construction: xy, heisenberg (heis_zz for time angle / J^z), or else XXZ."""
     if model.kind == "xy":
         return _cphase_xy(model, sector, m, angle)
     if model.kind != "heisenberg":
@@ -277,29 +276,59 @@ def _zz_phase(model: ExchangeModel, sector: str, m: int, angle: float) -> tuple:
     return _heis_zz(model, sector, m, angle / jz)
 
 
+def _exact_cphase(model: ExchangeModel, sector: str, m: int) -> tuple:
+    """The pi/4 ZZ phase, lowered first for its errors, then the rz corrections to CPHASE."""
+    groups = _zz_phase(model, sector, m)
+    theta = math.pi / 2 if sector == SYMMETRIC else -math.pi / 2
+    return _rz(model, sector, m, theta) + _rz(model, sector, m + 1, theta) + groups
+
+
 class _Gate(NamedTuple):
-    """One gate kind: the shape of a `LogicalGate` and a circuit record of it, and its lowering."""
+    """One gate kind: the shape of a `LogicalGate` and its circuit record, its lowering, its
+    logical target and the paper's step counts. The target is rotations exp(-i a P) in time
+    order, (letters of P on qubits m, m + 1, ..., a): a ZZ angle is the sigma_z sigma_z angle
+    of spins (2m, 2m + 1), and a `None` angle the exact CPHASE, -1 where both qubits are 1."""
 
     qubits: int  # 2: the adjacent logical qubits m and m+1
     params: int
     field: str | None  # circuit-JSON key of the parameters, a list when there are several
     lower: Callable[..., tuple]  # (model, sector, m, *params) -> groups
+    target: Callable[..., tuple]  # (model, m, *params) -> ((letters, angle), ...)
+    steps: Callable[[ExchangeModel], tuple[int, int]]  # model -> (serial, parallel)
+    at_most: bool = False  # the step counts bound elided zero-angle factors from above
 
 
 _GATES = {
-    "rx": _Gate(1, 1, "angle", _rx),
-    "rz": _Gate(1, 1, "angle", _rz),
-    "euler": _Gate(1, 3, "angles", _euler),
-    "cphase": _Gate(2, 0, None, lambda model, sector, m: _zz_phase(model, sector, m, math.pi / 4)),
-    "heis_zz": _Gate(2, 1, "time", _heis_zz),
+    "rx": _Gate(1, 1, "angle", _rx, lambda model, m, t: (("X", t / 2),), lambda model: (1, 1)),
+    "rz": _Gate(  # serial 2 + 2 (k - 1) = n: one conjugator per spectator qubit per side
+        1, 1, "angle", _rz, lambda model, m, t: (("Z", t / 2),),
+        lambda model: (model.n_spins, 4) if model.n_spins > 2 else (1, 1),
+    ),
+    "euler": _Gate(
+        1, 3, "angles", _euler,
+        lambda model, m, a, b, g: (("X", g / 2), ("Z", b / 2), ("X", a / 2)),
+        lambda model: (2 + _GATES["rz"].steps(model)[0], 6), at_most=True,
+    ),
+    "cphase": _Gate(
+        2, 0, None, _zz_phase, lambda model, m: (("ZZ", math.pi / 4),),
+        lambda model: {"xy": (5, 5), "heisenberg": (6, 6)}.get(model.kind, (6, 4)),
+    ),
+    "heis_zz": _Gate(
+        2, 1, "time", _heis_zz,
+        lambda model, m, t: (("ZZ", model.coupling(2 * m, 2 * m + 1).jz * t),),
+        lambda model: (6, 6),
+    ),
+}
+_EXACT = {  # the records `exact_cphase` selects in place of a kind's own
+    "cphase": _GATES["cphase"]._replace(lower=_exact_cphase, target=lambda *_: (("ZZ", None),)),
 }
 
 
-def _gate(kind) -> _Gate:
+def _gate(kind, exact_cphase: bool = False) -> _Gate:
     gate = _GATES.get(kind) if isinstance(kind, str) else None
     if gate is None:  # a JSON list or object as kind is unknown, not unhashable
         raise ValidationError(f"unknown gate kind {kind!r}")
-    return gate
+    return _EXACT.get(kind, gate) if exact_cphase else gate
 
 
 def compile_gate(
@@ -311,17 +340,12 @@ def compile_gate(
 ) -> PulseSchedule:
     """Lower one logical gate with its kind's construction for the model family.
 
-    The sector and the target qubits are checked once, before any lowering.
-    `exact_cphase` prepends the local rz corrections that turn any cphase
-    family's bare ZZ phase into an exact CPHASE; `parallel=False` then splits
-    every group into single-step groups, keeping their order.
+    The sector and the target qubits are checked once, before the lowering of the
+    kind's record (`_gate`); `parallel=False` then splits every group into
+    single-step groups, keeping their order.
     """
-    m = gate.targets[0]
     _check_logical(model, sector, *gate.targets)
-    groups = _GATES[gate.kind].lower(model, sector, m, *gate.params)
-    if gate.kind == "cphase" and exact_cphase:
-        theta = math.pi / 2 if sector == SYMMETRIC else -math.pi / 2
-        groups = _rz(model, sector, m, theta) + _rz(model, sector, m + 1, theta) + groups
+    groups = _gate(gate.kind, exact_cphase).lower(model, sector, gate.targets[0], *gate.params)
     if not parallel:
         groups = tuple((step,) for group in groups for step in group)
     meta = dict(gate=gate.kind, targets=list(gate.targets), params=list(gate.params), sector=sector)
@@ -383,11 +407,11 @@ def gate_from_dict(data: dict) -> LogicalGate:
     try:
         kind = data["gate"]
         if "targets" in data:
-            targets = tuple(json_index(t) + 1 for t in data["targets"])
+            targets = tuple(json_index(t) + 1 for t in json_number(data["targets"], many=True))
         else:
             targets = (json_index(data["target"]) + 1,)
         gate = _gate(kind)
-        value = data[gate.field] if gate.field else ()
+        value = json_number(data[gate.field], many=gate.params > 1) if gate.field else []
         params = (float(value),) if gate.params == 1 else tuple(float(a) for a in value)
         if gate.qubits == 2 and len(targets) == 1:
             targets = (targets[0], targets[0] + 1)

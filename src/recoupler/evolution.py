@@ -54,6 +54,7 @@ from .model import (
     TermHandle,
     background_hamiltonian,
     build_zz,
+    json_number,
     read_json,
     toggled_generator,
 )
@@ -388,9 +389,9 @@ def _step_from_dict(d: dict) -> PulseStep:
     """One JSON step; a pulse given as strength x duration becomes its angle."""
     try:
         handle = TermHandle.parse(d["handle"])
-        angle, duration = d.get("angle"), d.get("duration")
+        angle, duration = json_number(d.get("angle")), json_number(d.get("duration"))
         if handle.kind != "free_evolution" and angle is None and "strength" in d:
-            angle, duration = d["strength"] * duration, None
+            angle, duration = json_number(d["strength"]) * duration, None
         target = d.get("target")
         return PulseStep(
             handle=handle,

@@ -367,6 +367,17 @@ def json_index(value) -> int:
     return int(value)
 
 
+def json_number(value, many: bool = False):
+    """A JSON number, or under `many` a JSON list of them, as given: a bool is not a
+    number (float(True) is 1.0), and nothing but a list is a list (a string iterates)."""
+    if many and not isinstance(value, list):
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    for v in value if many else [value]:
+        if isinstance(v, bool):
+            raise TypeError(f"expected a number, got {v!r}")
+    return value
+
+
 def model_to_dict(model: ExchangeModel) -> dict:
     return {
         "kind": model.kind,
@@ -389,17 +400,19 @@ def model_from_dict(data: dict) -> ExchangeModel:
         except MALFORMED_JSON as exc:
             raise ValueError(f"n_spins: {exc}")
         if "preset" in data:
-            return preset_model(data["preset"], n_spins, data.get("epsilon"))
+            eps = data.get("epsilon")
+            eps = None if eps is None else json_number(eps, many=True)
+            return preset_model(data["preset"], n_spins, eps)
         couplings = {
             (json_index(c["i"]), json_index(c["j"])): Coupling(
-                float(c.get("jx", 0.0)), float(c.get("jy", 0.0)), float(c.get("jz", 0.0))
+                *(float(json_number(c.get(key, 0.0))) for key in ("jx", "jy", "jz"))
             )
             for c in data["couplings"]
         }
         return ExchangeModel(
             kind=data["kind"],
             n_spins=n_spins,
-            epsilon=tuple(float(e) for e in data["epsilon"]),
+            epsilon=tuple(float(e) for e in json_number(data["epsilon"], many=True)),
             couplings=couplings,
             controllable=frozenset(TermHandle.parse(h) for h in data.get("controllable", [])),
             name=data.get("name", ""),

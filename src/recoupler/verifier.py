@@ -12,12 +12,14 @@ one matrix: the identity for a gate, one running product for a circuit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .compiler import (
     LogicalGate,
+    _gate,
     compile_circuit,
     compile_gate,
     nmr_ising_schedule,
@@ -61,25 +63,14 @@ def target_circuit(gates, model, sector=SYMMETRIC, exact_cphase=False) -> np.nda
     k = model.n_spins // 2
     sector_sign = -1.0 if sector == SYMMETRIC else 1.0  # sigma_z sigma_z |code = sign * ZZ
     out = np.eye(2**k, dtype=complex)
-    for gate in gates:  # each gate multiplies on the left
-        m, kind, params = gate.targets[0], gate.kind, gate.params
-        if kind in ("rx", "rz", "euler"):
-            x, z = site_letters(k, {m: "X"}), site_letters(k, {m: "Z"})
-            factors = [(x if kind == "rx" else z, params[0])]
-            if kind == "euler":  # Rx(a) Rz(b) Rx(g): the rightmost factor first
-                factors = [(x, params[2]), (z, params[1]), (x, params[0])]
-            for letters, angle in factors:
-                rotate(out, letters, angle / 2)
-            continue
-        zz = site_letters(k, {m: "Z", m + 1: "Z"})
-        if kind == "heis_zz":
-            rotate(out, zz, sector_sign * model.coupling(2 * m, 2 * m + 1).jz * params[0])
-        elif kind != "cphase":
-            raise ValidationError(f"gate kind {kind!r} has no logical target")
-        elif exact_cphase:  # diag(1, 1, 1, -1) on qubits m, m + 1
-            out[(np.arange(2**k) >> (m - 1) & 3) == 3] *= -1
-        else:
-            rotate(out, zz, sector_sign * math.pi / 4)
+    for gate in gates:  # each factor multiplies on the left
+        m = gate.targets[0]
+        for letters, angle in _gate(gate.kind, exact_cphase).target(model, m, *gate.params):
+            if angle is None:  # exact CPHASE: diag(1, 1, 1, -1) on qubits m, m + 1
+                out[(np.arange(2**k) >> (m - 1) & 3) == 3] *= -1
+            else:
+                sign = sector_sign if len(letters) == 2 else 1.0
+                rotate(out, site_letters(k, dict(enumerate(letters, m))), sign * angle)
     return out
 
 
@@ -317,27 +308,15 @@ LITERATURE_ISOTROPIC_PARALLEL_2D = 7
 
 
 def cost_report(model: ExchangeModel, sector: str = SYMMETRIC) -> list[dict]:
-    """Measured vs expected step counts for every gate the model supports.
-
-    Serial counts grow with the register because the z-rotation sandwich pulses
-    one conjugator per spectator qubit; on the canonical two-logical-qubit
-    register they reduce to 1 / 4 / <=6 / 4-6 / 5 / 6.
-    """
-    k = model.n_spins // 2
-    rz_serial = 2 + 2 * max(k - 1, 0) if k > 1 else 1
-    expected = {
-        "rx": (1, 1),
-        "rz": (rz_serial, 4 if k > 1 else 1),
-        "euler": (2 + rz_serial, 6),
-        "cphase": {"xy": (5, 5), "heisenberg": (6, 6)}.get(model.kind, (6, 4)),
-        "heis_zz": (6, 6),
-    }
+    """Measured vs expected step counts (each kind's `_GATES` record) for every gate the
+    model supports; 1 / 4 / <=6 / 4-6 / 5 / 6 on the canonical two logical qubits."""
     gates = list(STANDARD_GATES.values())
     if model.kind == "heisenberg":
         gates.append(LogicalGate("heis_zz", (1, 2), (1.0,)))
     rows = []
     for gate in gates:
-        exp_serial, exp_parallel = expected[gate.kind]
+        record = _gate(gate.kind)
+        exp_serial, exp_parallel = record.steps(model)
         row = {
             "gate": gate.kind,
             "serial": None,
@@ -354,11 +333,9 @@ def cost_report(model: ExchangeModel, sector: str = SYMMETRIC) -> list[dict]:
             row["note"] = f"{type(exc).__name__}: {exc}"
             continue
         serial, par = sched.step_count_serial, sched.step_count_parallel
-        row.update(serial=serial, parallel=par)
-        if gate.kind == "euler":
-            row.update(match=serial <= exp_serial and par <= exp_parallel, note="<=")
-        else:
-            row["match"] = serial == exp_serial and par == exp_parallel
+        fits = operator.le if record.at_most else operator.eq
+        match = fits(serial, exp_serial) and fits(par, exp_parallel)
+        row.update(serial=serial, parallel=par, match=match, note="<=" if record.at_most else "")
     rows.append(
         {
             "gate": "isotropic_zz_3spin_encoding",

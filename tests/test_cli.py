@@ -248,6 +248,13 @@ class TestUsage:
             "error: bad spin count 'abc' in 'preset:spin_dots:abc'\n"
         )
 
+    @pytest.mark.parametrize("value", ["preset:xy:4:junk", "preset:xy:4:", "preset:xy::4"])
+    def test_fields_after_the_spin_count_exit_2(self, capsys, value):
+        assert main(["cost", "--model", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: extra fields after the spin count in {value!r}\n"
+
     @pytest.mark.parametrize("value", ["abc", "", "0", "-3"])
     def test_bad_spin_cap_exit_2(self, monkeypatch, capsys, value):
         monkeypatch.setenv("RECOUPLER_MAX_SPINS", value)
@@ -315,6 +322,10 @@ class TestMalformedJsonInput:
             ({"gate": "rx", "target": 0.9, "angle": 1.0}, "index must be an integer, got 0.9"),
             ({"gate": "rz", "target": True, "angle": 1.0}, "index must be an integer, got True"),
             ({"gate": "cphase", "targets": [0.2, 1.7]}, "index must be an integer, got 0.2"),
+            ({"gate": "cphase", "targets": "01"}, "expected a list of numbers, got '01'"),
+            ({"gate": "euler", "target": 0, "angles": "123"}, "expected a list of numbers, got '123'"),
+            ({"gate": "euler", "target": 0, "angles": [1, True, 2]}, "expected a number, got True"),
+            ({"gate": "rx", "target": 0, "angle": True}, "expected a number, got True"),
         ],
     )
     def test_bad_gate_values(self, model_file, tmp_path, capsys, record, want):
@@ -330,7 +341,12 @@ class TestMalformedJsonInput:
          '{"kind": "xy", "n_spins": 4.9, "epsilon": [1, 2, 3, 4], "couplings": []}',
          '{"kind": "xy", "n_spins": true, "epsilon": [1, 2, 3, 4], "couplings": []}',
          '{"kind": "xy", "n_spins": 4, "epsilon": [1, 2, 3, 4], "couplings": [{"i": 1.2, "j": 2}]}',
-         '{"kind": "xy", "n_spins": 4, "epsilon": [1, 2, 3, 4], "couplings": [{"i": 1, "j": 2.8}]}'],
+         '{"kind": "xy", "n_spins": 4, "epsilon": [1, 2, 3, 4], "couplings": [{"i": 1, "j": 2.8}]}',
+         '{"kind": "xy", "n_spins": 4, "epsilon": "1234", "couplings": []}',
+         '{"kind": "xy", "n_spins": 4, "epsilon": [1, 2, 3, true], "couplings": []}',
+         '{"kind": "xy", "n_spins": 4, "epsilon": [1, 2, 3, 4],'
+         ' "couplings": [{"i": 1, "j": 2, "jx": true, "jy": 1.0}]}',
+         '{"preset": "xy", "epsilon": [true, false, true, false]}'],
     )
     def test_bad_model_file(self, circuit_file, tmp_path, capsys, content):
         path = tmp_path / "m.json"
@@ -345,6 +361,9 @@ class TestMalformedJsonInput:
             ({"handle": "free_evolution", "duration": 1.0, "target": 5}, "bad free-evolution target 5"),
             ({"handle": "free_evolution", "duration": 1.0, "target": "t_z(x)"}, "bad free-evolution"),
             ({"handle": "j_plus(1,2)", "strength": "abc", "duration": 0.5}, "malformed step"),
+            ({"handle": "free_evolution", "duration": True}, "expected a number, got True"),
+            ({"handle": "j_plus(1,2)", "angle": False}, "expected a number, got False"),
+            ({"handle": "j_plus(1,2)", "strength": True, "duration": 0.5}, "expected a number"),
         ],
     )
     def test_bad_schedule_step(self, model_file, tmp_path, capsys, step, want):

@@ -501,6 +501,10 @@ class TestGateTable:
         with pytest.raises(ValidationError, match=r"^logical qubit 3 outside 1\.\.2$"):
             compile_gate(LogicalGate("cphase", (2, 3)), HEIS)
 
+    def test_numeric_strings_are_read_as_numbers(self):
+        record = {"gate": "euler", "targets": ["1"], "angles": ["0.5", 1, "-2"]}
+        assert gate_from_dict(record) == LogicalGate("euler", (2,), (0.5, 1.0, -2.0))
+
     def test_unhashable_kind_is_unknown(self):
         with pytest.raises(ValidationError, match=r"^unknown gate kind \['rx'\]$"):
             LogicalGate(["rx"], (1,), (1.0,))

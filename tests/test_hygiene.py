@@ -36,6 +36,35 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
+GATE_KINDS = set(importlib.import_module("recoupler.compiler")._GATES)
+OUTSIDE_COMPILER = [p for p in MODULES if p.name != "compiler.py"]
+
+
+def _kind_comparisons(tree: ast.Module) -> list[int]:
+    """Lines that compare a value (==, !=, in, not in) against a gate-kind literal."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare) or not any(
+            isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops
+        ):
+            continue
+        for operand in (node.left, *node.comparators):
+            is_collection = isinstance(operand, (ast.Tuple, ast.List, ast.Set))
+            items = operand.elts if is_collection else [operand]
+            if any(isinstance(i, ast.Constant) and i.value in GATE_KINDS for i in items):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", OUTSIDE_COMPILER, ids=lambda p: p.name)
+def test_gate_kinds_are_compared_only_in_the_compiler(path):
+    """What differs between gate kinds is data in their `_GATES` row; another module that
+    branches on a kind name would verify or count a new row as some other kind."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = _kind_comparisons(tree)
+    assert not lines, f"{path.name}: compares against a gate kind on lines {lines}"
+
+
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
 OUTSIDE_PAULI = [p for p in PACKAGE if p.name != "pauli.py"] + TESTS
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,13 +8,16 @@ import pytest
 from recoupler import (
     ANTISYMMETRIC,
     FREE_EVOLUTION,
+    PRESET_NAMES,
     SYMMETRIC,
     CodeSpec,
     LogicalGate,
     PulseSchedule,
     PulseStep,
     apply_schedule,
+    RecouplerError,
     compile_circuit,
+    compile_gate,
     cost_report,
     fidelity,
     identity_suite,
@@ -185,6 +190,17 @@ class TestCostReport:
         assert all(r["match"] for r in rows.values())
 
 
+    def test_rows_are_pinned(self):
+        # every preset at n = 2..8 in both sectors; the expected counts are `_GATES` data
+        lines = [
+            json.dumps(cost_report(preset_model(name, n), sector))
+            for name in PRESET_NAMES
+            for n in (2, 4, 6, 8)
+            for sector in (SYMMETRIC, ANTISYMMETRIC)
+        ]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "5326a86f97586d276f3be470a0dce13de317f6692d62520cea506748d3117d01"
+
     def test_rows_share_keys_and_gate_table(self):
         columns = ["gate", "serial", "parallel", "expected_serial", "expected_parallel", "match", "note"]
         rows = cost_report(preset_model("quantum_hall", 4), sector=ANTISYMMETRIC)
@@ -297,16 +313,31 @@ class TestVerdictContract:
         assert rep.passed and rep.reason == ""
         assert (rep.step_count_serial, rep.step_count_parallel) == (0, 0)
 
-    def test_a_kind_without_a_logical_target_fails_its_verdict(self, monkeypatch):
-        # a new lowering row must not be verified against the cphase target
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("preset", ["xxz_symmetric", "xy", "heisenberg"])
+    def test_a_new_row_is_verified_against_its_own_target(self, monkeypatch, preset, n):
+        # one `_GATES` row, lowering, target and counts, is all a new kind needs
         from recoupler import compiler
 
-        monkeypatch.setitem(compiler._GATES, "zz", compiler._GATES["cphase"])
-        for verify, subject in ((verify_gate, LogicalGate("zz", (1, 2))),
-                                (verify_circuit, [LogicalGate("zz", (1, 2))])):
-            rep = verify(subject, XXZ)
-            assert not rep.passed
-            assert rep.reason == "ValidationError: gate kind 'zz' has no logical target"
+        target, counts = (lambda model, m, a: (("ZZ", a),)), compiler._GATES["cphase"].steps
+        row = compiler._Gate(2, 1, "angle", compiler._zz_phase, target, counts)
+        monkeypatch.setitem(compiler._GATES, "zz", row)
+        record = {"gate": "zz", "targets": [0, 1], "angle": 0.3}
+        assert compiler.gate_from_dict(record) == LogicalGate("zz", (1, 2), (0.3,))
+        model, k = preset_model(preset, n), n // 2
+        verified = 0
+        for sector in (SYMMETRIC, ANTISYMMETRIC):
+            for m, angle in ((1, 0.3), (k - 1, -1.1), (1, 2.5)):
+                gate = LogicalGate("zz", (m, m + 1), (angle,))
+                try:
+                    compile_gate(gate, model, sector)
+                except RecouplerError:  # verified only in the sectors that compile
+                    continue
+                for rep in (verify_gate(gate, model, sector), verify_circuit([gate], model, sector)):
+                    assert rep.reason == ""
+                    assert 1 - rep.fidelity <= 1e-10 and rep.leakage <= 1e-8
+                    verified += 1
+        assert verified >= 6
 
     def test_circuit_reason_names_the_failing_gate(self):
         m = preset_model("electrons_on_helium", 4, epsilon=(1.0, 1.0, 1.5, 1.0))
