@@ -61,9 +61,13 @@ def _write_text(path: str | None, text: str):
         return
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    with os.fdopen(fd, "w") as f:
-        f.write(text)
-    os.replace(tmp, path)
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:  # leave no temp file beside an unwritable --out
+        os.unlink(tmp)
+        raise
 
 
 def _format_rows(rows: list[dict], fmt: str, columns: list[str]) -> str:
@@ -107,13 +111,7 @@ def _ratio(args) -> float | None:
 def cmd_compile(args) -> int:
     model = _load_model_arg(args.model)
     gates = _load_circuit(args.circuit)
-    schedule = compile_circuit(
-        gates,
-        model,
-        sector=_SECTORS[args.sector],
-        parallel=not args.serial,
-        exact_cphase=args.exact_cphase,
-    )
+    schedule = compile_circuit(gates, model, _SECTORS[args.sector], parallel=not args.serial)
     if args.out:
         save_schedule(schedule, args.out)
     else:
@@ -151,13 +149,8 @@ def cmd_verify(args) -> int:
     gates = _load_circuit(args.circuit)
     tf, tl = _tolerances(args)
     kwargs = dict(
-        sector=_SECTORS[args.sector],
-        mode=args.mode,
-        ratio=_ratio(args),
-        parallel=not args.serial,
-        tol_fidelity=tf,
-        tol_leakage=tl,
-        exact_cphase=args.exact_cphase,
+        sector=_SECTORS[args.sector], mode=args.mode, ratio=_ratio(args),
+        parallel=not args.serial, tol_fidelity=tf, tol_leakage=tl,
     )
     reports = [verify_gate(g, model, **kwargs) for g in gates]
     reports.append(verify_circuit(gates, model, **kwargs))
@@ -215,6 +208,8 @@ def cmd_sweep(args) -> int:
         for r in ratios:
             mode = "ideal" if math.isinf(r) else "realistic"  # ideal mode ignores the ratio
             rep = verify_gate(gate, model, sector=_SECTORS[args.sector], mode=mode, ratio=r)
+            if rep.reason:  # a failed verdict is no measurement, and the CSV has no reason column
+                raise ValidationError(f"sweep {name} at ratio {r:g}: {rep.reason}")
             rows.append(
                 {"gate": name, "ratio": f"{r:g}", "fidelity": rep.fidelity, "leakage": rep.leakage}
             )
@@ -243,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, mode=False)
     p.add_argument("--circuit", required=True)
     p.add_argument("--serial", action="store_true", help="no parallel pulse groups")
-    p.add_argument("--exact-cphase", action="store_true", help="append local z corrections")
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("simulate", help="evaluate a schedule into a unitary report")
@@ -255,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--circuit", required=True)
     p.add_argument("--serial", action="store_true")
-    p.add_argument("--exact-cphase", action="store_true")
     p.add_argument("--tol-fidelity", type=float, default=1e-8)
     p.add_argument("--tol-leakage", type=float, default=1e-8)
     p.add_argument("--format", choices=["json", "csv", "table"], default="json")

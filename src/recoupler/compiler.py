@@ -21,13 +21,14 @@ W is a free window, F an NMR free period.
   heis zz:     half . W . half . conj(W, [heis_ab], pi/2) with half = heis_bc;
                W = exp(-i pi T_m^z) = Z_{2m-1} Z_{2m} flips the transverse part
                of the neighboring exchange, leaving a pure ZZ phase. 6 steps.
+  cz:          the cphase ZZ phase, then rz(+-pi/2) on both qubits (- in the
+               antisymmetric sector): CPHASE exactly, cphase's steps plus two rz's.
   nmr:         F . conj(F, [sigma_x(spin)], pi/2) for a z rotation, and
                F . conj(conj(F, [sigma_x(1)], pi/2), [sigma_x(2)], pi/2) for Ising.
 
 `_GATES` holds one record per gate kind: target count, parameters, lowering,
 logical target and step counts. `LogicalGate`, `gate_from_dict`, `compile_gate`,
-`target_circuit` and `cost_report` read it through `_gate`, which alone picks the
-exact-CPHASE variant of a record when `exact_cphase` is set.
+`target_circuit` and `cost_report` read it through `_gate`.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def _cphase_xxz(model: ExchangeModel, sector: str, m: int, angle: float) -> tupl
     The sandwich doubles the always-on sigma_z sigma_z coupling between spins
     (2m, 2m+1) while the +/-pi/2 x pulses on both qubits cancel the z
     splittings. `angle` is the accumulated sigma_z sigma_z angle; pi/4 gives
-    the controlled-phase gate up to local z rotations (see `_exact_cphase`).
+    the controlled-phase gate up to local z rotations (see `_cz`).
     """
     b, c = 2 * m, 2 * m + 1
     target = WindowTarget("zz", b, c)
@@ -276,7 +277,7 @@ def _zz_phase(model: ExchangeModel, sector: str, m: int, angle: float = math.pi 
     return _heis_zz(model, sector, m, angle / jz)
 
 
-def _exact_cphase(model: ExchangeModel, sector: str, m: int) -> tuple:
+def _cz(model: ExchangeModel, sector: str, m: int) -> tuple:
     """The pi/4 ZZ phase, lowered first for its errors, then the rz corrections to CPHASE."""
     groups = _zz_phase(model, sector, m)
     theta = math.pi / 2 if sector == SYMMETRIC else -math.pi / 2
@@ -287,7 +288,8 @@ class _Gate(NamedTuple):
     """One gate kind: the shape of a `LogicalGate` and its circuit record, its lowering, its
     logical target and the paper's step counts. The target is rotations exp(-i a P) in time
     order, (letters of P on qubits m, m + 1, ..., a): a ZZ angle is the sigma_z sigma_z angle
-    of spins (2m, 2m + 1), and a `None` angle the exact CPHASE, -1 where both qubits are 1."""
+    of spins (2m, 2m + 1), and a `None` angle CPHASE, -1 where both qubits are 1 (`cz`).
+    A variant of a gate, such as cz of cphase, is a row of its own."""
 
     qubits: int  # 2: the adjacent logical qubits m and m+1
     params: int
@@ -318,25 +320,24 @@ _GATES = {
         lambda model, m, t: (("ZZ", model.coupling(2 * m, 2 * m + 1).jz * t),),
         lambda model: (6, 6),
     ),
-}
-_EXACT = {  # the records `exact_cphase` selects in place of a kind's own
-    "cphase": _GATES["cphase"]._replace(lower=_exact_cphase, target=lambda *_: (("ZZ", None),)),
+    "cz": _Gate(
+        2, 0, None, _cz, lambda model, m: (("ZZ", None),),
+        lambda model: tuple(
+            c + 2 * r for c, r in zip(_GATES["cphase"].steps(model), _GATES["rz"].steps(model))
+        ),
+    ),
 }
 
 
-def _gate(kind, exact_cphase: bool = False) -> _Gate:
+def _gate(kind) -> _Gate:
     gate = _GATES.get(kind) if isinstance(kind, str) else None
     if gate is None:  # a JSON list or object as kind is unknown, not unhashable
         raise ValidationError(f"unknown gate kind {kind!r}")
-    return _EXACT.get(kind, gate) if exact_cphase else gate
+    return gate
 
 
 def compile_gate(
-    gate: LogicalGate,
-    model: ExchangeModel,
-    sector: str = SYMMETRIC,
-    parallel: bool = True,
-    exact_cphase: bool = False,
+    gate: LogicalGate, model: ExchangeModel, sector: str = SYMMETRIC, parallel: bool = True
 ) -> PulseSchedule:
     """Lower one logical gate with its kind's construction for the model family.
 
@@ -345,7 +346,7 @@ def compile_gate(
     single-step groups, keeping their order.
     """
     _check_logical(model, sector, *gate.targets)
-    groups = _gate(gate.kind, exact_cphase).lower(model, sector, gate.targets[0], *gate.params)
+    groups = _gate(gate.kind).lower(model, sector, gate.targets[0], *gate.params)
     if not parallel:
         groups = tuple((step,) for group in groups for step in group)
     meta = dict(gate=gate.kind, targets=list(gate.targets), params=list(gate.params), sector=sector)
@@ -353,20 +354,17 @@ def compile_gate(
 
 
 def compile_circuit(
-    gates,
-    model: ExchangeModel,
-    sector: str = SYMMETRIC,
-    parallel: bool = True,
-    exact_cphase: bool = False,
+    gates, model: ExchangeModel, sector: str = SYMMETRIC, parallel: bool = True
 ) -> PulseSchedule:
     """Concatenate per-gate schedules; gates are listed in time order.
 
-    Groups are stored in matrix order, so the last gate's groups come first.
+    Groups are stored in matrix order, so the last gate's groups come first. The
+    metadata key `exact_cphase` records whether the circuit holds a `cz` gate.
     """
     compiled = []
     for idx, gate in enumerate(gates):
         try:
-            compiled.append(compile_gate(gate, model, sector, parallel, exact_cphase))
+            compiled.append(compile_gate(gate, model, sector, parallel))
         except RecouplerError as exc:
             exc.args = (f"gate {idx} ({gate.kind}): {exc}",)
             raise
@@ -376,7 +374,7 @@ def compile_circuit(
         "gates": [g.describe() for g in gates],
         "sector": sector,
         "parallel": parallel,
-        "exact_cphase": exact_cphase,
+        "exact_cphase": any(g.kind == "cz" for g in gates),
     }
     return PulseSchedule(groups, meta)
 
@@ -410,6 +408,8 @@ def gate_from_dict(data: dict) -> LogicalGate:
             targets = tuple(json_index(t) + 1 for t in json_number(data["targets"], many=True))
         else:
             targets = (json_index(data["target"]) + 1,)
+        if any(t < 1 for t in targets):
+            raise ValueError("targets are 0-based indices, not negative")
         gate = _gate(kind)
         value = json_number(data[gate.field], many=gate.params > 1) if gate.field else []
         params = (float(value),) if gate.params == 1 else tuple(float(a) for a in value)

@@ -55,6 +55,7 @@ from .model import (
     background_hamiltonian,
     build_zz,
     json_number,
+    json_of,
     read_json,
     toggled_generator,
 )
@@ -416,9 +417,10 @@ def schedule_from_dict(data: dict) -> PulseSchedule:
         groups = tuple(
             tuple(_step_from_dict(s) for s in group) for group in data["groups"]
         )
+        metadata = json_of(data.get("metadata", {}), dict, "'metadata' as an object")
     except MALFORMED_JSON as exc:
         raise ValidationError(f"malformed schedule JSON: {exc}")
-    return PulseSchedule(groups, data.get("metadata", {}))
+    return PulseSchedule(groups, metadata)
 
 
 def save_schedule(schedule: PulseSchedule, path: str):

@@ -367,12 +367,18 @@ def json_index(value) -> int:
     return int(value)
 
 
+def json_of(value, kind: type, what: str):
+    """`value` as given if it is a `kind` (list, str or dict): nothing but a list is a
+    list (a string or an object iterates), and nothing but a string is a name."""
+    if not isinstance(value, kind):
+        raise TypeError(f"expected {what}, got {value!r}")
+    return value
+
+
 def json_number(value, many: bool = False):
     """A JSON number, or under `many` a JSON list of them, as given: a bool is not a
-    number (float(True) is 1.0), and nothing but a list is a list (a string iterates)."""
-    if many and not isinstance(value, list):
-        raise TypeError(f"expected a list of numbers, got {value!r}")
-    for v in value if many else [value]:
+    number (float(True) is 1.0)."""
+    for v in json_of(value, list, "a list of numbers") if many else [value]:
         if isinstance(v, bool):
             raise TypeError(f"expected a number, got {v!r}")
     return value
@@ -409,13 +415,14 @@ def model_from_dict(data: dict) -> ExchangeModel:
             )
             for c in data["couplings"]
         }
+        handles = json_of(data.get("controllable", []), list, "'controllable' as a list")
         return ExchangeModel(
             kind=data["kind"],
             n_spins=n_spins,
             epsilon=tuple(float(e) for e in json_number(data["epsilon"], many=True)),
             couplings=couplings,
-            controllable=frozenset(TermHandle.parse(h) for h in data.get("controllable", [])),
-            name=data.get("name", ""),
+            controllable=frozenset(TermHandle.parse(h) for h in handles),
+            name=json_of(data.get("name", ""), str, "'name' as a string"),
         )
     except MALFORMED_JSON as exc:
         raise ValidationError(f"malformed model JSON: {exc}")

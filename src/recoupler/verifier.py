@@ -57,7 +57,7 @@ def fidelity(u_realized: np.ndarray, u_target: np.ndarray, spec: CodeSpec) -> fl
     return _overlap(restrict(u_realized, spec)[0], u_target, spec)
 
 
-def target_circuit(gates, model, sector=SYMMETRIC, exact_cphase=False) -> np.ndarray:
+def target_circuit(gates, model, sector=SYMMETRIC) -> np.ndarray:
     """The logical unitary a gate list in time order realizes on the code space, on
     the k = n/2 logical qubits (logical qubit 1 least significant)."""
     k = model.n_spins // 2
@@ -65,8 +65,8 @@ def target_circuit(gates, model, sector=SYMMETRIC, exact_cphase=False) -> np.nda
     out = np.eye(2**k, dtype=complex)
     for gate in gates:  # each factor multiplies on the left
         m = gate.targets[0]
-        for letters, angle in _gate(gate.kind, exact_cphase).target(model, m, *gate.params):
-            if angle is None:  # exact CPHASE: diag(1, 1, 1, -1) on qubits m, m + 1
+        for letters, angle in _gate(gate.kind).target(model, m, *gate.params):
+            if angle is None:  # CPHASE: diag(1, 1, 1, -1) on qubits m, m + 1
                 out[(np.arange(2**k) >> (m - 1) & 3) == 3] *= -1
             else:
                 sign = sector_sign if len(letters) == 2 else 1.0
@@ -74,9 +74,9 @@ def target_circuit(gates, model, sector=SYMMETRIC, exact_cphase=False) -> np.nda
     return out
 
 
-def target_logical(gate, model, sector=SYMMETRIC, exact_cphase=False) -> np.ndarray:
+def target_logical(gate, model, sector=SYMMETRIC) -> np.ndarray:
     """The documented logical unitary a compiled gate realizes on the code space."""
-    return target_circuit([gate], model, sector, exact_cphase)
+    return target_circuit([gate], model, sector)
 
 
 @dataclass
@@ -98,16 +98,16 @@ class VerificationReport:
 
 def _verdict(
     label, subject, compile_fn, target_fn, model, sector, mode, ratio, parallel,
-    tol_fidelity, tol_leakage, exact_cphase,
+    tol_fidelity, tol_leakage,
 ) -> VerificationReport:
     """Compile, simulate, restrict and compare; any RecouplerError fails the verdict."""
     ratio_text = "None" if ratio is None else f"{ratio:g}"
     mode_label = mode if mode == "ideal" else f"realistic(r={ratio_text})"
     try:
-        schedule = compile_fn(subject, model, sector, parallel, exact_cphase)
+        schedule = compile_fn(subject, model, sector, parallel)
         uv, rows = _evolve(schedule, model, mode, ratio, sector)
         spec = CodeSpec(sector, model.n_spins)
-        target = target_fn(subject, model, sector, exact_cphase)
+        target = target_fn(subject, model, sector)
         block, leak = restrict(uv, spec, rows)
         fid = _overlap(block, target, spec)
     except RecouplerError as exc:
@@ -123,39 +123,27 @@ def _verdict(
 
 
 def verify_gate(
-    gate: LogicalGate,
-    model: ExchangeModel,
-    sector: str = SYMMETRIC,
-    mode: str = "ideal",
-    ratio: float | None = None,
-    parallel: bool = True,
-    tol_fidelity: float = 1e-8,
+    gate: LogicalGate, model: ExchangeModel, sector: str = SYMMETRIC, mode: str = "ideal",
+    ratio: float | None = None, parallel: bool = True, tol_fidelity: float = 1e-8,
     tol_leakage: float = 1e-8,
-    exact_cphase: bool = False,
 ) -> VerificationReport:
     """Compile, simulate, restrict, and compare one gate against its target."""
     return _verdict(
         gate.describe(), gate, compile_gate, target_logical, model, sector, mode, ratio,
-        parallel, tol_fidelity, tol_leakage, exact_cphase,
+        parallel, tol_fidelity, tol_leakage,
     )
 
 
 def verify_circuit(
-    gates,
-    model: ExchangeModel,
-    sector: str = SYMMETRIC,
-    mode: str = "ideal",
-    ratio: float | None = None,
-    parallel: bool = True,
-    tol_fidelity: float = 1e-8,
+    gates, model: ExchangeModel, sector: str = SYMMETRIC, mode: str = "ideal",
+    ratio: float | None = None, parallel: bool = True, tol_fidelity: float = 1e-8,
     tol_leakage: float = 1e-8,
-    exact_cphase: bool = False,
 ) -> VerificationReport:
     """The same verdict for a gate list in time order, against the product target."""
     names = ", ".join(g.describe() for g in gates) or "<empty>"
     return _verdict(
         f"circuit[{names}]", gates, compile_circuit, target_circuit, model, sector, mode,
-        ratio, parallel, tol_fidelity, tol_leakage, exact_cphase,
+        ratio, parallel, tol_fidelity, tol_leakage,
     )
 
 

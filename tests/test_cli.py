@@ -65,24 +65,26 @@ class TestCompile:
         ])
         assert rc == 0
 
-    def test_exact_cphase_flag(self, model_file, tmp_path):
+    def test_cz_gate(self, model_file, tmp_path):
         circ = tmp_path / "c.json"
-        circ.write_text(json.dumps([{"gate": "cphase", "targets": [0, 1]}]))
+        circ.write_text(json.dumps([{"gate": "cz", "targets": [0, 1]}]))
         out = tmp_path / "s.json"
-        rc = main([
-            "compile", "--model", model_file, "--circuit", str(circ),
-            "--exact-cphase", "--out", str(out),
-        ])
+        rc = main(["compile", "--model", model_file, "--circuit", str(circ), "--out", str(out)])
         assert rc == 0
-        steps = sum(len(g) for g in json.loads(out.read_text())["groups"])
+        schedule = json.loads(out.read_text())
+        steps = sum(len(g) for g in schedule["groups"])
         assert steps == 6 + 8  # bare phase gate plus two local z corrections
+        assert schedule["metadata"]["exact_cphase"] is True
         rep_out = tmp_path / "r.json"
-        rc = main([
-            "verify", "--model", model_file, "--circuit", str(circ),
-            "--exact-cphase", "--out", str(rep_out),
-        ])
+        rc = main(["verify", "--model", model_file, "--circuit", str(circ), "--out", str(rep_out)])
         assert rc == 0
         assert all(r["pass"] for r in json.loads(rep_out.read_text()))
+
+    @pytest.mark.parametrize("command", ["compile", "verify"])
+    def test_exact_cphase_flag_is_gone(self, model_file, circuit_file, capsys, command):
+        argv = [command, "--model", model_file, "--circuit", circuit_file, "--exact-cphase"]
+        assert main(argv) == 2
+        assert "unrecognized arguments: --exact-cphase" in capsys.readouterr().err
 
 
 class TestRoundTrip:
@@ -233,6 +235,28 @@ class TestSweep:
     def test_unknown_gate_exit_2(self, model_file):
         assert main(["sweep", "--model", model_file, "--ratios", "10", "--gates", "bogus"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (
+                ["--model", "preset:xy:4", "--sector", "antisymmetric", "--ratios", "10,inf"],
+                "error: sweep rz at ratio 10: ControllabilityError: handle j_minus(3,4)"
+                " is not controllable in model 'xy'\n",
+            ),
+            (
+                ["--model", "preset:heisenberg:4", "--ratios", "1e-320"],
+                "error: sweep rz at ratio 9.99989e-321: ValidationError:"
+                " propagator lost unitarity (defect nan)\n",
+            ),
+        ],
+    )
+    def test_failed_verdict_exit_2(self, capsys, argv, want):
+        # a failed verdict is no measurement: no 0.0,1.0 row, one error line instead
+        assert main(["sweep", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == want
+
 
 class TestUsage:
     def test_unknown_command_exit_2(self, capsys):
@@ -326,6 +350,8 @@ class TestMalformedJsonInput:
             ({"gate": "euler", "target": 0, "angles": "123"}, "expected a list of numbers, got '123'"),
             ({"gate": "euler", "target": 0, "angles": [1, True, 2]}, "expected a number, got True"),
             ({"gate": "rx", "target": 0, "angle": True}, "expected a number, got True"),
+            ({"gate": "rx", "target": -1, "angle": 1}, "targets are 0-based indices, not negative"),
+            ({"gate": "cz", "targets": [-1, 0]}, "targets are 0-based indices, not negative"),
         ],
     )
     def test_bad_gate_values(self, model_file, tmp_path, capsys, record, want):
@@ -346,13 +372,24 @@ class TestMalformedJsonInput:
          '{"kind": "xy", "n_spins": 4, "epsilon": [1, 2, 3, true], "couplings": []}',
          '{"kind": "xy", "n_spins": 4, "epsilon": [1, 2, 3, 4],'
          ' "couplings": [{"i": 1, "j": 2, "jx": true, "jy": 1.0}]}',
-         '{"preset": "xy", "epsilon": [true, false, true, false]}'],
+         '{"preset": "xy", "epsilon": [true, false, true, false]}',
+         '{"kind": "xy", "n_spins": 4, "epsilon": [1, 2, 3, 4], "couplings": [],'
+         ' "controllable": "free_evolution"}',
+         '{"kind": "xy", "n_spins": 4, "epsilon": [1, 2, 3, 4], "couplings": [],'
+         ' "controllable": {"free_evolution": 1}}',
+         '{"kind": "xy", "n_spins": 4, "epsilon": [1, 2, 3, 4], "couplings": [], "name": ["x"]}'],
     )
     def test_bad_model_file(self, circuit_file, tmp_path, capsys, content):
         path = tmp_path / "m.json"
         path.write_text(content)
         assert main(["verify", "--model", str(path), "--circuit", circuit_file]) == 2
         self._one_error_line(capsys, "malformed model JSON")
+
+    def test_wrong_typed_schedule_metadata(self, model_file, tmp_path, capsys):
+        sched = tmp_path / "s.json"
+        sched.write_text(json.dumps({"groups": [], "metadata": []}))
+        assert main(["simulate", "--model", model_file, "--schedule", str(sched)]) == 2
+        self._one_error_line(capsys, "malformed schedule JSON: expected 'metadata' as an object")
 
     @pytest.mark.parametrize(
         "step, want",
@@ -378,6 +415,13 @@ class TestMalformedJsonInput:
         argv = ["verify", "--model", files["--model"], "--circuit", files["--circuit"]]
         assert main(argv) == 2
         self._one_error_line(capsys, f"error: [Errno 21] Is a directory: '{tmp_path}'")
+
+    def test_directory_as_output_leaves_no_temp_file(self, tmp_path, capsys):
+        out = tmp_path / "DIR"
+        out.mkdir()
+        assert main(["suite", "--out", str(out)]) == 2
+        self._one_error_line(capsys, "Is a directory")
+        assert [p.name for p in tmp_path.iterdir()] == ["DIR"]
 
     def test_missing_schedule_message_unchanged(self, model_file, tmp_path, capsys):
         missing = str(tmp_path / "none.json")

@@ -58,11 +58,11 @@ valid_gates = st.one_of(
     records(
         {"gate": st.just("euler"), "target": st.integers(0, 2), "angles": st.tuples(*[angles] * 3)}
     ),
-    records({"gate": st.just("cphase"), "targets": st.sampled_from([[0, 1], [1, 2]])}),
+    records({"gate": st.sampled_from(["cphase", "cz"]), "targets": st.sampled_from([[0, 1], [1, 2]])}),
     records({"gate": st.just("heis_zz"), "target": st.integers(0, 1), "time": angles}),
 )
 gate_records = valid_gates | records(
-    {"gate": st.sampled_from(["rx", "rz", "euler", "cphase", "heis_zz", "bogus"]) | scalars},
+    {"gate": st.sampled_from(["rx", "rz", "euler", "cphase", "cz", "heis_zz", "bogus"]) | scalars},
     optional={
         "target": st.integers(-1, 3) | scalars,
         "targets": st.lists(st.integers(-1, 3) | scalars, max_size=3),
@@ -151,8 +151,7 @@ def invocations(draw):
         argv += ["--model", model, "--sector", sector]
     if command in ("compile", "verify"):
         argv += ["--circuit", draw(st.sampled_from(["{work}/circuit.json"] * 3 + ["{work}"]))]
-        flags = st.sampled_from(["--serial", "--exact-cphase"])
-        argv += draw(st.lists(flags, max_size=2, unique=True))
+        argv += draw(st.lists(st.just("--serial"), max_size=1))
     if command == "simulate":
         argv += ["--schedule", draw(st.sampled_from(["{work}/schedule.json"] * 3 + ["{work}"]))]
     if command in ("simulate", "verify") and draw(st.booleans()):

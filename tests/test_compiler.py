@@ -35,6 +35,7 @@ from recoupler import (
     schedule_to_dict,
     target_logical,
     to_matrix,
+    verify_circuit,
     verify_gate,
 )
 from recoupler.compiler import _GATES, _cphase_xxz, _cphase_xy, gate_from_dict
@@ -271,15 +272,16 @@ class TestHeisZz:
 
 
 class TestCompileGateOptions:
-    """exact_cphase and parallel=False apply to every construction, once, in compile_gate."""
+    """cz covers every cphase family; parallel=False applies to every construction, once,
+    in compile_gate."""
 
     @pytest.mark.parametrize(
         "name, bare_steps",
         [("electrons_on_helium", 6), ("quantum_hall", 5), ("spin_dots", 6), ("donor_atoms", 6), ("heisenberg", 6)],
     )
-    def test_exact_cphase_prepends_corrections(self, name, bare_steps):
+    def test_cz_prepends_corrections(self, name, bare_steps):
         model = preset_model(name, 4)
-        sched = compile_gate(LogicalGate("cphase", (1, 2)), model, exact_cphase=True)
+        sched = compile_gate(LogicalGate("cz", (1, 2)), model)
         assert sched.step_count_serial == bare_steps + 8
         u = apply_schedule(sched, model)
         block, leak = restrict(u, SPEC_SYM)
@@ -288,27 +290,28 @@ class TestCompileGateOptions:
         assert leak < 1e-10 and overlap > 1 - 1e-10
 
     @pytest.mark.parametrize("name", ["spin_dots", "donor_atoms", "heisenberg"])
-    def test_exact_cphase_isotropic_antisymmetric_is_sector_error(self, name):
+    def test_cz_isotropic_antisymmetric_is_sector_error(self, name):
         # the rz corrections need heis spectator pulses, which act trivially on that code
-        gate, model = LogicalGate("cphase", (1, 2)), preset_model(name, 4)
-        rep = verify_gate(gate, model, sector=ANTISYMMETRIC, exact_cphase=True)
+        gate, model = LogicalGate("cz", (1, 2)), preset_model(name, 4)
+        rep = verify_gate(gate, model, sector=ANTISYMMETRIC)
         assert not rep.passed and rep.reason.startswith("SectorError")
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_serial_has_one_step_per_group(self, name, n):
         model = preset_model(name, n)
-        gates = list(STANDARD_GATES.values()) + [LogicalGate("heis_zz", (1, 2), (1.3,))]
+        gates = list(STANDARD_GATES.values()) + [
+            LogicalGate("cz", (1, 2)), LogicalGate("heis_zz", (1, 2), (1.3,)),
+        ]
         for sector in (SYMMETRIC, ANTISYMMETRIC):
             for gate in gates:
-                for exact in (False, True) if gate.kind == "cphase" else (False,):
-                    try:
-                        sched = compile_gate(gate, model, sector, parallel=False, exact_cphase=exact)
-                    except RecouplerError:
-                        continue
-                    assert all(len(group) == 1 for group in sched.groups), gate.describe()
-                    rep = verify_gate(gate, model, sector, parallel=False, exact_cphase=exact)
-                    assert rep.passed, rep.to_dict()
+                try:
+                    sched = compile_gate(gate, model, sector, parallel=False)
+                except RecouplerError:
+                    continue
+                assert all(len(group) == 1 for group in sched.groups), gate.describe()
+                rep = verify_gate(gate, model, sector, parallel=False)
+                assert rep.passed, rep.to_dict()
 
     @pytest.mark.parametrize("kind, params", [("cphase", ()), ("heis_zz", (1.3,))])
     @pytest.mark.parametrize("sector", [SYMMETRIC, ANTISYMMETRIC])
@@ -330,6 +333,16 @@ class TestCircuit:
         sched = compile_circuit(gates, XXZ, parallel=True)
         assert sched.step_count_parallel == 1 + 4
         assert sched.step_count_serial == 1 + 6
+
+    def test_cphase_and_cz_mix(self):
+        # a variant is a gate kind of its own, so one circuit can hold both
+        gates = [LogicalGate("cphase", (1, 2)), LogicalGate("rx", (2,), (0.4,))]
+        assert compile_circuit(gates, XXZ).metadata["exact_cphase"] is False
+        gates.append(LogicalGate("cz", (1, 2)))
+        sched = compile_circuit(gates, XXZ)
+        assert sched.metadata["exact_cphase"] is True
+        assert sched.step_count_serial == 6 + 1 + 14
+        assert verify_circuit(gates, XXZ).passed
 
     def test_euler_cphase_euler_bound(self):
         gates = [
@@ -496,6 +509,22 @@ class TestGateTable:
             "gate": kind, "targets": list(targets), "params": list(params), "sector": SYMMETRIC,
         }
         assert schedule_from_dict(json.loads(json.dumps(schedule_to_dict(sched)))) == sched
+        # the row's step counts hold wherever the kind compiles, within a bound if at_most
+        fits = (lambda got, want: got <= want) if entry.at_most else (lambda got, want: got == want)
+        compiled = 0
+        for name in PRESET_NAMES:
+            for n in (4, 6, 8):
+                model = preset_model(name, n)
+                for sector in (SYMMETRIC, ANTISYMMETRIC):
+                    try:
+                        sched = compile_gate(gate, model, sector)
+                    except RecouplerError:
+                        continue
+                    got = (sched.step_count_serial, sched.step_count_parallel)
+                    want = entry.steps(model)
+                    assert all(map(fits, got, want)), (name, n, sector, got, want)
+                    compiled += 1
+        assert compiled > 0
 
     def test_isotropic_cphase_past_the_register_is_a_qubit_error(self):
         with pytest.raises(ValidationError, match=r"^logical qubit 3 outside 1\.\.2$"):
@@ -523,21 +552,27 @@ GOLDEN_GATES = [
 
 
 def _golden_schedules():
-    """Every preset at n=6, both sectors, each gate alone and a 5-gate circuit."""
+    """Every preset at n=6, both sectors, each gate alone and a 5-gate circuit, each
+    once as listed and once with cz in place of cphase."""
     for name in PRESET_NAMES:
         model = preset_model(name, 6)
         for sector in (SYMMETRIC, ANTISYMMETRIC):
             for gates in [[g] for g in GOLDEN_GATES] + [GOLDEN_GATES[:5]]:
-                for exact in (False, True):
+                for cz in (False, True):
+                    if cz:
+                        gates = [
+                            LogicalGate("cz", g.targets) if g.kind == "cphase" else g
+                            for g in gates
+                        ]
                     try:
-                        yield compile_circuit(gates, model, sector, exact_cphase=exact)
+                        yield compile_circuit(gates, model, sector)
                     except RecouplerError as exc:
                         yield type(exc).__name__
 
 
 class TestScheduleJsonGolden:
     def test_compiled_json_is_pinned(self):
-        # digest of the compiled JSON; a refactor must not change it. Isotropic exact cphase
+        # digest of the compiled JSON; a refactor must not change it. Isotropic cz
         # (lines 9, 13, 23, 37, 41, 51, 177, 181, 191) carries the rz corrections in the
         # symmetric sector and reads SectorError in the antisymmetric one.
         lines = [
@@ -545,7 +580,7 @@ class TestScheduleJsonGolden:
         ]
         assert len(lines) == 308 and sum('"target"' in line for line in lines) == 111
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == "d3306c73928953a812e3a64f7d83c4cc13b06acaeca74bbfde0f92db61f27963"
+        assert digest == "819e320c1813632f623a9a149430d9db56a59ba2c0d7bb551643854d2f9b35a3"
 
     def test_compiled_json_round_trips(self):
         for sched in _golden_schedules():

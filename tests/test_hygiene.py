@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import re
 import types
 from collections import Counter
@@ -145,6 +146,14 @@ def test_tracer_hooks_resolve():
         if not hasattr(importlib.import_module("recoupler" + (f".{ns}" if ns else "")), name)
     ]
     assert not missing, f"tracer hook points with no target: {missing}"
+
+
+def test_readme_circuit_example_shows_every_gate_kind():
+    """README's circuit-JSON example holds one record of each `_GATES` kind, so a new
+    row cannot land undocumented."""
+    section = (ROOT / "README.md").read_text().split("Circuit JSON", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    assert sorted(record["gate"] for record in json.loads(block)) == sorted(GATE_KINDS)
 
 
 def test_pauli_sum_iterates_letters_and_coefficients():

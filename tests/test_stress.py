@@ -489,14 +489,13 @@ def test_xxz_ideal_verdicts_evolve_only_the_code_states(preset):
     model = preset_model(preset, 8)
     verdicts = 0
     for sector in (SYMMETRIC, ANTISYMMETRIC):
-        for gate in STANDARD_GATES.values():
-            for exact in (False, True):
-                rep = verify_gate(gate, model, sector=sector, exact_cphase=exact)
-                if rep.reason.startswith("ControllabilityError"):
-                    continue
-                assert rep.passed and rep.leakage == 0.0, (sector, gate.describe(), rep)
-                verdicts += 1
-    assert verdicts == 8
+        for gate in [*STANDARD_GATES.values(), LogicalGate("cz", (1, 2))]:
+            rep = verify_gate(gate, model, sector=sector)
+            if rep.reason.startswith("ControllabilityError"):
+                continue
+            assert rep.passed and rep.leakage == 0.0, (sector, gate.describe(), rep)
+            verdicts += 1
+    assert verdicts == 5
 
 
 # -- one eigendecomposition per distinct generator, against expm of every group ----

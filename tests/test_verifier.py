@@ -559,7 +559,7 @@ def _cphase_exact(m, n_logical):
     return np.diag(d)
 
 
-def _closed_form_target(gate, model, sector, exact_cphase):
+def _closed_form_target(gate, model, sector):
     k = model.n_spins // 2
     m = gate.targets[0]
     sector_sign = -1.0 if sector == SYMMETRIC else 1.0
@@ -573,12 +573,12 @@ def _closed_form_target(gate, model, sector, exact_cphase):
     if gate.kind == "heis_zz":
         jz = model.coupling(2 * m, 2 * m + 1).jz
         return _zz_phase(m, sector_sign * jz * gate.params[0], k)
-    if exact_cphase:
+    if gate.kind == "cz":
         return _cphase_exact(m, k)
     return _zz_phase(m, sector_sign * np.pi / 4, k)
 
 
-def _oracle_gates(k):
+def _oracle_gates(k, cphase_kind="cphase"):
     for m in range(1, k + 1):
         for theta in (1.1, np.pi, -2.3, 4 * np.pi):
             yield LogicalGate("rx", (m,), (theta,))
@@ -586,43 +586,43 @@ def _oracle_gates(k):
         yield LogicalGate("euler", (m,), (0.5, 1.2, -0.8))
         yield LogicalGate("euler", (m,), (np.pi, -np.pi / 2, 0.0))
         if m < k:
-            yield LogicalGate("cphase", (m, m + 1))
+            yield LogicalGate(cphase_kind, (m, m + 1))
             yield LogicalGate("heis_zz", (m, m + 1), (1.0,))
             yield LogicalGate("heis_zz", (m, m + 1), (-0.37,))
 
 
 class TestTargetOracle:
-    @pytest.mark.parametrize("exact_cphase", [False, True])
+    @pytest.mark.parametrize("cphase_kind", ["cphase", "cz"])
     @pytest.mark.parametrize("sector", [SYMMETRIC, ANTISYMMETRIC])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-    def test_matches_closed_forms(self, k, sector, exact_cphase):
+    def test_matches_closed_forms(self, k, sector, cphase_kind):
         model = preset_model("heisenberg", 2 * k)
-        for gate in _oracle_gates(k):
-            got = target_logical(gate, model, sector, exact_cphase)
-            want = _closed_form_target(gate, model, sector, exact_cphase)
+        for gate in _oracle_gates(k, cphase_kind):
+            got = target_logical(gate, model, sector)
+            want = _closed_form_target(gate, model, sector)
             assert np.max(np.abs(got - want)) <= 1e-15, gate.describe()
 
-    @pytest.mark.parametrize("exact_cphase", [False, True])
+    @pytest.mark.parametrize("cphase_kind", ["cphase", "cz"])
     @pytest.mark.parametrize("sector", [SYMMETRIC, ANTISYMMETRIC])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-    def test_circuit_matches_the_dense_rotation_product(self, k, sector, exact_cphase):
-        rng = np.random.default_rng(10 * k + 2 * (sector == SYMMETRIC) + exact_cphase)
+    def test_circuit_matches_the_dense_rotation_product(self, k, sector, cphase_kind):
+        rng = np.random.default_rng(10 * k + 2 * (sector == SYMMETRIC) + (cphase_kind == "cz"))
         model = preset_model("heisenberg", 2 * k)
-        kinds = ["rx", "rz", "euler"] + ["cphase", "heis_zz"] * (k > 1)
+        kinds = ["rx", "rz", "euler"] + [cphase_kind, "heis_zz"] * (k > 1)
         for _ in range(8):
             gates = [_random_gate(rng, str(rng.choice(kinds)), k) for _ in range(rng.integers(1, 13))]
             want = np.eye(2**k)
             for gate in gates:
-                want = _dense_target(gate, model, sector, exact_cphase) @ want
-            got = target_circuit(gates, model, sector, exact_cphase)
+                want = _dense_target(gate, model, sector) @ want
+            got = target_circuit(gates, model, sector)
             assert np.max(np.abs(got - want)) <= 1e-14, [g.describe() for g in gates]
 
     @pytest.mark.parametrize("sector", [SYMMETRIC, ANTISYMMETRIC])
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
-    def test_exact_cphase_is_exactly_diagonal_signs(self, k, sector):
+    def test_cz_is_exactly_diagonal_signs(self, k, sector):
         model = preset_model("heisenberg", 2 * k)
         for m in range(1, k):
-            got = target_logical(LogicalGate("cphase", (m, m + 1)), model, sector, True)
+            got = target_logical(LogicalGate("cz", (m, m + 1)), model, sector)
             assert np.array_equal(got, _cphase_exact(m, k))
             assert set(np.diag(got)) == {1.0, -1.0}
 
@@ -636,7 +636,7 @@ def _dense_rotation(k, sites, angle):
     return to_matrix(PauliSum(k, terms))
 
 
-def _dense_target(gate, model, sector, exact_cphase):
+def _dense_target(gate, model, sector):
     k = model.n_spins // 2
     m = gate.targets[0]
     if gate.kind in ("rx", "rz"):
@@ -652,7 +652,7 @@ def _dense_target(gate, model, sector, exact_cphase):
     if gate.kind == "heis_zz":
         jz = model.coupling(2 * m, 2 * m + 1).jz
         return _dense_rotation(k, zz, sector_sign * jz * gate.params[0])
-    if exact_cphase:  # (I + Z_m + Z_{m+1} - Z_m Z_{m+1}) / 2
+    if gate.kind == "cz":  # (I + Z_m + Z_{m+1} - Z_m Z_{m+1}) / 2
         halves = (({}, 0.5), ({m: "Z"}, 0.5), ({m + 1: "Z"}, 0.5), (zz, -0.5))
         return to_matrix(PauliSum(k, {site_letters(k, s): c for s, c in halves}))
     return _dense_rotation(k, zz, sector_sign * np.pi / 4)
@@ -660,6 +660,6 @@ def _dense_target(gate, model, sector, exact_cphase):
 
 def _random_gate(rng, kind, k):
     m = int(rng.integers(1, k + (kind in ("rx", "rz", "euler"))))
-    params = {"rx": 1, "rz": 1, "euler": 3, "cphase": 0, "heis_zz": 1}[kind]
+    params = {"rx": 1, "rz": 1, "euler": 3, "cphase": 0, "cz": 0, "heis_zz": 1}[kind]
     targets = (m,) if kind in ("rx", "rz", "euler") else (m, m + 1)
     return LogicalGate(kind, targets, tuple(rng.uniform(-2 * np.pi, 2 * np.pi, size=params)))
