@@ -285,6 +285,9 @@ def main(argv=None) -> int:
     except (RecouplerError, OSError) as exc:  # OSError: writing --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy says how much it could not allocate, Python nothing
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

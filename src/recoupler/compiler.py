@@ -117,16 +117,6 @@ def _conjugated(inner: tuple, handles, angle: float) -> tuple:
     return (plus,) + inner + (minus,)
 
 
-def _mod_interval(value: float, period: float, positive: bool) -> float:
-    """Reduce modulo `period` into [0, period) or (-period, 0]."""
-    r = math.fmod(value, period)
-    if positive and r < 0:
-        r += period
-    if not positive and r > 0:
-        r -= period
-    return r
-
-
 def _is_zero_mod(value: float, period: float) -> bool:
     r = abs(math.fmod(value, period))
     return min(r, period - r) < _ZERO
@@ -137,9 +127,10 @@ def _free_window(target: WindowTarget, coeff: float, angle: float, period: float
 
     `period` is the angle periodicity the surrounding construction tolerates
     exactly (pi for paired sandwich windows whose shifts cancel, 2*pi for a
-    lone window).
+    lone window). The angle is reduced into [0, period) or (-period, 0], the sign
+    of `coeff`.
     """
-    a = _mod_interval(angle, period, positive=coeff > 0)
+    a = angle % period if coeff > 0 else -(-angle % period)
     return PulseStep(FREE_EVOLUTION, duration=a / coeff, target=target)
 
 
@@ -280,7 +271,7 @@ def _zz_phase(model: ExchangeModel, sector: str, m: int, angle: float = math.pi 
 def _cz(model: ExchangeModel, sector: str, m: int) -> tuple:
     """The pi/4 ZZ phase, lowered first for its errors, then the rz corrections to CPHASE."""
     groups = _zz_phase(model, sector, m)
-    theta = math.pi / 2 if sector == SYMMETRIC else -math.pi / 2
+    theta = -CodeSpec(sector, model.n_spins).zz_sign * math.pi / 2
     return _rz(model, sector, m, theta) + _rz(model, sector, m + 1, theta) + groups
 
 

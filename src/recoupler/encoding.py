@@ -10,6 +10,7 @@ The code states of each `CodeSpec` are computed once and shared read-only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -40,6 +41,12 @@ class CodeSpec:
     @property
     def n_logical(self) -> int:
         return self.n_spins // 2
+
+    @property
+    def zz_sign(self) -> float:
+        """s with sigma_z(2m) sigma_z(2m+1) = s Zbar_m Zbar_(m+1) on the code: a spin reads
+        +Zbar where logical 0 puts it up and -Zbar where it puts it down."""
+        return (-1.0) ** sum(_PATTERNS[self.sector][0])
 
 
 def t_z(n: int, m: int) -> PauliSum:
@@ -98,11 +105,10 @@ def encode(spec: CodeSpec, logical_state: np.ndarray) -> np.ndarray:
 def decode(spec: CodeSpec, physical_state: np.ndarray):
     """Project back to the code space.
 
-    Returns (logical_state, leakage_norm) where leakage_norm = ||(I-P) psi|| / ||psi||,
-    read off the entries outside the code states as `restrict` does, and the
-    logical part is renormalized. A state with no in-code component returns
-    (None, 1.0). The state is scaled to its largest entry before any norm, so
-    huge entries cannot overflow; a non-finite entry raises ValidationError.
+    Returns (logical_state, leakage_norm), leakage_norm = ||(I-P) psi|| / ||psi|| from
+    `_code_block`, the logical part renormalized, or (None, 1.0) with no in-code part.
+    The state is scaled to its largest entry before any norm, so huge entries cannot
+    overflow; a non-finite entry raises ValidationError.
     """
     psi = np.asarray(physical_state, dtype=complex)
     if psi.shape != (2**spec.n_spins,):
@@ -117,14 +123,23 @@ def decode(spec: CodeSpec, physical_state: np.ndarray):
     # by a power of two: exact, so bit for bit the unscaled result; the bound keeps
     # the factor finite for subnormal input
     psi = psi * 2.0 ** -max(np.frexp(largest)[1], -1000)
-    code, norm = code_states(spec), np.linalg.norm(psi)
-    amps = psi[code] / norm
+    amps, leakage = _code_block(psi / np.linalg.norm(psi), np.arange(psi.size), spec)
     in_norm = np.linalg.norm(amps)
-    if in_norm < 1e-12:
-        return None, 1.0
-    outside = np.ones(psi.size, dtype=bool)
+    return (None, 1.0) if in_norm < 1e-12 else (amps / in_norm, leakage)
+
+
+def _code_block(columns: np.ndarray, rows: np.ndarray, spec: CodeSpec) -> tuple[np.ndarray, float]:
+    """(code rows, Frobenius norm of the other rows over sqrt(column count)) of `columns`
+    given on the sorted basis states `rows`: (V^dag U V, ||(I - P) U P||_F / ||P||_F) for
+    U V. A vector is one column; a non-finite block or leakage raises ValidationError."""
+    code = np.searchsorted(rows, code_states(spec))
+    outside = np.ones(len(rows), dtype=bool)
     outside[code] = False
-    return amps / in_norm, float(np.linalg.norm(psi[outside]) / norm)
+    block = columns[code]
+    leakage = float(np.linalg.norm(columns[outside]) / np.sqrt(columns[0].size))
+    if not (np.isfinite(block).all() and math.isfinite(leakage)):
+        raise ValidationError("restrict: the code block or its leakage is not finite")
+    return block, leakage
 
 
 def logical_matrix(op: PauliSum, spec: CodeSpec) -> np.ndarray:

@@ -31,9 +31,10 @@ of the row's coset (`pauli.coset_offsets`), and scatters them into U at the
 end. A verdict needs only U V on the 2**(n/2) code states, so it evolves just
 the rows code ^ S (the code states themselves for every XXZ and one-qubit
 gate), within the byte budget of one dense matrix at the spin cap, not the
-cap itself. The code states are basis states, so `restrict` reads V^dag U V
-off the code rows of U V and the leakage off the others, from all of U or
-from a verdict's rows. `propagator` stays the dense exponential of one generator.
+cap itself, and returns its code block and leakage. The code states are basis
+states, so V^dag U V is the code rows of U V and the leakage the norm of the
+others (`encoding._code_block`), read from a verdict's rows or, by `restrict`,
+from all of U. `propagator` stays the dense exponential of one generator.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .encoding import CodeSpec, code_isometry, code_states, r_z, t_z
+from .encoding import CodeSpec, _code_block, code_isometry, code_states, r_z, t_z
 from .errors import ControllabilityError, DimensionError, ValidationError
 from .model import (
     MALFORMED_JSON,
@@ -224,8 +225,10 @@ def _group_key(
     # realistic: finite pulse strength, background always on
     if any(abs(s.angle) != abs(first) for s in pulses):
         raise ValidationError("realistic parallel steps must share a pulse duration")
-    if not strength:
+    if not model.background_magnitude():
         raise ValidationError("realistic pulse strength is zero: the background sets no scale")
+    if not strength or abs(first) / strength == math.inf:
+        raise ValidationError(f"realistic pulse strength {strength:g} underflows: pulses never end")
     pairs = tuple((s.handle, np.sign(s.angle) * strength) for s in pulses)
     return ("background", pairs), abs(first) / strength
 
@@ -248,7 +251,7 @@ def apply_schedule(
 
     `mode`/`ratio` override the per-step mode tags when given.
     """
-    return _evolve(schedule, model, mode, ratio)[0]
+    return _evolve(schedule, model, mode, ratio)
 
 
 def _evolve(
@@ -257,9 +260,9 @@ def _evolve(
     mode: str | None,
     ratio: float | None,
     sector: str | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(U, every basis state), or, given a sector, (the rows of the code columns
-    U V that the schedule can reach, those sorted basis states).
+) -> np.ndarray | tuple[np.ndarray, float]:
+    """U, or, given a sector, the verdict's (code block V^dag U V, leakage), split off
+    the rows of the code columns U V that the schedule can reach.
 
     Each distinct group is keyed, and its generator built and checked if the key
     is new, in order of first appearance and before any exponential, so the
@@ -339,37 +342,25 @@ def _evolve(
         where[at.ravel()] = slots
     columns = np.take(columns, where, axis=0, out=spare, mode="clip")
     if sector is not None:
-        return columns, rows
+        return _code_block(columns, rows, CodeSpec(sector, n))
     u = np.zeros((rows.size, rows.size), dtype=complex)  # zero where r ^ c is not in the span
     np.put_along_axis(u, reps[:, None] ^ x_span(full), columns, axis=1)
-    return u, rows
+    return u
 
 
-def restrict(
-    u: np.ndarray, spec: CodeSpec, rows: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
-    """Compress a full-register unitary U, or the rows of its code columns U V, to the code space.
+def restrict(u: np.ndarray, spec: CodeSpec) -> tuple[np.ndarray, float]:
+    """Compress a full-register unitary U to the code space.
 
     Returns (B, leakage) with B = V^dag U V, read from the code rows of U V, and
     leakage = ||(I - P) U P||_F / ||P||_F, in [0, 1] for unitary U, from the
-    others. `u` is all of U or, given the sorted basis states `rows` that U V
-    is zero outside, just those rows of U V; other shapes raise DimensionError,
-    and a non-finite B or leakage raises ValidationError.
+    others. Any shape but 2^n x 2^n raises DimensionError, and a non-finite B or
+    leakage raises ValidationError.
     """
-    u = np.asarray(u, dtype=complex)
-    dim, k = 2**spec.n_spins, 2**spec.n_logical
-    if rows is None and u.shape == (dim, dim):
-        with np.errstate(invalid="ignore"):  # inf * 0 is NaN: the check below reports it
-            u, rows = u @ code_isometry(spec), np.arange(dim)
-    elif rows is None or u.shape != (len(rows), k):
-        raise DimensionError(f"restrict takes {dim} x {dim} or (len(rows), {k}), got {u.shape}")
-    code = np.searchsorted(rows, code_states(spec))
-    outside = np.ones(len(rows), dtype=bool)
-    outside[code] = False
-    block, leakage = u[code], float(np.linalg.norm(u[outside]) / np.sqrt(k))
-    if not (np.isfinite(block).all() and math.isfinite(leakage)):
-        raise ValidationError("restrict: the code block or its leakage is not finite")
-    return block, leakage
+    u, dim = np.asarray(u, dtype=complex), 2**spec.n_spins
+    if u.shape != (dim, dim):
+        raise DimensionError(f"restrict takes {dim} x {dim}, got {u.shape}")
+    with np.errstate(invalid="ignore"):  # inf * 0 is NaN: `_code_block` reports it
+        return _code_block(u @ code_isometry(spec), np.arange(dim), spec)
 
 
 # -- JSON --------------------------------------------------------------------

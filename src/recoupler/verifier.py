@@ -45,8 +45,8 @@ from .model import (
 from .pauli import PauliSum, conjugate, rotate, site_letters, to_matrix
 
 
-def _overlap(block: np.ndarray, u_target: np.ndarray, spec: CodeSpec) -> float:
-    dim = 2**spec.n_logical
+def _overlap(block: np.ndarray, u_target: np.ndarray) -> float:
+    dim = len(block)
     if u_target.shape != (dim, dim):
         raise ValidationError(f"target shape {u_target.shape}, expected ({dim},{dim})")
     return float(abs(np.vdot(u_target, block)) / dim)
@@ -54,14 +54,14 @@ def _overlap(block: np.ndarray, u_target: np.ndarray, spec: CodeSpec) -> float:
 
 def fidelity(u_realized: np.ndarray, u_target: np.ndarray, spec: CodeSpec) -> float:
     """|Tr(target^dag . restrict(u))| / 2^{n_logical}."""
-    return _overlap(restrict(u_realized, spec)[0], u_target, spec)
+    return _overlap(restrict(u_realized, spec)[0], u_target)
 
 
 def target_circuit(gates, model, sector=SYMMETRIC) -> np.ndarray:
     """The logical unitary a gate list in time order realizes on the code space, on
     the k = n/2 logical qubits (logical qubit 1 least significant)."""
     k = model.n_spins // 2
-    sector_sign = -1.0 if sector == SYMMETRIC else 1.0  # sigma_z sigma_z |code = sign * ZZ
+    zz_sign = CodeSpec(sector, model.n_spins).zz_sign  # sigma_z sigma_z |code = zz_sign * ZZ
     out = np.eye(2**k, dtype=complex)
     for gate in gates:  # each factor multiplies on the left
         m = gate.targets[0]
@@ -69,7 +69,7 @@ def target_circuit(gates, model, sector=SYMMETRIC) -> np.ndarray:
             if angle is None:  # CPHASE: diag(1, 1, 1, -1) on qubits m, m + 1
                 out[(np.arange(2**k) >> (m - 1) & 3) == 3] *= -1
             else:
-                sign = sector_sign if len(letters) == 2 else 1.0
+                sign = zz_sign if len(letters) == 2 else 1.0
                 rotate(out, site_letters(k, dict(enumerate(letters, m))), sign * angle)
     return out
 
@@ -100,16 +100,13 @@ def _verdict(
     label, subject, compile_fn, target_fn, model, sector, mode, ratio, parallel,
     tol_fidelity, tol_leakage,
 ) -> VerificationReport:
-    """Compile, simulate, restrict and compare; any RecouplerError fails the verdict."""
+    """Compile, evolve to the code block and leakage, compare; a RecouplerError fails it."""
     ratio_text = "None" if ratio is None else f"{ratio:g}"
     mode_label = mode if mode == "ideal" else f"realistic(r={ratio_text})"
     try:
         schedule = compile_fn(subject, model, sector, parallel)
-        uv, rows = _evolve(schedule, model, mode, ratio, sector)
-        spec = CodeSpec(sector, model.n_spins)
-        target = target_fn(subject, model, sector)
-        block, leak = restrict(uv, spec, rows)
-        fid = _overlap(block, target, spec)
+        block, leak = _evolve(schedule, model, mode, ratio, sector)
+        fid = _overlap(block, target_fn(subject, model, sector))
     except RecouplerError as exc:
         reason = f"{type(exc).__name__}: {exc}"
         return VerificationReport(

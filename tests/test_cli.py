@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import recoupler
 from recoupler import model_to_dict, preset_model
 from recoupler.cli import main
 
@@ -145,6 +150,23 @@ class TestVerify:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("ratio", ["1e-320", "5e-324"])
+    def test_underflowing_pulse_strength_is_each_rows_reason(self, model_file, circuit_file,
+                                                             capsys, ratio):
+        rc = main([
+            "verify", "--model", model_file, "--circuit", circuit_file, "--mode", "realistic",
+            "--ratio", ratio,
+        ])
+        assert rc == 1
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 3
+        strength = f"{float(ratio) * 1.6:g}"  # times the background magnitude
+        for row in rows:
+            assert not row["pass"]
+            assert row["reason"] == (
+                f"ValidationError: realistic pulse strength {strength} underflows: pulses never end"
+            )
+
 
 class TestSuiteCommand:
     def test_table_output(self, capsys):
@@ -243,10 +265,15 @@ class TestSweep:
                 "error: sweep rz at ratio 10: ControllabilityError: handle j_minus(3,4)"
                 " is not controllable in model 'xy'\n",
             ),
-            (
+            (  # the pulse strength ratio x 1.6 is subnormal: |angle| / strength is inf
                 ["--model", "preset:heisenberg:4", "--ratios", "1e-320"],
-                "error: sweep rz at ratio 9.99989e-321: ValidationError:"
-                " propagator lost unitarity (defect nan)\n",
+                "error: sweep rz at ratio 9.99989e-321: ValidationError: realistic pulse"
+                " strength 1.59978e-320 underflows: pulses never end\n",
+            ),
+            (
+                ["--model", "preset:heisenberg:4", "--ratios", "5e-324"],
+                "error: sweep rz at ratio 4.94066e-324: ValidationError: realistic pulse"
+                " strength 9.88131e-324 underflows: pulses never end\n",
             ),
         ],
     )
@@ -288,6 +315,23 @@ class TestUsage:
         assert captured.err == (
             f"error: RECOUPLER_MAX_SPINS must be a positive integer, got {value!r}\n"
         )
+
+
+def test_out_of_memory_exit_2():
+    """A register too large for the address space ends in one error line, not a
+    MemoryError traceback; the limit is set in the child process only."""
+    script = (
+        "import resource, sys\n"
+        "from recoupler.cli import main\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "sys.exit(main(['cost', '--model', 'preset:xy:100000000']))\n"
+    )
+    src = str(Path(recoupler.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: out of memory") and done.stderr.count("\n") == 1
 
 
 class TestNonFiniteInput:

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from recoupler import (
     ANTISYMMETRIC,
@@ -22,7 +24,7 @@ from recoupler import (
     t_z,
     to_matrix,
 )
-from recoupler.encoding import code_states
+from recoupler.encoding import _code_block, code_states
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -129,6 +131,27 @@ class TestEncodeDecode:
         assert leak == pytest.approx(0.5)
         assert np.allclose(out, [1.0, 0.0])
 
+    @given(st.sampled_from([SYMMETRIC, ANTISYMMETRIC]), st.integers(1, 4), st.booleans(),
+           st.data())
+    def test_leakage_is_the_out_of_code_fraction(self, sector, k, leaks, data):
+        """decode(V psi + delta) leaks ||(I - P) x|| / ||x||, exactly 0.0 without delta."""
+        spec = CodeSpec(sector, 2 * k)
+
+        def vector(size):
+            parts = st.lists(st.floats(-10, 10), min_size=2 * size, max_size=2 * size)
+            return np.array(data.draw(parts)).view(complex)
+
+        phys = encode(spec, vector(2**k)) + (vector(4**k) if leaks else 0)
+        assume(np.linalg.norm(phys) > 1e-100)  # the oracle's norms do not rescale
+        amps, leak = decode(spec, phys)
+        v = code_isometry(spec)
+        inside = v.conj().T @ phys
+        assert abs(leak - np.linalg.norm(phys - v @ inside) / np.linalg.norm(phys)) < 1e-12
+        if not leaks:
+            assert leak == 0.0
+        if amps is not None:
+            assert np.allclose(amps, inside / np.linalg.norm(inside), rtol=0, atol=1e-12)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_entries_decode_without_overflow(self):
         spec = CodeSpec(SYMMETRIC, 2)  # code states |ud> = 2 and |du> = 1
@@ -195,6 +218,15 @@ class TestLogicalMatrix:
         spec = CodeSpec(ANTISYMMETRIC, 4)
         got = logical_matrix(pstr(4, {2: "Z", 3: "Z"}), spec)
         assert np.allclose(got, np.kron(Z, Z))
+
+    @pytest.mark.parametrize("sector", [SYMMETRIC, ANTISYMMETRIC])
+    def test_zz_sign_is_the_compressed_interpair_zz(self, sector):
+        for n in (4, 6):
+            spec = CodeSpec(sector, n)
+            for m in range(1, n // 2):
+                got = logical_matrix(pstr(n, {2 * m: "Z", 2 * m + 1: "Z"}), spec)
+                want = to_matrix(pstr(n // 2, {m: "Z", m + 1: "Z"}))
+                assert np.array_equal(got, spec.zz_sign * want)
 
 
 class TestAlgebra:
@@ -268,7 +300,7 @@ class TestIsometryOracle:
             return b, np.linalg.norm(uv - v @ b) / np.sqrt(k)
 
         # U is unitary on the code states and some others, the identity elsewhere, so
-        # U V is zero outside those rows; the all-rows case is the full-height U V
+        # U V is zero outside those rows, which `_code_block` takes as a verdict's rows
         code = code_states(spec)
         others = np.setdiff1d(np.arange(dim), code)
         some = np.union1d(code, rng.choice(others, size=len(others) // 3))
@@ -276,7 +308,7 @@ class TestIsometryOracle:
             u = np.eye(dim, dtype=complex)
             u[np.ix_(rows, rows)] = _unitary(rng, rows.size)
             want_b, want_leak = oracle(u)
-            for got_b, got_leak in (restrict(u, spec), restrict((u @ v)[rows], spec, rows)):
+            for got_b, got_leak in (restrict(u, spec), _code_block((u @ v)[rows], rows, spec)):
                 assert np.array_equal(got_b, want_b)
                 # the Frobenius norm's summation order follows the BLAS kernel
                 assert got_leak == pytest.approx(want_leak, rel=0, abs=1e-14)
@@ -285,15 +317,11 @@ class TestIsometryOracle:
         spec = CodeSpec(SYMMETRIC, 4)
         u = _unitary(np.random.default_rng(3), 16)
         uv = u @ code_isometry(spec)
-        for bad in (np.eye(8), u[:, :15], u[0], uv):  # uv: full-height U V without rows
-            with pytest.raises(DimensionError, match=r"takes 16 x 16 or \(len\(rows\), 4\)"):
+        for bad in (np.eye(8), u[:, :15], u[0], uv):  # uv: U V, not U
+            with pytest.raises(DimensionError, match=r"^restrict takes 16 x 16, got \("):
                 restrict(bad, spec)
-        with pytest.raises(DimensionError, match=r"4\), got \(8, 8\)$"):
+        with pytest.raises(DimensionError, match=r"16, got \(8, 8\)$"):
             fidelity(np.eye(8), np.eye(4), spec)
-        with pytest.raises(DimensionError):
-            restrict(uv[1:], spec, np.arange(16))
-        with pytest.raises(DimensionError):
-            restrict(uv, spec, np.arange(15))
 
     def test_encode_decode_peak_memory_at_fourteen_spins(self):
         spec = CodeSpec(SYMMETRIC, 14)

@@ -38,6 +38,7 @@ from recoupler import (
     to_matrix,
     toggled_generator,
 )
+from recoupler.encoding import _code_block
 from recoupler.evolution import _exponential, _generator
 from recoupler.pauli import to_blocks, x_basis
 from recoupler.verifier import STANDARD_GATES
@@ -431,7 +432,7 @@ class TestRestrict:
             uv[[2, 1], [0, 1]] = 1.0
             uv[row, 1] = bad
             with pytest.raises(ValidationError, match="not finite"):
-                restrict(uv, spec, np.arange(4))
+                _code_block(uv, np.arange(4), spec)
             u = np.eye(4, dtype=complex)
             u[row, 1] = bad
             with pytest.raises(ValidationError, match="not finite"):
@@ -644,3 +645,15 @@ class TestRealisticRatio:
             apply_schedule(self.PULSE, m, mode="realistic", ratio=10.0)
         u = apply_schedule(self.FREE, m, mode="realistic", ratio=10.0)
         assert np.array_equal(u, np.eye(16))
+
+    @pytest.mark.parametrize("scale, ratio, strength", [
+        (1.0, 1e-320, "9.99989e-321"),  # subnormal: angle 0.5 / strength is inf
+        (0.4, 5e-324, "0"),  # rounds to zero against a nonzero background
+    ])
+    def test_underflowing_strength_rejected(self, scale, ratio, strength):
+        m = preset_model("xy", 4, epsilon=(scale, -scale, scale, -scale))
+        with pytest.raises(ValidationError, match=(
+            f"^realistic pulse strength {strength} underflows: pulses never end$"
+        )):
+            apply_schedule(self.PULSE, m, mode="realistic", ratio=ratio)
+        assert apply_schedule(self.FREE, m, mode="realistic", ratio=ratio).shape == (16, 16)

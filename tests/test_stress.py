@@ -14,8 +14,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import recoupler.evolution as evolution
 import recoupler.verifier as verifier
 from recoupler import (
     ANTISYMMETRIC,
@@ -41,9 +44,9 @@ from recoupler import (
     model_from_dict,
     nmr_ising_schedule,
     nmr_z_rotation_schedule,
+    PRESET_NAMES,
     preset_model,
     propagator,
-    restrict,
     sigma_x,
     target_circuit,
     target_logical,
@@ -51,7 +54,8 @@ from recoupler import (
     verify_circuit,
     verify_gate,
 )
-from recoupler.encoding import code_states
+from recoupler.compiler import _GATES
+from recoupler.encoding import code_isometry
 from recoupler.evolution import _evolve
 from recoupler.pauli import to_blocks, x_basis
 from recoupler.verifier import STANDARD_GATES
@@ -210,6 +214,14 @@ def _expm(h, t):
     return expm(-1j * t * dense(h))
 
 
+def compressed(u, spec):
+    """(V^dag U V, ||(I - P) U V||_F / ||P||_F) from the dense isometry V."""
+    v = code_isometry(spec)
+    uv = u @ v
+    block = v.conj().T @ uv
+    return block, np.linalg.norm(uv - v @ block) / np.sqrt(v.shape[1])
+
+
 def flipped(model):
     """The same model with every coupling negated."""
     couplings = {p: Coupling(-c.jx, -c.jy, -c.jz) for p, c in model.couplings.items()}
@@ -352,14 +364,14 @@ def _drop_targets(schedule):
 
 def _assert_row_verdicts_match_dense(monkeypatch, model, sector, gates, schedule_of, label):
     """verify_gate on gates[0] and verify_circuit on `gates`, which evolve only the
-    rows the schedule reaches, against restrict(ordered product of dense
-    propagators) on the schedule schedule_of(subject), in ideal, hard-pulse and
+    rows the schedule reaches, against the compressed ordered product of dense
+    propagators on the schedule schedule_of(subject), in ideal, hard-pulse and
     realistic modes. Returns the number of rows each verdict evolved."""
     spec = CodeSpec(sector, model.n_spins)
     seen = []
-    restrict_rows = verifier.restrict
-    monkeypatch.setattr(verifier, "restrict", lambda u, s, rows: seen.append(rows.size)
-                        or restrict_rows(u, s, rows))
+    split = evolution._code_block
+    monkeypatch.setattr(evolution, "_code_block", lambda columns, rows, s: seen.append(rows.size)
+                        or split(columns, rows, s))
     for hard, mode, ratio in ((False, "ideal", None), (True, "ideal", None),
                               (False, "realistic", 10.0)):
         def compiled(subject, *_):
@@ -373,7 +385,7 @@ def _assert_row_verdicts_match_dense(monkeypatch, model, sector, gates, schedule
         ):
             rep = verify(subject, model, sector=sector, mode=mode, ratio=ratio)
             sched = compiled(subject)
-            block, leak = restrict(ordered_product(sched, model, mode, ratio, propagator), spec)
+            block, leak = compressed(ordered_product(sched, model, mode, ratio, propagator), spec)
             fid = abs(np.trace(target.conj().T @ block)) / len(target)
             where = f"{label} {mode}{' hard' if hard else ''} {verify.__name__}"
             assert rep.reason == "", where
@@ -440,7 +452,7 @@ def test_repeated_groups_match_the_dense_product(family):
     model = random_model(rng, family)[0]
     checked = 0
     for sector in (SYMMETRIC, ANTISYMMETRIC):
-        code = code_states(CodeSpec(sector, model.n_spins))
+        spec = CodeSpec(sector, model.n_spins)
         for kind in GATE_KINDS:
             try:
                 sched = _sandwich(compile_gate(gate_of_kind(rng, kind), model, sector))
@@ -452,9 +464,10 @@ def test_repeated_groups_match_the_dense_product(family):
                 want = ordered_product(sched, model, mode, ratio, propagator)
                 got = apply_schedule(sched, model, mode, ratio)
                 assert np.abs(got - want).max() < 1e-12, label
-                uv, rows = _evolve(sched, model, mode, ratio, sector)
-                assert np.abs(uv - want[np.ix_(rows, code)]).max() < 1e-12, label
-                assert np.abs(np.delete(want[:, code], rows, axis=0)).max(initial=0) < 1e-12, label
+                block, leak = _evolve(sched, model, mode, ratio, sector)
+                want_block, want_leak = compressed(want, spec)
+                assert np.abs(block - want_block).max() < 1e-12, label
+                assert abs(leak - want_leak) < 1e-12, label
                 checked += 1
     assert checked >= (14 if family == "heisenberg" else 8)
 
@@ -564,11 +577,84 @@ def test_shared_generators_match_expm_of_every_group(preset):
             got = apply_schedule(sched, model, mode, ratio)
             assert np.abs(got - want).max() < 1e-10, label
             for sector in (SYMMETRIC, ANTISYMMETRIC):
-                code = code_states(CodeSpec(sector, n))
-                uv, rows = _evolve(sched, model, mode, ratio, sector)
-                assert np.abs(uv - want[np.ix_(rows, code)]).max() < 1e-10, f"{label} {sector}"
-                outside = np.delete(want[:, code], rows, axis=0)
-                assert np.abs(outside).max(initial=0) < 1e-10, f"{label} {sector}"
+                block, leak = _evolve(sched, model, mode, ratio, sector)
+                want_block, want_leak = compressed(want, CodeSpec(sector, n))
+                assert np.abs(block - want_block).max() < 1e-10, f"{label} {sector}"
+                assert abs(leak - want_leak) < 1e-10, f"{label} {sector}"
+
+
+# -- property: a verdict's code block and leakage against expm of every group ------
+
+PULSED = {"heisenberg": heis, "xy": j_plus, "xxz_symmetric": j_plus, "xxz_antisymmetric": j_minus}
+
+
+def signed(draw, low, high):
+    return draw(st.floats(low, high)) * draw(st.sampled_from([-1.0, 1.0]))
+
+
+@st.composite
+def json_models(draw, n):
+    """A JSON model of an exchange family, every coupling of either sign, with the
+    pairs that join two logical qubits pulsed or all of them always on."""
+    kind = draw(st.sampled_from(sorted(PULSED)))
+    pairs = [(i, i + 1) for i in range(1, n)]
+    if kind == "xy":
+        pairs += [(i, i + 2) for i in range(1, n - 1)]
+    always_on = draw(st.booleans())
+    couplings, controllable = [], ["free_evolution"]
+    for i, j in pairs:
+        v = signed(draw, 0.2, 1.5)
+        jx, jy, jz = {
+            "heisenberg": (v, v, v), "xy": (v, v, 0.0),
+            "xxz_symmetric": (v, v, signed(draw, 0.2, 1.5)),
+            "xxz_antisymmetric": (v, -v, signed(draw, 0.2, 1.5)),
+        }[kind]
+        couplings.append({"i": i, "j": j, "jx": jx, "jy": jy, "jz": jz})
+        if not always_on or (i % 2 and j == i + 1):
+            controllable.append(str(PULSED[kind](i, j)))
+    epsilon = []
+    for _ in range(n // 2):  # eps^+ and eps^- of each pair kept away from zero
+        plus, minus = signed(draw, 0.1, 1.5), signed(draw, 0.1, 1.0)
+        epsilon += [plus + minus, plus - minus]
+    return model_from_dict({"kind": kind, "n_spins": n, "epsilon": epsilon,
+                            "couplings": couplings, "controllable": controllable})
+
+
+@st.composite
+def compiled_gates(draw):
+    """(model, sector, schedule): a preset or JSON model at n <= 6 and one gate of
+    any `_GATES` kind that compiles there, parallel or serial. No gate compiles on
+    the nmr preset, whose pulses are sigma_x."""
+    n = draw(st.sampled_from([2, 4, 6]))
+    if draw(st.booleans()):
+        model = preset_model(draw(st.sampled_from([p for p in PRESET_NAMES if p != "nmr"])), n)
+    else:
+        model = draw(json_models(n))
+    sector, parallel = draw(st.sampled_from([SYMMETRIC, ANTISYMMETRIC])), draw(st.booleans())
+    schedules = []
+    for kind, record in sorted(_GATES.items()):
+        if record.qubits > n // 2:
+            continue
+        m = draw(st.integers(1, n // 2 + 1 - record.qubits))
+        params = tuple(draw(st.floats(-7, 7)) for _ in range(record.params))
+        gate = LogicalGate(kind, tuple(range(m, m + record.qubits)), params)
+        try:
+            schedules.append(compile_gate(gate, model, sector, parallel))
+        except RecouplerError:
+            continue
+    assume(schedules)
+    return model, sector, draw(st.sampled_from(schedules))
+
+
+@given(compiled_gates(), st.floats(2, 200))
+def test_verdict_block_and_leakage_match_expm_of_every_group(case, ratio):
+    model, sector, sched = case
+    spec = CodeSpec(sector, model.n_spins)
+    for mode, r in (("ideal", None), ("realistic", ratio)):
+        block, leak = _evolve(sched, model, mode, r, sector)
+        want_block, want_leak = compressed(ordered_product(sched, model, mode, r, _expm), spec)
+        assert np.abs(block - want_block).max() < 1e-10, (mode, sched.metadata)
+        assert abs(leak - want_leak) < 1e-10, (mode, sched.metadata)
 
 
 @pytest.mark.parametrize("mode, ratio", [("ideal", None), ("realistic", 10.0)])

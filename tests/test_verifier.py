@@ -414,17 +414,17 @@ class TestVerdictContract:
             " over the 4096-byte budget of a dense 4-spin matrix (RECOUPLER_MAX_SPINS)"
         )
 
-    def test_one_restrict_per_verdict(self, monkeypatch):
-        import recoupler.verifier as verifier
+    def test_one_code_block_split_per_verdict(self, monkeypatch):
+        import recoupler.evolution as evolution
 
         calls = []
-        original = verifier.restrict
+        original = evolution._code_block
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(verifier, "restrict", counted)
+        monkeypatch.setattr(evolution, "_code_block", counted)
         verify_gate(CONTRACT_GATES[1], XXZ)
         assert len(calls) == 1
         verify_circuit(CONTRACT_GATES, XXZ, mode="realistic", ratio=100.0)
