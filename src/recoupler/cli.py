@@ -195,6 +195,12 @@ def _parse_ratios(text: str) -> list[float]:
     return out
 
 
+def _ratio_text(r: float) -> str:
+    """The short `g` text of a ratio when it reads back as r, else the shortest that does."""
+    text = f"{r:g}"
+    return text if float(text) == r else repr(r)
+
+
 def cmd_sweep(args) -> int:
     model = _load_model_arg(args.model)
     ratios = _parse_ratios(args.ratios)
@@ -208,11 +214,10 @@ def cmd_sweep(args) -> int:
         for r in ratios:
             mode = "ideal" if math.isinf(r) else "realistic"  # ideal mode ignores the ratio
             rep = verify_gate(gate, model, sector=_SECTORS[args.sector], mode=mode, ratio=r)
+            ratio = _ratio_text(r)
             if rep.reason:  # a failed verdict is no measurement, and the CSV has no reason column
-                raise ValidationError(f"sweep {name} at ratio {r:g}: {rep.reason}")
-            rows.append(
-                {"gate": name, "ratio": f"{r:g}", "fidelity": rep.fidelity, "leakage": rep.leakage}
-            )
+                raise ValidationError(f"sweep {name} at ratio {ratio}: {rep.reason}")
+            rows.append({"gate": name, "ratio": ratio, "fidelity": rep.fidelity, "leakage": rep.leakage})
     _write_text(args.out, _format_rows(rows, "csv", ["gate", "ratio", "fidelity", "leakage"]))
     return 0
 

@@ -13,15 +13,15 @@ steps carry a duration; in ideal mode they evolve only their annotated target
 term, in realistic mode the full background.
 
 A group's generator is block-diagonal over the cosets of the span of its
-terms' X masks (`pauli.to_blocks`): a diagonal window is a phase per basis
-state, p parallel pulses give blocks of size 2**p, and only a model with
-always-on flip-flops makes them large. It is never summed as a PauliSum: its
-term arrays are those of the model-owned background, window term and toggled
-generators, concatenated and scaled (`pauli.scaled_sum`). A compiled schedule
-repeats a few generators many times: every sandwich is a pulse, a window and
-the inverse pulse, exp(+i a G) and exp(-i a G) of one G in ideal mode, and
-every window evolves one term for its own duration. So one eigendecomposition
-is made per distinct generator of a schedule, the blocks of all generators of
+terms' X masks (`pauli.to_blocks`): a diagonal window is a phase per row
+(`pauli.diagonal`), p parallel pulses give blocks of size 2**p, and only a
+model with always-on flip-flops makes them large. It is never summed as a
+PauliSum: its term arrays are those of the model-owned background, window term
+and toggled generators, concatenated and scaled (`pauli.scaled_sum`). A
+compiled schedule repeats a few generators many times: every sandwich is a
+pulse, a window and the inverse pulse, exp(+i a G) and exp(-i a G) of one G in
+ideal mode, and every window evolves one term for its own duration. So one
+eigendecomposition is made per distinct generator with X masks, all blocks of
 one size in one batched eigh; each distinct group rebuilds only its phases
 from it, and is applied to a column array wherever it stands. Every term maps
 r to r ^ x with x in S, the span of all the schedule's X masks (rank R), so U
@@ -30,8 +30,8 @@ cap, evolves 2**R column slots per row, slot j the start state rep ^ span[j]
 of the row's coset (`pauli.coset_offsets`), and scatters them into U at the
 end. A verdict needs only U V on the 2**(n/2) code states, so it evolves just
 the rows code ^ S (the code states themselves for every XXZ and one-qubit
-gate), within the byte budget of one dense matrix at the spin cap, not the
-cap itself, and returns its code block and leakage. The code states are basis
+gate), within the byte budget of one dense matrix at the spin cap, not the cap
+itself, and returns its code block and leakage. The code states are basis
 states, so V^dag U V is the code rows of U V and the leakage the norm of the
 others (`encoding._code_block`), read from a verdict's rows or, by `restrict`,
 from all of U. `propagator` stays the dense exponential of one generator.
@@ -61,7 +61,7 @@ from .model import (
     toggled_generator,
 )
 from .pauli import PauliSum, Terms, check_bytes, check_dense, coset_offsets, coset_rows
-from .pauli import scaled_sum, to_blocks, to_matrix, x_basis, x_span
+from .pauli import diagonal, scaled_sum, to_blocks, to_matrix, x_basis, x_span
 
 _TARGET_RE = re.compile(r"^(t_z|r_z)\((\d+)\)$|^zz\((\d+),(\d+)\)$")
 
@@ -182,11 +182,21 @@ def _exponential(
     d = u.shape[-1]
     residual = (u.conj().swapaxes(-1, -2) @ u - np.eye(d)).reshape(-1, d * d)
     squares = np.vecdot(residual, residual).real
-    defects = np.sqrt(squares.sum() if owner is None else np.bincount(owner, squares))
+    _check_defects(np.sqrt(squares.sum() if owner is None else np.bincount(owner, squares)))
+    return u
+
+
+def _phases(energies: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i E t) of a diagonal generator with energies E, checked as 1 x 1 blocks."""
+    phases = np.exp(-1j * t * energies)
+    _check_defects(np.sqrt(np.sum((np.abs(phases) ** 2 - 1) ** 2)))
+    return phases
+
+
+def _check_defects(defects: float | np.ndarray):  # each ||u^dag u - I||_F
     for defect in np.atleast_1d(defects):
         if not defect <= 1e-10:
             raise ValidationError(f"propagator lost unitarity (defect {defect:.2e})")
-    return u
 
 
 def propagator(h: PauliSum, t: float) -> np.ndarray:
@@ -229,6 +239,10 @@ def _group_key(
         raise ValidationError("realistic pulse strength is zero: the background sets no scale")
     if not strength or abs(first) / strength == math.inf:
         raise ValidationError(f"realistic pulse strength {strength:g} underflows: pulses never end")
+    phase = abs(first) * model.background_magnitude() / strength
+    if phase > 2**52:  # beyond 2**52 rad a phase keeps no digit below 2 pi
+        raise ValidationError(f"realistic pulse angle {abs(first):g} at strength {strength:g}:"
+                              f" the background turns {phase:.3g} rad, over 2**52")
     pairs = tuple((s.handle, np.sign(s.angle) * strength) for s in pulses)
     return ("background", pairs), abs(first) / strength
 
@@ -268,8 +282,8 @@ def _evolve(
     is new, in order of first appearance and before any exponential, so the
     first bad group raises. A generator's blocks are diagonalized once, in one
     batched eigh with every other generator's blocks of the same size; each
-    group's exponential is rebuilt from them with its own t, and each group's
-    blocks act on the columns (for U, 2**R slots per row), rightmost first.
+    group's exponential is rebuilt from them with its own t, a diagonal one's
+    is a phase per row, and each group acts on the columns, rightmost first.
     """
     if mode is not None and mode not in ("ideal", "realistic"):
         raise ValidationError(f"bad mode {mode!r}")
@@ -304,12 +318,16 @@ def _evolve(
     held = sum(2 ** len(bases[k]) for k in key_of)  # every group's unitaries are held at once
     nbytes = 16 * rows.size * max(starts.size, held)
     check_bytes(n, nbytes, f"evolving {rows.size} reachable rows")
-    # per key its block states, and its Hermitian blocks until their eigh; keys by block size
-    at, hermitian, by_size = {}, {}, {}
+    # per key its energies, or its block states and Hermitian blocks until their eigh
+    energies, at, hermitian, by_size = {}, {}, {}, {}
     for k, (h, basis) in enumerate(zip(generators, bases)):
+        if not basis:  # diagonal: one energy per row, no blocks, no eigh
+            energies[k] = diagonal(h, rows)
+            continue
         at[k], hermitian[k] = to_blocks(h, rows, basis)
         by_size.setdefault(at[k].shape[-1], []).append(k)
-    unitaries = [None] * len(key_of)
+    unitaries = [(None, _phases(energies[k], t)) if k in energies else None
+                 for k, t in zip(key_of, times)]
     for same in by_size.values():  # one eigh per block size over its keys' blocks
         stack = [hermitian.pop(k) for k in same]  # eigh is each stack's last use
         evals, evecs = np.linalg.eigh(stack[0] if len(stack) == 1 else np.concatenate(stack))
@@ -333,10 +351,15 @@ def _evolve(
         slot, width = np.arange(starts.size), starts.size
     columns = np.zeros((rows.size, width), dtype=complex)
     columns[np.searchsorted(rows, starts), slot] = 1.0
-    # a group gathers rows into block order, then multiplies back; where[r] is r's slot
+    # a block group gathers rows into block order, then multiplies back; where[r] is r's slot
     spare, where, slots = np.empty_like(columns), np.arange(rows.size), np.arange(rows.size)
+    scale = np.empty(rows.size, dtype=complex)
     for g in reversed(order):
         at, u = unitaries[g]  # mode="clip" lets take write into `out` unbuffered
+        if at is None:  # a diagonal group scales each row's slot in place, no gather
+            scale[where] = u
+            columns *= scale[:, None]
+            continue
         np.take(columns, where[at.ravel()], axis=0, out=spare, mode="clip")
         np.matmul(u, spare.reshape(*at.shape, -1), out=columns.reshape(*at.shape, -1))
         where[at.ravel()] = slots

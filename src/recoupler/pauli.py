@@ -353,6 +353,12 @@ def coset_rows(n: int, basis: dict[int, int], states: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mark)
 
 
+def diagonal(s: PauliSum | Terms, rows: np.ndarray) -> np.ndarray:
+    """E(r) = sum_t c_t (-1)^|r & z_t| at `rows`: to_matrix(s) of a sum with no X masks."""
+    _, zs, coeffs = _arrays(s)
+    return (1.0 - 2.0 * (np.bitwise_count(rows[:, None] & zs) & 1)) @ coeffs.real
+
+
 def to_blocks(
     s: PauliSum | Terms, rows: np.ndarray, basis: dict[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -225,6 +225,29 @@ class TestSweep:
             assert row["ratio"] == "inf"
             assert float(row["fidelity"]) >= 1 - 1e-10
 
+    def test_a_ratio_whose_phases_keep_no_digit_exit_2(self, capsys):
+        # at ratio 1e-300 a pulse turns the background by ~1e300 rad: no fidelity is
+        # printed, one error line instead; at 1e-6 the phases still carry digits
+        argv = ["sweep", "--model", "preset:heisenberg:4", "--gates", "rz", "--ratios"]
+        assert main([*argv, "1e-300"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: sweep rz at ratio 1e-300: ValidationError: realistic pulse angle 1.5708 at"
+            " strength 1.6e-300: the background turns 1.57e+300 rad, over 2**52\n"
+        )
+        assert main([*argv, "1e-6"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [r["ratio"] for r in rows] == ["1e-06"]
+        assert 0 < float(rows[0]["fidelity"]) <= 1
+
+    def test_distinct_ratios_print_apart(self, model_file, capsys):
+        # `g` text alone reads 0.1 twice; a ratio prints as text that reads back as itself
+        assert main(["sweep", "--model", model_file, "--ratios", "0.1,0.1000001", "--gates", "rz"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [r["ratio"] for r in rows] == ["0.1", "0.1000001"]
+        assert rows[0]["fidelity"] != rows[1]["fidelity"]
+
     def test_bad_ratio_exit_2(self, model_file):
         assert main(["sweep", "--model", model_file, "--ratios", "-3"]) == 2
 

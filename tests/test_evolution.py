@@ -633,6 +633,19 @@ class TestRealisticRatio:
 
     PULSE = PulseSchedule(((PulseStep(j_plus(1, 2), angle=0.5),),), {})
 
+    def test_a_pulse_turning_the_background_past_2_52_rad_is_rejected(self):
+        # a pulse of angle 0.5 at ratio r turns the background by 0.5 / r rad, and
+        # beyond 2**52 rad a phase keeps no digit; windows have no pulse strength
+        m = preset_model("xy", 4)
+        bound = 0.5 / 2**52
+        with pytest.raises(ValidationError, match=(
+            r"^realistic pulse angle 0\.5 at strength \S+: the background turns 9\.01e\+15 rad,"
+            r" over 2\*\*52$"
+        )):
+            apply_schedule(self.PULSE, m, mode="realistic", ratio=bound / 2)
+        assert apply_schedule(self.PULSE, m, mode="realistic", ratio=bound * 2).shape == (16, 16)
+        assert apply_schedule(self.FREE, m, mode="realistic", ratio=bound / 2).shape == (16, 16)
+
     def test_overflowing_strength_rejected(self):
         m = preset_model("xy", 4, epsilon=(1e308, -1e308, 1e308, -1e308))
         with pytest.raises(ValidationError, match="strength 10 x 1e\\+308 overflows"):

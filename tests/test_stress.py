@@ -583,6 +583,32 @@ def test_shared_generators_match_expm_of_every_group(preset):
                 assert abs(leak - want_leak) < 1e-10, f"{label} {sector}"
 
 
+@pytest.mark.parametrize("preset, mode", [("nmr", "ideal"), ("nmr", "realistic"), ("xy", "realistic")])
+def test_diagonal_windows_between_block_groups_match_expm(preset, mode):
+    """Every window here is diagonal, a phase per row, and sits between pulse groups
+    that leave the rows in block order: its phases must land on the slots its rows
+    hold, in U and in every verdict's rows."""
+    rng = np.random.default_rng(sum(map(ord, preset + mode)))
+    ratio = 10.0 if mode == "realistic" else None
+    for n in (4, 6):
+        model = preset_model(preset, n, epsilon=tuple(rng.uniform(-2, 2, size=n)))
+        groups = []
+        for duration in rng.uniform(0.1, 2.0, size=4):
+            window = dataclasses.replace(random_window(rng, model, mode), duration=float(duration))
+            groups += [random_pulse_group(rng, model, mode), (window,)]
+        sched = PulseSchedule(groups)
+        assert not any(x_basis(h) for h, _ in group_generators(PulseSchedule(groups[1::2]),
+                                                                model, mode, ratio))
+        want = ordered_product(sched, model, mode, ratio, _expm)
+        label = f"{preset} n={n} {mode}"
+        assert np.abs(apply_schedule(sched, model, mode, ratio) - want).max() < 1e-12, label
+        for sector in (SYMMETRIC, ANTISYMMETRIC):
+            block, leak = _evolve(sched, model, mode, ratio, sector)
+            want_block, want_leak = compressed(want, CodeSpec(sector, n))
+            assert np.abs(block - want_block).max() < 1e-12, f"{label} {sector}"
+            assert abs(leak - want_leak) < 1e-12, f"{label} {sector}"
+
+
 # -- property: a verdict's code block and leakage against expm of every group ------
 
 PULSED = {"heisenberg": heis, "xy": j_plus, "xxz_symmetric": j_plus, "xxz_antisymmetric": j_minus}
@@ -595,7 +621,10 @@ def signed(draw, low, high):
 @st.composite
 def json_models(draw, n):
     """A JSON model of an exchange family, every coupling of either sign, with the
-    pairs that join two logical qubits pulsed or all of them always on."""
+    pairs that join two logical qubits pulsed or all of them always on. An xxz model
+    may add always-on sigma_z sigma_z couplings off the chain (a ring closure or a
+    chord; the other families forbid jx = jy = 0), so a diagonal background need
+    not be a chain."""
     kind = draw(st.sampled_from(sorted(PULSED)))
     pairs = [(i, i + 1) for i in range(1, n)]
     if kind == "xy":
@@ -612,6 +641,10 @@ def json_models(draw, n):
         couplings.append({"i": i, "j": j, "jx": jx, "jy": jy, "jz": jz})
         if not always_on or (i % 2 and j == i + 1):
             controllable.append(str(PULSED[kind](i, j)))
+    if kind.startswith("xxz") and n > 2:  # pairs off the chain: (1, n) closes a ring
+        chords = [(i, j) for i in range(1, n - 1) for j in range(i + 2, n + 1)]
+        for i, j in draw(st.lists(st.sampled_from(chords), max_size=2, unique=True)):
+            couplings.append({"i": i, "j": j, "jz": signed(draw, 0.2, 1.5)})
     epsilon = []
     for _ in range(n // 2):  # eps^+ and eps^- of each pair kept away from zero
         plus, minus = signed(draw, 0.1, 1.5), signed(draw, 0.1, 1.0)

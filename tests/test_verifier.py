@@ -452,25 +452,63 @@ class TestVerdictContract:
     def test_one_generator_per_distinct_key_and_one_eigh_per_block_size(
         self, monkeypatch, mode, ratio
     ):
+        # groups with X masks share one eigh per block size; diagonal groups (the
+        # windows) are a phase per row with no eigh; every distinct group is checked
+        # for unitarity on its own
         import recoupler.evolution as evolution
+        from recoupler.pauli import x_basis
 
         gates = CONTRACT_GATES + CONTRACT_GATES[:2]  # rx and rz twice, every sandwich repeats
         groups = compile_circuit(gates, XXZ).groups
         strength = ratio and ratio * XXZ.background_magnitude()
         keys = [evolution._group_key(group, XXZ, mode, strength)[0] for group in groups]
         assert len(set(keys)) < len(set(groups)) < len(groups)
-        built, sizes, owners = [], [], []
+        background = evolution.background_hamiltonian(XXZ)
+        diagonal = {g for g, key in zip(groups, keys)
+                    if not x_basis(evolution._generator(key, XXZ, background))}
+        assert set() < diagonal < set(groups)
+        built, sizes, owners, phased, defects = [], [], [], [], []
         build, eigh, rebuild = evolution._generator, np.linalg.eigh, evolution._exponential
+        phases, check = evolution._phases, evolution._check_defects
         monkeypatch.setattr(evolution, "_generator",
                             lambda key, *args: built.append(key) or build(key, *args))
         monkeypatch.setattr(np.linalg, "eigh", lambda h: sizes.append(h.shape[-1]) or eigh(h))
         monkeypatch.setattr(evolution, "_exponential",
                             lambda *args: owners.append(args[3]) or rebuild(*args))
+        monkeypatch.setattr(evolution, "_phases", lambda e, t: phased.append(t) or phases(e, t))
+        monkeypatch.setattr(evolution, "_check_defects",
+                            lambda d: defects.append(np.size(d)) or check(d))
         rep = verify_circuit(gates, XXZ, mode=mode, ratio=ratio)
         assert rep.reason == ""
         assert built == list(dict.fromkeys(keys))  # once each, in order of first appearance
         assert len(sizes) == len(set(sizes)) == len(owners)  # one eigh and one rebuild per size
-        assert sum(np.unique(owner).size for owner in owners) == len(set(groups))  # own defects
+        assert 1 not in sizes  # no 1 x 1 blocks: a diagonal generator runs no eigh
+        blocked = len(set(groups) - diagonal)
+        assert sum(np.unique(owner).size for owner in owners) == blocked  # own defects
+        assert len(phased) == len(diagonal)  # one phase array per distinct diagonal group
+        assert sum(defects) == len(set(groups))  # one defect per distinct group
+
+    def test_an_ideal_rz_verdict_builds_no_block_for_its_windows(self, monkeypatch):
+        # every window of an ideal rz is diagonal: energies once per generator, no block
+        import recoupler.evolution as evolution
+
+        model = preset_model("xxz_symmetric", 6)
+        gate = LogicalGate("rz", (1,), (0.7,))
+        schedule = compile_gate(gate, model)
+        windows = {g for g in schedule.groups if g[0].handle == FREE_EVOLUTION}
+        assert windows
+        blocks, energies, sizes = [], [], []
+        to_blocks, diagonal, eigh = evolution.to_blocks, evolution.diagonal, np.linalg.eigh
+        monkeypatch.setattr(evolution, "to_blocks",
+                            lambda h, rows, basis: blocks.append(basis) or to_blocks(h, rows, basis))
+        monkeypatch.setattr(evolution, "diagonal",
+                            lambda h, rows: energies.append(h) or diagonal(h, rows))
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: sizes.append(h.shape[-1]) or eigh(h))
+        rep = verify_gate(gate, model)
+        assert rep.passed and rep.reason == ""
+        assert all(blocks) and 1 not in sizes  # every block has X masks: none is a window
+        targets = {g[0].target for g in windows}
+        assert len(energies) == len(targets)  # one energy array per distinct window term
 
     @pytest.mark.parametrize("mode,ratio,pulse_builds", [("ideal", None, 1), ("realistic", 100.0, 2)])
     def test_a_sandwich_builds_its_pulse_generators_once(self, monkeypatch, mode, ratio, pulse_builds):
