@@ -13,17 +13,20 @@ steps carry a duration; in ideal mode they evolve only their annotated target
 term, in realistic mode the full background.
 
 A group's generator is block-diagonal over the cosets of the span of its
-terms' X masks (`pauli.to_blocks`): a diagonal window is a phase per row
+terms' X masks (`pauli.coset_index`): a diagonal window is a phase per row
 (`pauli.diagonal`), p parallel pulses give blocks of size 2**p, and only a
-model with always-on flip-flops makes them large. It is never summed as a
-PauliSum: its term arrays are those of the model-owned background, window term
-and toggled generators, concatenated and scaled (`pauli.scaled_sum`). A
-compiled schedule repeats a few generators many times: every sandwich is a
-pulse, a window and the inverse pulse, exp(+i a G) and exp(-i a G) of one G in
-ideal mode, and every window evolves one term for its own duration. So one
-eigendecomposition is made per distinct generator with X masks, all blocks of
-one size in one batched eigh; each distinct group rebuilds only its phases
-from it, and is applied to a column array wherever it stands. Every term maps
+model with always-on flip-flops makes them large. Its diagonal terms even on
+every X mask are a number per coset (`pauli.split_central`), and the rest see
+a coset only through the spins their Z masks touch: the full U builds a block
+per pattern of those spins when they are fewer than the cosets. It is never
+summed as a PauliSum: its term arrays are the model-owned background, window
+term and toggled generators, concatenated and scaled (`pauli.scaled_sum`). A
+compiled schedule repeats a few generators many times: a sandwich's pulses
+exp(+i a G) and exp(-i a G) share G in ideal mode, and windows of one term
+share it across durations. So one eigendecomposition is made per distinct
+generator with X masks, all blocks of one size in one batched eigh; each
+distinct group rebuilds only its phases from it, and is applied to a column
+array wherever it stands. Every term maps
 r to r ^ x with x in S, the span of all the schedule's X masks (rank R), so U
 is zero wherever r ^ c is not in S. `apply_schedule`, under the dense spin
 cap, evolves 2**R column slots per row, slot j the start state rep ^ span[j]
@@ -60,8 +63,9 @@ from .model import (
     read_json,
     toggled_generator,
 )
-from .pauli import PauliSum, Terms, check_bytes, check_dense, coset_offsets, coset_rows
-from .pauli import diagonal, scaled_sum, to_blocks, to_matrix, x_basis, x_span
+from .pauli import PauliSum, Terms, check_bytes, check_dense, coset_blocks, coset_index
+from .pauli import coset_offsets, coset_rows, diagonal, scaled_sum, split_central, to_matrix
+from .pauli import x_basis, x_span
 
 _TARGET_RE = re.compile(r"^(t_z|r_z)\((\d+)\)$|^zz\((\d+),(\d+)\)$")
 
@@ -177,12 +181,13 @@ def _exponential(
     """exp(-i h t) from the eigendecomposition of a Hermitian h, or of a stack of them
     with one t each. The unitarity defect is checked over the whole, or per label
     of `owner` (the group each matrix of the stack belongs to)."""
-    phases = np.exp(-1j * evals * np.asarray(t)[..., None])
-    u = (evecs * phases[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
+    turns = evals * np.asarray(t)[..., None]
+    u = (evecs * np.exp(-1j * turns)[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
     d = u.shape[-1]
     residual = (u.conj().swapaxes(-1, -2) @ u - np.eye(d)).reshape(-1, d * d)
     squares = np.vecdot(residual, residual).real
     _check_defects(np.sqrt(squares.sum() if owner is None else np.bincount(owner, squares)))
+    _check_turns(np.abs(turns).max())
     return u
 
 
@@ -190,6 +195,7 @@ def _phases(energies: np.ndarray, t: float) -> np.ndarray:
     """exp(-i E t) of a diagonal generator with energies E, checked as 1 x 1 blocks."""
     phases = np.exp(-1j * t * energies)
     _check_defects(np.sqrt(np.sum((np.abs(phases) ** 2 - 1) ** 2)))
+    _check_turns(np.abs(energies).max(initial=0.0) * abs(t))
     return phases
 
 
@@ -197,6 +203,11 @@ def _check_defects(defects: float | np.ndarray):  # each ||u^dag u - I||_F
     for defect in np.atleast_1d(defects):
         if not defect <= 1e-10:
             raise ValidationError(f"propagator lost unitarity (defect {defect:.2e})")
+
+
+def _check_turns(turn: float):  # max |E t| of phases already checked to be finite
+    if turn > 2**52:  # beyond 2**52 rad a phase keeps no digit below 2 pi
+        raise ValidationError(f"propagator phases turn {turn:.3g} rad, over 2**52")
 
 
 def propagator(h: PauliSum, t: float) -> np.ndarray:
@@ -280,10 +291,11 @@ def _evolve(
 
     Each distinct group is keyed, and its generator built and checked if the key
     is new, in order of first appearance and before any exponential, so the
-    first bad group raises. A generator's blocks are diagonalized once, in one
-    batched eigh with every other generator's blocks of the same size; each
-    group's exponential is rebuilt from them with its own t, a diagonal one's
-    is a phase per row, and each group acts on the columns, rightmost first.
+    first bad group raises. A generator's blocks (per neighbour pattern in the
+    full U) are diagonalized once, in one batched eigh with every other
+    generator's blocks of the same size; each group's exponential is rebuilt
+    from them with its own t, a diagonal one's is a phase per row, and each
+    group acts on the columns, rightmost first.
     """
     if mode is not None and mode not in ("ideal", "realistic"):
         raise ValidationError(f"bad mode {mode!r}")
@@ -318,23 +330,33 @@ def _evolve(
     held = sum(2 ** len(bases[k]) for k in key_of)  # every group's unitaries are held at once
     nbytes = 16 * rows.size * max(starts.size, held)
     check_bytes(n, nbytes, f"evolving {rows.size} reachable rows")
-    # per key its energies, or its block states and Hermitian blocks until their eigh
-    energies, at, hermitian, by_size = {}, {}, {}, {}
+    # per key its energies, or its block states and Hermitian blocks until their eigh,
+    # and for a key built per pattern each coset's pattern and central energy
+    energies, at, hermitian, by_size, expand = {}, {}, {}, {}, {}
     for k, (h, basis) in enumerate(zip(generators, bases)):
         if not basis:  # diagonal: one energy per row, no blocks, no eigh
             energies[k] = diagonal(h, rows)
             continue
-        at[k], hermitian[k] = to_blocks(h, rows, basis)
+        at[k], states = coset_index(rows, basis)
+        if sector is None:  # every coset: one block per pattern of the spins the blocks see
+            central, rest, seen = split_central(h, basis)
+            if 2 ** seen.bit_count() < len(states):
+                patterns = x_span({b: 1 << b for b in range(n) if seen >> b & 1})  # in order
+                inverse = np.searchsorted(patterns, states[:, 0] & seen)
+                expand[k] = inverse, diagonal(central, states[:, 0])
+                h, states = rest, patterns[:, None] ^ x_span(basis)
+        hermitian[k] = coset_blocks(h, states, basis)
         by_size.setdefault(at[k].shape[-1], []).append(k)
     unitaries = [(None, _phases(energies[k], t)) if k in energies else None
                  for k, t in zip(key_of, times)]
     for same in by_size.values():  # one eigh per block size over its keys' blocks
         stack = [hermitian.pop(k) for k in same]  # eigh is each stack's last use
+        count = {k: len(blocks) for k, blocks in zip(same, stack)}
         evals, evecs = np.linalg.eigh(stack[0] if len(stack) == 1 else np.concatenate(stack))
         del stack
-        first = dict(zip(same, accumulate((len(at[k]) for k in same), initial=0)))
+        first = dict(zip(same, accumulate((count[k] for k in same), initial=0)))
         groups = [g for g, k in enumerate(key_of) if k in first]
-        counts = [len(at[key_of[g]]) for g in groups]
+        counts = [count[key_of[g]] for g in groups]
         if [key_of[g] for g in groups] != same:  # some key serves several groups
             pick = np.concatenate([np.arange(c) + first[key_of[g]] for g, c in zip(groups, counts)])
             evals, evecs = evals[pick], evecs[pick]
@@ -343,8 +365,12 @@ def _evolve(
             np.repeat(np.arange(len(groups)), counts),
         )
         start = 0
-        for g, count in zip(groups, counts):
-            unitaries[g], start = (at[key_of[g]], u[start : start + count]), start + count
+        for g, size in zip(groups, counts):
+            ug, start = u[start : start + size], start + size
+            if key_of[g] in expand:  # each coset its pattern's block times its central phase
+                inverse, central = expand[key_of[g]]
+                ug = ug[inverse] * _phases(central, times[g])[:, None, None]
+            unitaries[g] = at[key_of[g]], ug
     if sector is None:  # row r's slot j is the start state reps[r] ^ span[j] of its coset
         (reps, slot), width = coset_offsets(full, starts), 2 ** len(full)
     else:

@@ -359,32 +359,46 @@ def diagonal(s: PauliSum | Terms, rows: np.ndarray) -> np.ndarray:
     return (1.0 - 2.0 * (np.bitwise_count(rows[:, None] & zs) & 1)) @ coeffs.real
 
 
-def to_blocks(
-    s: PauliSum | Terms, rows: np.ndarray, basis: dict[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The matrix of `s` as blocks over the cosets of the span of its X masks.
+def split_central(s: PauliSum | Terms, basis: dict[int, int]) -> tuple[Terms, Terms, int]:
+    """(central, rest, seen): the diagonal terms even on every vector of `basis`, a number per
+    coset, and the others, whose block at a pivot-clear rep depends on rep & seen alone."""
+    xs, zs, coeffs = _arrays(s)
+    central = (xs == 0) & ~(np.bitwise_count(zs[:, None] & np.int64([*basis.values()])) & 1).any(1)
+    rest = Terms(xs[~central], zs[~central], coeffs[~central])
+    seen = int(np.bitwise_or.reduce(rest.z, initial=0)) & ~sum(1 << bit for bit in basis)
+    return Terms(xs[central], zs[central], coeffs[central]), rest, seen
 
-    Every term sends basis state r to r ^ x with x in that span, so each coset
-    is invariant. `rows` must be a union of such cosets (a union of cosets of a
-    larger span is one), or ValidationError is raised; `basis` is `x_basis(s)`.
-    For the span's rank r, rows[at[c, o]] is the o-th basis state of the c-th
-    coset inside `rows`, shape (|rows| / 2**r, 2**r), and blocks[c] is
-    to_matrix(s) restricted to rows and columns rows[at[c]]. A diagonal sum
-    has r = 0; p parallel pulses give r = p.
-    """
-    pivots = sorted(basis)
-    span = x_span(basis)
-    states = rows[(rows & sum(1 << bit for bit in pivots)) == 0][:, None] ^ span
+
+def coset_index(rows: np.ndarray, basis: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(at, states), rows[at] = states[c, o] = rep_c ^ x_span(basis)[o], over the pivot-clear
+    rows rep_c of `rows`, a union of cosets of the span or a larger one (else ValidationError)."""
+    states = rows[(rows & sum(1 << bit for bit in basis)) == 0][:, None] ^ x_span(basis)
     at = np.searchsorted(rows, states)
     if not np.array_equal(np.take(rows, at, mode="clip"), states):
         raise ValidationError("rows are not a union of cosets of the span")
+    return at, states
+
+
+def coset_blocks(s: PauliSum | Terms, states: np.ndarray, basis: dict[int, int]) -> np.ndarray:
+    """blocks[c] = to_matrix(s) restricted to rows and columns states[c], for states laid
+    out as `coset_index` gives them and X masks of `s` in the span of `basis`."""
+    pivots = sorted(basis)
     xs, zs, coeffs = _arrays(s)
     coords = sum(((xs >> bit & 1) << j for j, bit in enumerate(pivots)), np.zeros_like(xs))
     weights = coeffs * _PHASE_ARRAY[np.bitwise_count(xs & zs) & 3]
     signs = 1.0 - 2.0 * (np.bitwise_count(states & zs[:, None, None]) & 1)  # term, coset, offset
-    blocks = np.zeros((len(states), len(span), len(span)), dtype=complex)
-    offsets = np.arange(len(span))
+    offsets = np.arange(states.shape[-1])
+    blocks = np.zeros((len(states), offsets.size, offsets.size), dtype=complex)
     # term t adds weights[t] * signs[t] at rows offsets ^ coords[t], columns offsets
     np.add.at(blocks, (slice(None), coords[:, None] ^ offsets, offsets),
               signs.transpose(1, 0, 2) * weights[:, None])
-    return at, blocks
+    return blocks
+
+
+def to_blocks(
+    s: PauliSum | Terms, rows: np.ndarray, basis: dict[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(at, blocks) of `s` by `coset_index` and `coset_blocks` over the cosets of the span of
+    its X masks, `basis` = x_basis(s): each is invariant, as every term sends r to r ^ x."""
+    at, states = coset_index(rows, basis)
+    return at, coset_blocks(s, states, basis)

@@ -374,19 +374,24 @@ class TestNonFiniteInput:
         assert captured.out == ""
         assert captured.err == "error: step free_evolution: duration must be finite, got inf\n"
 
-    @pytest.mark.parametrize("step", [
-        '{"handle": "heis(1,2)", "angle": -1.7e308}',
-        '{"handle": "free_evolution", "duration": 1e308}',
+    @pytest.mark.parametrize("step, message", [
+        # the pulse's ZZ is one phase per coset: its blocks stay finite, past 2**52 rad
+        pytest.param('{"handle": "heis(1,2)", "angle": -1.7e308}',
+                     "propagator phases turn 1.7e+308 rad, over 2**52",
+                     id='{"handle": "heis(1,2)", "angle": -1.7e308}'),
+        pytest.param('{"handle": "free_evolution", "duration": 1e308}',
+                     "propagator lost unitarity (defect nan)",
+                     id='{"handle": "free_evolution", "duration": 1e308}'),
     ])
-    def test_overflowing_phases_print_only_the_error(self, tmp_path, capsys, step):
-        # finite inputs whose phases overflow: the NaN defect is the one message
+    def test_overflowing_phases_print_only_the_error(self, tmp_path, capsys, step, message):
+        # finite inputs whose phases overflow or keep no digit: one message
         sched = tmp_path / "overflow.json"
         sched.write_text('{"groups": [[' + step + ']]}')
         argv = ["simulate", "--model", "preset:spin_dots:4", "--schedule", str(sched)]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: propagator lost unitarity (defect nan)\n"
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("ratio", ["nan", "inf"])
     def test_non_finite_realistic_ratio_exit_2(self, model_file, circuit_file, capsys, ratio):

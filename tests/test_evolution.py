@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -39,7 +40,7 @@ from recoupler import (
     toggled_generator,
 )
 from recoupler.encoding import _code_block
-from recoupler.evolution import _exponential, _generator
+from recoupler.evolution import _evolve, _exponential, _generator
 from recoupler.pauli import to_blocks, x_basis
 from recoupler.verifier import STANDARD_GATES
 
@@ -395,6 +396,114 @@ class TestCosetBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 1.6 * u.nbytes, f"peak {peak / u.nbytes:.2f} x u.nbytes"
+
+
+class TestNeighbourPatterns:
+    """The full U diagonalizes one block per pattern of the spins a generator's
+    non-central terms see; a verdict builds every coset's block."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """Per call the seen mask of `split_central`, the coset count of `coset_index`
+        and the block count of `coset_blocks`, and the block count of each eigh."""
+        import recoupler.evolution as evolution
+
+        calls = {"seen": [], "cosets": [], "built": [], "eigh": []}
+        split, index = evolution.split_central, evolution.coset_index
+        blocks, eigh = evolution.coset_blocks, np.linalg.eigh
+
+        def split_central(h, basis):
+            central, rest, seen = split(h, basis)
+            calls["seen"].append(seen)
+            return central, rest, seen
+
+        def coset_index(rows, basis):
+            at, states = index(rows, basis)
+            calls["cosets"].append(len(states))
+            return at, states
+
+        monkeypatch.setattr(evolution, "split_central", split_central)
+        monkeypatch.setattr(evolution, "coset_index", coset_index)
+        monkeypatch.setattr(evolution, "coset_blocks", lambda h, states, basis:
+                            calls["built"].append(len(states)) or blocks(h, states, basis))
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: calls["eigh"].append(len(h)) or eigh(h))
+        return calls
+
+    @pytest.mark.parametrize("family", ["xy", "heisenberg", "nmr"])
+    def test_each_key_sends_at_most_its_patterns_to_eigh(self, monkeypatch, family):
+        rng = np.random.default_rng([8, len(family)])
+        model = preset_model(ORACLE_FAMILIES[family][0], 8)
+        schedule = _oracle_schedule(rng, family, 8, "mixed")
+        calls = self.record(monkeypatch)
+        got = apply_schedule(schedule, model, ratio=10.0)
+        assert len(calls["seen"]) == len(calls["cosets"]) == len(calls["built"])  # once per key
+        for seen, cosets, built in zip(calls["seen"], calls["cosets"], calls["built"]):
+            assert built == min(2 ** seen.bit_count(), cosets)
+        assert sum(calls["eigh"]) == sum(calls["built"]) < sum(calls["cosets"])
+        assert np.abs(got - _expm_product(schedule, model, 10.0)[0]).max() < 1e-12
+
+    def test_a_verdict_sends_every_coset_to_eigh(self, monkeypatch):
+        # a verdict's generators have a few cosets each: no split, the blocks of today
+        model = preset_model("electrons_on_helium", 8)
+        gates = [STANDARD_GATES["rx"], STANDARD_GATES["cphase"]]
+        from recoupler import verify_circuit
+
+        for mode, ratio in (("ideal", None), ("realistic", 10.0)):
+            calls = self.record(monkeypatch)
+            assert verify_circuit(gates, model, mode=mode, ratio=ratio).reason == ""
+            assert calls["seen"] == [] and calls["built"] == calls["cosets"]
+            assert sum(calls["eigh"]) == sum(calls["cosets"]) > 0
+
+    def test_a_key_with_as_many_patterns_as_cosets_builds_the_blocks_of_today(self, monkeypatch):
+        # sigma_x(1) at n = 2 under Z1, Z2 and Z1 Z2: Z1 Z2 sees spin 2, whose two
+        # patterns are the two cosets, so the full generator's blocks go to eigh
+        model = preset_model("nmr", 2)
+        step = PulseStep(sigma_x(1), angle=0.7, mode="realistic")
+        calls = self.record(monkeypatch)
+        got = apply_schedule(PulseSchedule(((step,),)), model, ratio=10.0)
+        assert calls["seen"] == [0b10] and calls["built"] == calls["cosets"] == [2]
+        strength = 10.0 * model.background_magnitude()
+        key = ("background", ((sigma_x(1), strength),))
+        h = _generator(key, model, background_hamiltonian(model))
+        at, blocks = to_blocks(h, np.arange(4), x_basis(h))
+        u = _exponential(*np.linalg.eigh(blocks), np.full(2, 0.7 / strength), np.zeros(2, int))
+        want = np.zeros((4, 4), dtype=complex)
+        for states, block in zip(at, u):
+            want[np.ix_(states, states)] = block
+        assert np.array_equal(got, want)
+
+
+class TestPhaseBound:
+    """Past 2**52 rad a phase keeps no digit below 2 pi: every exponential whose
+    max |E t| is over it raises once its unitarity has been checked."""
+
+    def test_a_stack_is_checked_after_its_unitarity(self):
+        evals, evecs = np.array([[1.0, -1.0]]), np.eye(2)[None].astype(complex)
+        assert _exponential(evals, evecs, np.array([2.0**51]), np.array([0])).shape == (1, 2, 2)
+        bound = r"^propagator phases turn 9\.01e\+15 rad, over 2\*\*52$"
+        with pytest.raises(ValidationError, match=bound):
+            _exponential(evals, evecs, np.array([2.0**53]), np.array([0]))
+        with pytest.raises(ValidationError, match=r"lost unitarity \(defect nan\)"):
+            _exponential(evals, evecs, np.array([np.nan]), np.array([0]))
+
+    @pytest.mark.parametrize("step, low, high", [
+        # 0.5 (XX + YY + ZZ): a verdict's blocks reach 1.5, the full U's XX + YY blocks 1
+        # and their central ZZ 0.5
+        (PulseStep(heis(1, 2), angle=1.0), 2.0**51 / 1.5, 2.0**53),
+        (PulseStep(FREE_EVOLUTION, duration=1.0, target=WindowTarget("zz", 1, 2)), 2.0**52, 2.0**54),
+    ])
+    def test_pulses_and_windows_past_2_52_rad_raise(self, step, low, high):
+        model = preset_model("spin_dots", 4)  # every coupling 0.5
+        for scale in (low, high):
+            big = dataclasses.replace(step, **{"angle" if step.angle else "duration": scale})
+            schedule = PulseSchedule(((big,),))
+            for run in (lambda: apply_schedule(schedule, model),
+                        lambda: _evolve(schedule, model, None, None, SYMMETRIC)):
+                if scale == low:
+                    run()
+                    continue
+                with pytest.raises(ValidationError, match=r"^propagator phases turn \S+ rad"):
+                    run()
 
 
 class TestRestrict:

@@ -17,7 +17,8 @@ from recoupler import (
     to_matrix,
     toggled_generator,
 )
-from recoupler.pauli import coset_offsets, coset_rows, to_blocks, x_basis, x_span
+from recoupler.pauli import coset_blocks, coset_index, coset_offsets, coset_rows, split_central
+from recoupler.pauli import to_blocks, x_basis, x_span
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -350,6 +351,29 @@ class TestToBlocks:
                 coset = states[reps == rep]
                 assert sorted(coset.tolist()) == sorted((rep ^ span).tolist())
                 assert sorted(offsets[reps == rep].tolist()) == list(range(span.size))
+
+    def test_central_terms_are_a_number_per_coset_and_the_rest_sees_only_rep_and_seen(self):
+        rng = np.random.default_rng(21)
+        central_terms = shared = 0
+        for n in range(1, 7):
+            for _ in range(12):
+                s = _random_sum(rng, n, terms=int(rng.integers(1, 9)))
+                basis = x_basis(s)
+                central, rest, seen = split_central(s, basis)
+                assert len(central.x) + len(rest.x) == len(s.arrays.x), s
+                assert not central.x.any() and not seen & sum(1 << bit for bit in basis), s
+                _, states = coset_index(np.arange(2**n), basis)
+                scalars = coset_blocks(central, states, basis)
+                assert np.array_equal(scalars, scalars[:, :1, :1] * np.eye(states.shape[1])), s
+                blocks = coset_blocks(rest, states, basis)
+                assert np.allclose(blocks + scalars, every_block(s)[1], atol=1e-14), s
+                reps = states[:, 0]
+                for c, rep in enumerate(reps):
+                    same = (reps & seen) == (rep & seen)
+                    assert (blocks[same] == blocks[c]).all(), s
+                    shared += same.sum() - 1
+                central_terms += len(central.x)
+        assert central_terms and shared  # both halves of the split are exercised
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_empty_sum_is_one_zero_per_state(self, n):

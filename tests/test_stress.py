@@ -609,6 +609,71 @@ def test_diagonal_windows_between_block_groups_match_expm(preset, mode):
             assert abs(leak - want_leak) < 1e-12, f"{label} {sector}"
 
 
+# -- the full U, one block per neighbour pattern, against expm of every group ------
+
+
+def pattern_json_model(rng, kind, n):
+    """A JSON model on n spins: "flip_flop", an xxz chain whose pairs between logical
+    qubits keep an always-on T flip-flop; "chords", a pulsed xxz chain with sigma_z
+    sigma_z couplings off it, a ring closure and a chord; "heis", a heisenberg chain
+    of heis pulses, whose sigma_z sigma_z part is central to their blocks."""
+    couplings, controllable = [], ["free_evolution"]
+    for i in range(1, n):
+        v, jz = (float(x) for x in rng.uniform(0.2, 1.5, size=2) * rng.choice([-1.0, 1.0], size=2))
+        couplings.append({"i": i, "j": i + 1, "jx": v, "jy": v, "jz": v if kind == "heis" else jz})
+        if kind != "flip_flop" or i % 2:
+            controllable.append(f"{'heis' if kind == 'heis' else 'j_plus'}({i},{i + 1})")
+    if kind == "chords":
+        for i, j in ((1, n), (2, 5)):
+            couplings.append({"i": i, "j": j, "jz": float(rng.uniform(-1.5, 1.5))})
+    return model_from_dict({
+        "kind": "heisenberg" if kind == "heis" else "xxz_symmetric",
+        "n_spins": n,
+        "epsilon": [float(e) for e in rng.uniform(-2, 2, size=n)],
+        "couplings": couplings,
+        "controllable": controllable,
+    })
+
+
+def mixed_schedule(rng, model, groups):
+    """Random pulse groups and windows, each group in a random mode."""
+    out = []
+    for _ in range(groups):
+        mode = str(rng.choice(["ideal", "realistic"]))
+        if rng.random() < 0.3:
+            window = random_window(rng, model, mode)
+            out.append((dataclasses.replace(window, duration=float(rng.uniform(0, 2))),))
+        else:
+            out.append(random_pulse_group(rng, model, mode))
+    return PulseSchedule(out)
+
+
+@pytest.mark.parametrize("source", PRESET_NAMES + ("flip_flop", "chords", "heis"))
+def test_full_unitary_by_neighbour_pattern_matches_expm(source, monkeypatch):
+    """apply_schedule diagonalizes one block per pattern of the spins a generator's
+    non-central terms see, and gives each coset its central phase."""
+    rng = np.random.default_rng(sum(map(ord, source)) + 4)
+    patterned = []
+    split = evolution.split_central
+
+    def split_central(h, basis):
+        central, rest, seen = split(h, basis)
+        patterned.append(2 ** (seen.bit_count() + len(basis)) < 2**n)
+        return central, rest, seen
+
+    monkeypatch.setattr(evolution, "split_central", split_central)
+    for n in (6, 8):
+        if source in PRESET_NAMES:
+            model = preset_model(source, n, epsilon=tuple(rng.uniform(-2, 2, size=n)))
+        else:
+            model = pattern_json_model(rng, source, n)
+        sched = mixed_schedule(rng, model, groups=12 if n == 6 else 6)  # expm of 256 x 256 is slow
+        want = ordered_product(sched, model, None, 10.0, _expm)
+        err = np.abs(apply_schedule(sched, model, None, 10.0) - want).max()
+        assert err < 1e-12, f"{source} n={n}: {err:.2e}"
+    assert any(patterned)
+
+
 # -- property: a verdict's code block and leakage against expm of every group ------
 
 PULSED = {"heisenberg": heis, "xy": j_plus, "xxz_symmetric": j_plus, "xxz_antisymmetric": j_minus}
@@ -619,17 +684,18 @@ def signed(draw, low, high):
 
 
 @st.composite
-def json_models(draw, n):
+def json_models(draw, n, chorded=False):
     """A JSON model of an exchange family, every coupling of either sign, with the
     pairs that join two logical qubits pulsed or all of them always on. An xxz model
     may add always-on sigma_z sigma_z couplings off the chain (a ring closure or a
     chord; the other families forbid jx = jy = 0), so a diagonal background need
-    not be a chain."""
-    kind = draw(st.sampled_from(sorted(PULSED)))
+    not be a chain. A `chorded` model (n > 2) is an xxz one with every pair pulsed,
+    so a diagonal background, and at least one such coupling."""
+    kind = draw(st.sampled_from([k for k in sorted(PULSED) if k.startswith("xxz") or not chorded]))
     pairs = [(i, i + 1) for i in range(1, n)]
     if kind == "xy":
         pairs += [(i, i + 2) for i in range(1, n - 1)]
-    always_on = draw(st.booleans())
+    always_on = not chorded and draw(st.booleans())
     couplings, controllable = [], ["free_evolution"]
     for i, j in pairs:
         v = signed(draw, 0.2, 1.5)
@@ -643,7 +709,8 @@ def json_models(draw, n):
             controllable.append(str(PULSED[kind](i, j)))
     if kind.startswith("xxz") and n > 2:  # pairs off the chain: (1, n) closes a ring
         chords = [(i, j) for i in range(1, n - 1) for j in range(i + 2, n + 1)]
-        for i, j in draw(st.lists(st.sampled_from(chords), max_size=2, unique=True)):
+        drawn = st.lists(st.sampled_from(chords), min_size=int(chorded), max_size=2, unique=True)
+        for i, j in draw(drawn):
             couplings.append({"i": i, "j": j, "jz": signed(draw, 0.2, 1.5)})
     epsilon = []
     for _ in range(n // 2):  # eps^+ and eps^- of each pair kept away from zero
@@ -655,14 +722,17 @@ def json_models(draw, n):
 
 @st.composite
 def compiled_gates(draw):
-    """(model, sector, schedule): a preset or JSON model at n <= 6 and one gate of
-    any `_GATES` kind that compiles there, parallel or serial. No gate compiles on
-    the nmr preset, whose pulses are sigma_x."""
+    """(model, sector, schedule): a preset, JSON or chorded JSON model at n <= 6 and
+    one gate of any `_GATES` kind that compiles there, parallel or serial. No gate
+    compiles on the nmr preset, whose pulses are sigma_x. Chorded models are drawn
+    twice as often as each other source: a plain JSON model rarely has both a chord
+    and a diagonal background."""
     n = draw(st.sampled_from([2, 4, 6]))
-    if draw(st.booleans()):
+    source = draw(st.sampled_from(["preset", "json"] + ["chorded"] * 2 * (n > 2)))
+    if source == "preset":
         model = preset_model(draw(st.sampled_from([p for p in PRESET_NAMES if p != "nmr"])), n)
     else:
-        model = draw(json_models(n))
+        model = draw(json_models(n, chorded=source == "chorded"))
     sector, parallel = draw(st.sampled_from([SYMMETRIC, ANTISYMMETRIC])), draw(st.booleans())
     schedules = []
     for kind, record in sorted(_GATES.items()):

@@ -498,9 +498,9 @@ class TestVerdictContract:
         windows = {g for g in schedule.groups if g[0].handle == FREE_EVOLUTION}
         assert windows
         blocks, energies, sizes = [], [], []
-        to_blocks, diagonal, eigh = evolution.to_blocks, evolution.diagonal, np.linalg.eigh
-        monkeypatch.setattr(evolution, "to_blocks",
-                            lambda h, rows, basis: blocks.append(basis) or to_blocks(h, rows, basis))
+        coset_blocks, diagonal, eigh = evolution.coset_blocks, evolution.diagonal, np.linalg.eigh
+        monkeypatch.setattr(evolution, "coset_blocks", lambda h, states, basis:
+                            blocks.append(basis) or coset_blocks(h, states, basis))
         monkeypatch.setattr(evolution, "diagonal",
                             lambda h, rows: energies.append(h) or diagonal(h, rows))
         monkeypatch.setattr(np.linalg, "eigh", lambda h: sizes.append(h.shape[-1]) or eigh(h))
