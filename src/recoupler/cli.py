@@ -95,8 +95,8 @@ def _cell(v) -> str:
 
 def _tolerances(args) -> tuple[float, float]:
     tf, tl = args.tol_fidelity, args.tol_leakage
-    if not (tf >= 0 and tl >= 0):
-        raise ValidationError("tolerances must be non-negative")
+    if not (0 <= tf < math.inf and 0 <= tl < math.inf):  # JSON output has no Infinity
+        raise ValidationError("tolerances must be finite and non-negative")
     return tf, tl
 
 

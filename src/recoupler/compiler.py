@@ -61,6 +61,7 @@ from .model import (
 )
 
 _ZERO = 1e-12
+_PERIODS = 2**30  # `%` by float pi drifts |pi - float(pi)| ~ 1.2e-16 rad per period it removes
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,8 @@ def _conjugated(inner: tuple, handles, angle: float) -> tuple:
 
 
 def _is_zero_mod(value: float, period: float) -> bool:
-    r = abs(math.fmod(value, period))
-    return min(r, period - r) < _ZERO
+    r = abs(math.fmod(value, period))  # past 2**30 float periods, off over 1e-7 rad: never zero
+    return abs(value) <= _PERIODS * period and min(r, period - r) < _ZERO
 
 
 def _free_window(target: WindowTarget, coeff: float, angle: float, period: float) -> PulseStep:
@@ -128,8 +129,11 @@ def _free_window(target: WindowTarget, coeff: float, angle: float, period: float
     `period` is the angle periodicity the surrounding construction tolerates
     exactly (pi for paired sandwich windows whose shifts cancel, 2*pi for a
     lone window). The angle is reduced into [0, period) or (-period, 0], the sign
-    of `coeff`.
+    of `coeff`, or past 2**30 periods (`_PERIODS`) it raises ValidationError.
     """
+    if abs(angle) > _PERIODS * period:
+        raise ValidationError(f"window angle {angle:g} spans over 2**30 periods of {period:g}:"
+                              " reduced by float pi, it would drift over 1e-7 rad")
     a = angle % period if coeff > 0 else -(-angle % period)
     return PulseStep(FREE_EVOLUTION, duration=a / coeff, target=target)
 

@@ -18,8 +18,10 @@ terms' X masks (`pauli.coset_index`): a diagonal window is a phase per row
 model with always-on flip-flops makes them large. Its diagonal terms even on
 every X mask are a number per coset (`pauli.split_central`), and the rest see
 a coset only through the spins their Z masks touch: the full U builds a block
-per pattern of those spins when they are fewer than the cosets. It is never
-summed as a PauliSum: its term arrays are the model-owned background, window
+per pattern of those spins when they are fewer than the cosets. Its energies,
+per row if it is diagonal or the central ones per coset if built per pattern,
+are one record with their peak |E|, taken once, and each coset's pattern. It
+is never summed as a PauliSum: its term arrays are the model-owned background, window
 term and toggled generators, concatenated and scaled (`pauli.scaled_sum`). A
 compiled schedule repeats a few generators many times: a sandwich's pulses
 exp(+i a G) and exp(-i a G) share G in ideal mode, and windows of one term
@@ -191,11 +193,11 @@ def _exponential(
     return u
 
 
-def _phases(energies: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i E t) of a diagonal generator with energies E, checked as 1 x 1 blocks."""
+def _phases(energies: np.ndarray, peak: float, t: float) -> np.ndarray:
+    """exp(-i E t) of diagonal energies E with peak max |E|, checked as 1 x 1 blocks."""
     phases = np.exp(-1j * t * energies)
     _check_defects(np.sqrt(np.sum((np.abs(phases) ** 2 - 1) ** 2)))
-    _check_turns(np.abs(energies).max(initial=0.0) * abs(t))
+    _check_turns(peak * abs(t))
     return phases
 
 
@@ -294,8 +296,9 @@ def _evolve(
     first bad group raises. A generator's blocks (per neighbour pattern in the
     full U) are diagonalized once, in one batched eigh with every other
     generator's blocks of the same size; each group's exponential is rebuilt
-    from them with its own t, a diagonal one's is a phase per row, and each
-    group acts on the columns, rightmost first.
+    from them with its own t, a diagonal one's is a phase per row from the
+    generator's energy record (E and its peak |E|, so the 2**52 check is one
+    product), and each group acts on the columns, rightmost first.
     """
     if mode is not None and mode not in ("ideal", "realistic"):
         raise ValidationError(f"bad mode {mode!r}")
@@ -326,28 +329,30 @@ def _evolve(
     bases, full = [x_basis(h) for h in generators], x_basis(*generators)
     starts = np.arange(2**n) if sector is None else code_states(CodeSpec(sector, n))
     # at most 2**n states, so the checks above already bound these arrays
-    rows = coset_rows(n, full, starts)
+    reps, slot = coset_offsets(full, starts)  # start i is reps[i] ^ span[slot[i]]
+    rows = coset_rows(n, full, reps)
     held = sum(2 ** len(bases[k]) for k in key_of)  # every group's unitaries are held at once
     nbytes = 16 * rows.size * max(starts.size, held)
     check_bytes(n, nbytes, f"evolving {rows.size} reachable rows")
-    # per key its energies, or its block states and Hermitian blocks until their eigh,
-    # and for a key built per pattern each coset's pattern and central energy
-    energies, at, hermitian, by_size, expand = {}, {}, {}, {}, {}
+    # per key with energies (E, max |E|, pattern): a diagonal key's E per row, a key built per
+    # pattern its central E and pattern per coset; per key with X masks its blocks until eigh
+    energies, at, hermitian, by_size = {}, {}, {}, {}
     for k, (h, basis) in enumerate(zip(generators, bases)):
         if not basis:  # diagonal: one energy per row, no blocks, no eigh
-            energies[k] = diagonal(h, rows)
+            energies[k] = diagonal(h, rows), None
             continue
         at[k], states = coset_index(rows, basis)
         if sector is None:  # every coset: one block per pattern of the spins the blocks see
             central, rest, seen = split_central(h, basis)
             if 2 ** seen.bit_count() < len(states):
                 patterns = x_span({b: 1 << b for b in range(n) if seen >> b & 1})  # in order
-                inverse = np.searchsorted(patterns, states[:, 0] & seen)
-                expand[k] = inverse, diagonal(central, states[:, 0])
+                pattern = np.searchsorted(patterns, states[:, 0] & seen)
+                energies[k] = diagonal(central, states[:, 0]), pattern
                 h, states = rest, patterns[:, None] ^ x_span(basis)
         hermitian[k] = coset_blocks(h, states, basis)
         by_size.setdefault(at[k].shape[-1], []).append(k)
-    unitaries = [(None, _phases(energies[k], t)) if k in energies else None
+    energies = {k: (e, np.abs(e).max(initial=0.0), p) for k, (e, p) in energies.items()}
+    unitaries = [None if k in at else (None, _phases(*energies[k][:2], t))
                  for k, t in zip(key_of, times)]
     for same in by_size.values():  # one eigh per block size over its keys' blocks
         stack = [hermitian.pop(k) for k in same]  # eigh is each stack's last use
@@ -367,13 +372,12 @@ def _evolve(
         start = 0
         for g, size in zip(groups, counts):
             ug, start = u[start : start + size], start + size
-            if key_of[g] in expand:  # each coset its pattern's block times its central phase
-                inverse, central = expand[key_of[g]]
-                ug = ug[inverse] * _phases(central, times[g])[:, None, None]
+            if key_of[g] in energies:  # each coset its pattern's block times its central phase
+                central, peak, pattern = energies[key_of[g]]
+                ug = ug[pattern] * _phases(central, peak, times[g])[:, None, None]
             unitaries[g] = at[key_of[g]], ug
-    if sector is None:  # row r's slot j is the start state reps[r] ^ span[j] of its coset
-        (reps, slot), width = coset_offsets(full, starts), 2 ** len(full)
-    else:
+    width = 2 ** len(full)  # row r's slot j is the start state reps[r] ^ span[j] of its coset
+    if sector is not None:  # a verdict's column i is start i
         slot, width = np.arange(starts.size), starts.size
     columns = np.zeros((rows.size, width), dtype=complex)
     columns[np.searchsorted(rows, starts), slot] = 1.0

@@ -28,37 +28,42 @@ from .pauli import PauliSum, site_letters
 
 _HANDLE_RE = re.compile(r"^([a-z_]+)(?:\((\d+)(?:,(\d+))?\))?$")
 
+# handle kind -> (index count, weight of each letter of its unit-strength term on every index)
+_KINDS = {
+    "j_plus": (2, {"X": 0.5, "Y": 0.5}),  # T^x = (XX + YY)/2, the resonant flip-flop
+    "j_minus": (2, {"X": 0.5, "Y": -0.5}),  # R^x = (XX - YY)/2, the double flip
+    "j_z": (2, {"Z": 1.0}),
+    "heis": (2, {"X": 0.5, "Y": 0.5, "Z": 0.5}),  # T^x + ZZ/2
+    "sigma_x": (1, {"X": 1.0}),
+    "epsilon": (1, {"Z": 0.5}),
+    "free_evolution": (0, {}),  # evolves the always-on background instead
+}
+_ARITY = ("takes no indices", "needs a single site", "needs a pair i<j")  # by index count
+
 
 @dataclass(frozen=True, order=True)
 class TermHandle:
     """Symbolic identifier of a toggleable Hamiltonian term."""
 
-    kind: str  # j_plus | j_minus | j_z | heis | sigma_x | epsilon | free_evolution
+    kind: str  # a key of _KINDS
     i: int | None = None
     j: int | None = None
 
-    PAIR_KINDS = ("j_plus", "j_minus", "j_z", "heis")
-    SITE_KINDS = ("sigma_x", "epsilon")
-
     def __post_init__(self):
-        if self.kind in self.PAIR_KINDS:
-            if self.i is None or self.j is None or not self.i < self.j:
-                raise ValidationError(f"{self.kind} needs a pair i<j, got ({self.i},{self.j})")
-        elif self.kind in self.SITE_KINDS:
-            if self.i is None or self.j is not None:
-                raise ValidationError(f"{self.kind} needs a single site")
-        elif self.kind == "free_evolution":
-            if self.i is not None or self.j is not None:
-                raise ValidationError("free_evolution takes no indices")
-        else:
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ValidationError(f"unknown handle kind {self.kind!r}")
+        count = _KINDS[self.kind][0]  # i is given if the kind takes an index, j if it takes two
+        given = (self.i is not None, self.j is not None)
+        if given != (count > 0, count > 1) or count == 2 and not self.i < self.j:
+            raise ValidationError(f"{self.kind} {_ARITY[count]}, got ({self.i},{self.j})")
+
+    @property
+    def sites(self) -> tuple[int, ...]:
+        """The handle's pair, site or nothing: as many indices as its kind takes."""
+        return (self.i, self.j)[: _KINDS[self.kind][0]]
 
     def __str__(self):
-        if self.kind in self.PAIR_KINDS:
-            return f"{self.kind}({self.i},{self.j})"
-        if self.kind in self.SITE_KINDS:
-            return f"{self.kind}({self.i})"
-        return self.kind
+        return f"{self.kind}({','.join(map(str, self.sites))})" if self.sites else self.kind
 
     @classmethod
     def parse(cls, text: str) -> "TermHandle":
@@ -109,21 +114,25 @@ class Coupling:
 
 def build_T(n: int, i: int, j: int) -> PauliSum:
     """T_ij^x = (XX + YY)/2: resonant flip-flop between spins i and j."""
-    _check_pair(n, i, j)
-    xx, yy = (site_letters(n, {i: a, j: a}) for a in "XY")
-    return PauliSum(n, {xx: 0.5, yy: 0.5})
+    return _unit_term(n, "j_plus", i, j)
 
 
 def build_R(n: int, i: int, j: int) -> PauliSum:
     """R_ij^x = (XX - YY)/2: double flip between spins i and j."""
-    _check_pair(n, i, j)
-    xx, yy = (site_letters(n, {i: a, j: a}) for a in "XY")
-    return PauliSum(n, {xx: 0.5, yy: -0.5})
+    return _unit_term(n, "j_minus", i, j)
 
 
 def build_zz(n: int, i: int, j: int) -> PauliSum:
-    _check_pair(n, i, j)
-    return PauliSum(n, {site_letters(n, {i: "Z", j: "Z"}): 1.0})
+    return _unit_term(n, "j_z", i, j)
+
+
+def _unit_term(n: int, kind: str, *sites: int) -> PauliSum:
+    """The unit-strength term of a pair or site handle kind on `sites`: each letter of its
+    `_KINDS` row on every site, with the row's weight."""
+    if len(sites) == 2:
+        _check_pair(n, *sites)
+    letters = _KINDS[kind][1].items()
+    return PauliSum(n, {site_letters(n, dict.fromkeys(sites, a)): w for a, w in letters})
 
 
 def build_H0(epsilon) -> PauliSum:
@@ -144,21 +153,21 @@ class _Family(NamedTuple):
     rule: Callable[[Coupling], bool]
     message: str  # the rule, as a ValidationError states it
     coupling: Coupling  # preset coupling of every bonded pair
-    pulsed: Callable[[int, int], TermHandle] | None  # None: sigma_x on every spin
+    pulsed: str  # handle kind pulsed on every bonded pair, or on every spin for a site kind
     next_nearest: bool = False  # presets bond (i, i+2) after the chain
 
 
 _FAMILIES = {
     "heisenberg": _Family(lambda c: c.jx == c.jy == c.jz, "heisenberg requires jx = jy = jz",
-                          Coupling(0.5, 0.5, 0.5), heis),  # pair term T + ZZ/2
+                          Coupling(0.5, 0.5, 0.5), "heis"),  # pair term T + ZZ/2
     "xy": _Family(lambda c: c.jx == c.jy and c.jz == 0.0, "xy requires jx = jy and jz = 0",
-                  Coupling(0.5, 0.5, 0.0), j_plus, next_nearest=True),
+                  Coupling(0.5, 0.5, 0.0), "j_plus", next_nearest=True),
     "xxz_symmetric": _Family(lambda c: c.jx == c.jy, "xxz_symmetric requires jx = jy",
-                             Coupling(0.5, 0.5, 0.35), j_plus),
+                             Coupling(0.5, 0.5, 0.35), "j_plus"),
     "xxz_antisymmetric": _Family(lambda c: c.jx == -c.jy, "xxz_antisymmetric requires jx = -jy",
-                                 Coupling(0.5, -0.5, 0.35), j_minus),
+                                 Coupling(0.5, -0.5, 0.35), "j_minus"),
     "nmr_ising": _Family(lambda c: c.jx == c.jy == 0.0, "nmr_ising allows only jz couplings",
-                         Coupling(0.0, 0.0, 0.25), None),
+                         Coupling(0.0, 0.0, 0.25), "sigma_x"),
 }
 
 
@@ -172,7 +181,7 @@ class ExchangeModel:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", tuple(self.epsilon))
+        object.__setattr__(self, "epsilon", tuple(float(e) for e in self.epsilon))
         object.__setattr__(self, "couplings", MappingProxyType(dict(self.couplings)))
         object.__setattr__(self, "controllable", frozenset(self.controllable))
         family = _FAMILIES.get(self.kind) if isinstance(self.kind, str) else None
@@ -193,9 +202,9 @@ class ExchangeModel:
             if not family.rule(c):
                 raise ValidationError(f"pair ({i},{j}): {family.message} (got {c})")
         for h in self.controllable:
-            if h.kind in TermHandle.PAIR_KINDS and (h.i, h.j) not in self.couplings:
+            if len(h.sites) == 2 and h.sites not in self.couplings:
                 raise ValidationError(f"controllable handle {h} has no coupled pair")
-            if h.kind in TermHandle.SITE_KINDS and not 1 <= h.i <= self.n_spins:
+            if len(h.sites) == 1 and not 1 <= h.i <= self.n_spins:
                 raise ValidationError(f"controllable handle {h} out of range")
 
     # -- queries -------------------------------------------------------------
@@ -214,7 +223,7 @@ class ExchangeModel:
 
     def require_controllable(self, handle: TermHandle):
         """ConnectivityError for uncoupled pairs, ControllabilityError for fixed terms."""
-        if handle.kind in TermHandle.PAIR_KINDS and not self.has_pair(handle.i, handle.j):
+        if handle.j is not None and not self.has_pair(handle.i, handle.j):  # a pair handle
             raise ConnectivityError(f"spins ({handle.i},{handle.j}) are not coupled in this model")
         if not self.is_controllable(handle):
             raise ControllabilityError(
@@ -237,8 +246,8 @@ class ExchangeModel:
         """(background Hamiltonian, background magnitude), from one walk of the terms."""
         total = build_H0(self.epsilon)
         vals = [abs(e) for e in self.epsilon]
-        for coeff, build, i, j in _pair_terms(self):
-            total = total + coeff * build(self.n_spins, i, j)
+        for coeff, kind, i, j in _pair_terms(self):
+            total = total + coeff * _unit_term(self.n_spins, kind, i, j)
             vals.append(abs(coeff))
         return total, max(vals) if vals else 1.0
 
@@ -255,17 +264,13 @@ class ExchangeModel:
 
 
 def _pair_terms(model: ExchangeModel):
-    """(coefficient, builder, i, j) for every always-on J^+ T, J^- R and J^z ZZ term."""
+    """(coefficient, kind, i, j) for every always-on J^+ T, J^- R and J^z ZZ term."""
     for (i, j), c in model.couplings.items():
         if model.is_controllable(heis(i, j)):
             continue
-        for coeff, handle, build in (
-            (c.j_plus, j_plus, build_T),
-            (c.j_minus, j_minus, build_R),
-            (c.jz, j_z, build_zz),
-        ):
-            if coeff and not model.is_controllable(handle(i, j)):
-                yield coeff, build, i, j
+        for coeff, kind in ((c.j_plus, "j_plus"), (c.j_minus, "j_minus"), (c.jz, "j_z")):
+            if coeff and not model.is_controllable(TermHandle(kind, i, j)):
+                yield coeff, kind, i, j
 
 
 def background_hamiltonian(model: ExchangeModel) -> PauliSum:
@@ -289,22 +294,9 @@ def toggled_generator(model: ExchangeModel, handle: TermHandle) -> PauliSum:
 
 
 def _build_generator(model: ExchangeModel, handle: TermHandle) -> PauliSum:
-    n = model.n_spins
-    k = handle.kind
-    if k == "j_plus":
-        return build_T(n, handle.i, handle.j)
-    if k == "j_minus":
-        return build_R(n, handle.i, handle.j)
-    if k == "j_z":
-        return build_zz(n, handle.i, handle.j)
-    if k == "heis":  # T + ZZ/2
-        _check_pair(n, handle.i, handle.j)
-        return PauliSum(n, {site_letters(n, {handle.i: a, handle.j: a}): 0.5 for a in "XYZ"})
-    if k == "sigma_x":
-        return PauliSum(n, {site_letters(n, {handle.i: "X"}): 1.0})
-    if k == "epsilon":
-        return PauliSum(n, {site_letters(n, {handle.i: "Z"}): 0.5})
-    return background_hamiltonian(model)  # free_evolution
+    if handle.kind == "free_evolution":
+        return background_hamiltonian(model)
+    return _unit_term(model.n_spins, handle.kind, *handle.sites)
 
 
 # -- platform presets with their controllability columns ----------------------
@@ -347,10 +339,8 @@ def preset_model(name: str, n_spins: int = 4, epsilon=None) -> ExchangeModel:
     pairs = [(i, i + 1) for i in range(1, n_spins)]
     if family.next_nearest:
         pairs += [(i, i + 2) for i in range(1, n_spins - 1)]
-    if family.pulsed is None:
-        ctrl = {sigma_x(i) for i in range(1, n_spins + 1)}
-    else:
-        ctrl = {family.pulsed(i, j) for i, j in pairs}
+    sites = pairs if _KINDS[family.pulsed][0] == 2 else [(i,) for i in range(1, n_spins + 1)]
+    ctrl = {TermHandle(family.pulsed, *s) for s in sites}
     couplings = dict.fromkeys(pairs, family.coupling)
     return ExchangeModel(kind, n_spins, eps, couplings, ctrl | {FREE_EVOLUTION}, name)
 
@@ -419,7 +409,7 @@ def model_from_dict(data: dict) -> ExchangeModel:
         return ExchangeModel(
             kind=data["kind"],
             n_spins=n_spins,
-            epsilon=tuple(float(e) for e in json_number(data["epsilon"], many=True)),
+            epsilon=json_number(data["epsilon"], many=True),
             couplings=couplings,
             controllable=frozenset(TermHandle.parse(h) for h in handles),
             name=json_of(data.get("name", ""), str, "'name' as a string"),

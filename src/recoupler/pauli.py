@@ -333,7 +333,7 @@ def coset_offsets(basis: dict[int, int], states: np.ndarray) -> tuple[np.ndarray
     """(reps, offsets) with states[i] = reps[i] ^ x_span(basis)[offsets[i]]: reps[i] the
     state of its coset with every pivot bit clear, offsets[i] its pivot bits compressed."""
     reps = np.array(states, dtype=np.int64)
-    offsets = np.zeros_like(reps)
+    offsets = np.zeros(reps.shape, dtype=np.int64)  # zeros_like dispatches in Python
     for j, bit in enumerate(sorted(basis)):
         on = reps >> bit & 1
         reps ^= on * basis[bit]
@@ -341,12 +341,9 @@ def coset_offsets(basis: dict[int, int], states: np.ndarray) -> tuple[np.ndarray
     return reps, offsets
 
 
-def coset_rows(n: int, basis: dict[int, int], states: np.ndarray) -> np.ndarray:
-    """Every n-spin basis state, sorted, of the cosets of the span of `basis` that
-    hold `states`."""
-    reps = np.array(states, dtype=np.int64)
-    for bit, vec in basis.items():  # clear the pivot bits: one representative per coset
-        reps ^= (reps >> bit & 1) * vec
+def coset_rows(n: int, basis: dict[int, int], reps: np.ndarray) -> np.ndarray:
+    """Every n-spin basis state, sorted, of the cosets of the span of `basis` whose
+    pivot-clear states (`coset_offsets`) are `reps`."""
     mark = np.zeros(2**n, dtype=bool)  # deduplicates and sorts without a sort
     mark[reps] = True
     mark[(np.flatnonzero(mark)[:, None] ^ x_span(basis)).ravel()] = True
@@ -394,11 +391,3 @@ def coset_blocks(s: PauliSum | Terms, states: np.ndarray, basis: dict[int, int])
               signs.transpose(1, 0, 2) * weights[:, None])
     return blocks
 
-
-def to_blocks(
-    s: PauliSum | Terms, rows: np.ndarray, basis: dict[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(at, blocks) of `s` by `coset_index` and `coset_blocks` over the cosets of the span of
-    its X masks, `basis` = x_basis(s): each is invariant, as every term sends r to r ^ x."""
-    at, states = coset_index(rows, basis)
-    return at, coset_blocks(s, states, basis)

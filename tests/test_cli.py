@@ -142,7 +142,28 @@ class TestVerify:
             "--tol-leakage", "nan",
         ])
         assert rc == 2
-        assert capsys.readouterr().err == "error: tolerances must be non-negative\n"
+        assert capsys.readouterr().err == "error: tolerances must be finite and non-negative\n"
+
+    @pytest.mark.parametrize("flag", ["--tol-fidelity", "--tol-leakage"])
+    @pytest.mark.parametrize("value", ["inf", "Infinity"])
+    def test_infinite_tolerance_exit_2(self, model_file, circuit_file, capsys, flag, value):
+        # JSON has no Infinity: the report would echo the tolerance as invalid JSON
+        rc = main(["verify", "--model", model_file, "--circuit", circuit_file, flag, value])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: tolerances must be finite and non-negative\n"
+
+    @pytest.mark.parametrize(
+        "extra,code", [([], 0), (["--mode", "realistic", "--ratio", "1e-320"], 1)]
+    )
+    def test_json_report_parses_with_a_strict_parser(self, model_file, circuit_file, capsys,
+                                                     extra, code):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        argv = ["verify", "--model", model_file, "--circuit", circuit_file, "--format", "json"]
+        assert main(argv + extra) == code
+        rows = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert len(rows) == 3 and all(row["tol_fidelity"] == 1e-8 for row in rows)
 
     def test_realistic_without_ratio_exit_2(self, model_file, circuit_file):
         rc = main([

@@ -135,6 +135,23 @@ class TestRz:
         sched = check_gate(LogicalGate("rz", (1,), (0.7,)), m)
         assert sched.step_count_serial == 1  # no spectators to refocus
 
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("theta", [1e13, -1e13, 4 * np.pi * 2**40])
+    def test_a_window_angle_past_2_to_the_30_periods_is_a_reason(self, n, theta):
+        # `%` by float pi drifts 1.2e-16 rad per period removed: rz(1e13) on four spins
+        # failed at 1 - F = 1.9e-8 with no reason, and 4 pi 2**40 was elided as zero
+        window, period = (theta / 2, 2 * np.pi) if n == 2 else (theta / 4, np.pi)
+        rep = verify_gate(rz(1, theta), preset_model("electrons_on_helium", n))
+        assert not rep.passed
+        assert rep.reason == (f"ValidationError: window angle {window:g} spans over 2**30 periods"
+                              f" of {period:g}: reduced by float pi, it would drift over 1e-7 rad")
+
+    @pytest.mark.parametrize("gate", [rz(1, 1e9), rz(2, -1e9), rx(1, 1e14)])
+    def test_large_angles_inside_the_bound_verify(self, gate):
+        # rx(1e14) reduces no window: its pulse angle reaches the evolution unreduced
+        rep = verify_gate(gate, XXZ)
+        assert rep.passed and not rep.reason, (rep.fidelity, rep.reason)
+
 
 class TestEuler:
     def test_collapses_to_rx(self):

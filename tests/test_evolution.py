@@ -41,7 +41,7 @@ from recoupler import (
 )
 from recoupler.encoding import _code_block
 from recoupler.evolution import _evolve, _exponential, _generator
-from recoupler.pauli import to_blocks, x_basis
+from recoupler.pauli import coset_blocks, coset_index, x_basis
 from recoupler.verifier import STANDARD_GATES
 
 
@@ -465,7 +465,9 @@ class TestNeighbourPatterns:
         strength = 10.0 * model.background_magnitude()
         key = ("background", ((sigma_x(1), strength),))
         h = _generator(key, model, background_hamiltonian(model))
-        at, blocks = to_blocks(h, np.arange(4), x_basis(h))
+        basis = x_basis(h)
+        at, states = coset_index(np.arange(4), basis)
+        blocks = coset_blocks(h, states, basis)
         u = _exponential(*np.linalg.eigh(blocks), np.full(2, 0.7 / strength), np.zeros(2, int))
         want = np.zeros((4, 4), dtype=complex)
         for states, block in zip(at, u):
@@ -550,7 +552,9 @@ class TestRestrict:
 
 def _dense(terms, n):
     """The 2**n x 2**n matrix of term arrays, assembled from their blocks."""
-    at, blocks = to_blocks(terms, np.arange(2**n), x_basis(terms))
+    basis = x_basis(terms)
+    at, states = coset_index(np.arange(2**n), basis)
+    blocks = coset_blocks(terms, states, basis)
     out = np.zeros((2**n, 2**n), dtype=complex)
     for states, block in zip(at, blocks):
         out[np.ix_(states, states)] = block

@@ -246,3 +246,19 @@ def test_every_private_name_is_read():
         if total[name] <= _reads(node)[name]
     ]
     assert not unread, f"private names defined but never read: {unread}"
+
+
+def test_every_public_function_is_used_or_exported():
+    """A module-level public function that src/ never reads and the package does not
+    export serves tests alone: tests compose the kernels the package itself runs."""
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    exported = set(_exported_names())
+    unused = [
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not _is_private(node.name)
+        and node.name not in exported
+        and not any(_uses_outside_definition(t, node.name) for t in trees.values())
+    ]
+    assert not unused, f"public functions neither used in src/ nor exported: {unused}"

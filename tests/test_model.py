@@ -195,6 +195,20 @@ class TestValidation:
                   TermHandle("epsilon", 1), TermHandle("free_evolution")):
             assert TermHandle.parse(str(h)) == h
 
+    @pytest.mark.parametrize("kind, indices, message", [
+        ("j_plus", (2, 1), r"j_plus needs a pair i<j, got \(2,1\)"),
+        ("heis", (1,), r"heis needs a pair i<j, got \(1,None\)"),
+        ("j_z", (None, 2), r"j_z needs a pair i<j, got \(None,2\)"),
+        ("sigma_x", (1, 2), r"sigma_x needs a single site, got \(1,2\)"),
+        ("epsilon", (None, 2), r"epsilon needs a single site, got \(None,2\)"),
+        ("free_evolution", (1,), r"free_evolution takes no indices, got \(1,None\)"),
+        ("bogus", (1,), r"unknown handle kind 'bogus'"),
+        (["j_plus"], (1, 2), r"unknown handle kind \['j_plus'\]"),
+    ])
+    def test_a_handle_takes_as_many_indices_as_its_kind(self, kind, indices, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            TermHandle(kind, *indices)
+
     def test_handle_parse_rejects_garbage(self):
         with pytest.raises(ValidationError):
             TermHandle.parse("j_plus(2,1)")
@@ -344,8 +358,9 @@ class TestStoredTerms:
             verify_gate(gate, model, mode="realistic", ratio=10.0)
         fresh = dataclasses.replace(model)
         want = build_H0(fresh.epsilon)
-        for coeff, build, i, j in model_module._pair_terms(fresh):
-            want = want + coeff * build(n, i, j)
+        builders = {"j_plus": build_T, "j_minus": build_R, "j_z": build_zz}
+        for coeff, kind, i, j in model_module._pair_terms(fresh):
+            want = want + coeff * builders[kind](n, i, j)
         assert background_hamiltonian(model) is background
         assert exact(background) == exact(want)
         assert model.background_magnitude() == fresh.background_magnitude()
@@ -497,6 +512,22 @@ class TestJson:
         assert got == outcome(plain)
         bad = f"malformed model JSON: n_spins: index must be an integer, got {n_spins!r}"
         assert got == (want or bad)
+
+    @pytest.mark.parametrize(
+        "epsilon", [["1.6", "1.4", "1.2", "1.0"], [2, 1, 3, 4], [1.6, "1.4", 1, 1.0]]
+    )
+    def test_preset_and_plain_energies_agree(self, epsilon):
+        plain = model_from_dict({**model_to_dict(preset_model("xy", 4)), "epsilon": epsilon})
+        preset = model_from_dict({"preset": "xy", "epsilon": epsilon})
+        assert preset == plain and preset.epsilon == tuple(float(e) for e in epsilon)
+        assert all(type(e) is float for e in preset.epsilon + plain.epsilon)  # 2 is 2.0, too
+
+    @pytest.mark.parametrize("form", ["preset", "plain"])
+    def test_a_bool_energy_is_malformed_in_both_forms(self, form):
+        data = {"preset": "xy"} if form == "preset" else model_to_dict(preset_model("xy", 4))
+        bad = "malformed model JSON: expected a number, got True"
+        with pytest.raises(ValidationError, match=bad):
+            model_from_dict({**data, "epsilon": [True, 1.4, 1.2, 1.0]})
 
     def test_malformed(self):
         with pytest.raises(ValidationError):

@@ -18,7 +18,7 @@ from recoupler import (
     toggled_generator,
 )
 from recoupler.pauli import coset_blocks, coset_index, coset_offsets, coset_rows, split_central
-from recoupler.pauli import to_blocks, x_basis, x_span
+from recoupler.pauli import x_basis, x_span
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -287,12 +287,24 @@ def _scattered(states, blocks):
     return out
 
 
+def coset_split(s, rows, basis):
+    """(at, blocks) of `s` over the cosets of the span of `basis` = x_basis(s) in `rows`:
+    `coset_index`, then `coset_blocks` of its states, as `_evolve` composes them."""
+    at, states = coset_index(rows, basis)
+    return at, coset_blocks(s, states, basis)
+
+
 def every_block(s):
-    """to_blocks over every basis state."""
-    return to_blocks(s, np.arange(2**s.n), x_basis(s))
+    """coset_split over every basis state."""
+    return coset_split(s, np.arange(2**s.n), x_basis(s))
 
 
-class TestToBlocks:
+def rows_of(n, basis, starts):
+    """coset_rows of the cosets that hold `starts`, from their pivot-clear states."""
+    return coset_rows(n, basis, coset_offsets(basis, np.array(starts))[0])
+
+
+class TestCosetBlocks:
     def test_random_complex_sums_scatter_back_to_the_matrix(self):
         rng = np.random.default_rng(17)
         for n in range(1, 7):
@@ -309,8 +321,8 @@ class TestToBlocks:
                 s = _random_sum(rng, n, terms=int(rng.integers(0, 6)))
                 wider = x_basis(s, _random_sum(rng, n, terms=int(rng.integers(0, 3))))
                 starts = rng.integers(0, 2**n, size=int(rng.integers(1, 4)))
-                rows = coset_rows(n, wider, starts)
-                at, blocks = to_blocks(s, rows, x_basis(s))
+                rows = rows_of(n, wider, starts)
+                at, blocks = coset_split(s, rows, x_basis(s))
                 states = rows[at]
                 assert sorted(states.ravel()) == list(rows), s
                 assert set(starts) <= set(rows), s
@@ -328,12 +340,12 @@ class TestToBlocks:
             for bit, vec in basis.items():
                 assert vec >> bit & 1 and all(not other >> bit & 1 for other in basis.values()
                                               if other != vec)
-            span = coset_rows(n, basis, [0])
+            span = rows_of(n, basis, [0])
             assert len(set(span.tolist())) == span.size == 2 ** len(basis)
             masks = {sum(1 << i for i, c in enumerate(k) if c in "XY") for t in sums for k in t.terms}
             assert masks <= set(span.tolist())
             starts = rng.integers(0, 2**n, size=3)
-            rows = coset_rows(n, basis, starts)
+            rows = rows_of(n, basis, starts)
             assert rows.tolist() == sorted(set((starts[:, None] ^ span).ravel().tolist()))
 
     def test_coset_offsets_name_each_state_by_its_representative_and_slot(self):
@@ -394,8 +406,8 @@ class TestToBlocks:
         # X on spin 1 pairs state 0 with state 1, which the rows leave out
         spin_1, spin_2 = PauliSum(2, {"XI": 1.0}), PauliSum(2, {"IX": 1.0})
         with pytest.raises(ValidationError, match="rows are not a union of cosets of the span"):
-            to_blocks(spin_1, np.array([0]), x_basis(spin_1))
+            coset_index(np.array([0]), x_basis(spin_1))
         with pytest.raises(ValidationError, match="rows are not a union of cosets of the span"):
-            to_blocks(spin_2, np.array([0, 1]), x_basis(spin_2))
-        at, blocks = to_blocks(spin_2, np.array([1, 3]), x_basis(spin_2))
+            coset_index(np.array([0, 1]), x_basis(spin_2))
+        at, blocks = coset_split(spin_2, np.array([1, 3]), x_basis(spin_2))
         assert at.tolist() == [[0, 1]] and np.array_equal(blocks, [[[0, 1], [1, 0]]])

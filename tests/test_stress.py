@@ -38,6 +38,7 @@ from recoupler import (
     background_hamiltonian,
     compile_circuit,
     compile_gate,
+    default_epsilon,
     heis,
     j_minus,
     j_plus,
@@ -57,7 +58,7 @@ from recoupler import (
 from recoupler.compiler import _GATES
 from recoupler.encoding import code_isometry
 from recoupler.evolution import _evolve
-from recoupler.pauli import to_blocks, x_basis
+from recoupler.pauli import coset_blocks, coset_index, x_basis
 from recoupler.verifier import STANDARD_GATES
 
 PAULI = {
@@ -317,7 +318,9 @@ def test_block_propagation_matches_dense_and_expm(family):
         if family == "json_flip_flop":
             drawn = flip_flop_json_model(rng)
             background = background_hamiltonian(drawn)
-            blocks = to_blocks(background, np.arange(2**background.n), x_basis(background))[1]
+            basis = x_basis(background)
+            states = coset_index(np.arange(2**background.n), basis)[1]
+            blocks = coset_blocks(background, states, basis)
             assert blocks.shape[-1] == 2  # T_23 couples pairs
         else:
             drawn = random_model(rng, family)[0]
@@ -722,15 +725,21 @@ def json_models(draw, n, chorded=False):
 
 @st.composite
 def compiled_gates(draw):
-    """(model, sector, schedule): a preset, JSON or chorded JSON model at n <= 6 and
-    one gate of any `_GATES` kind that compiles there, parallel or serial. No gate
-    compiles on the nmr preset, whose pulses are sigma_x. Chorded models are drawn
-    twice as often as each other source: a plain JSON model rarely has both a chord
-    and a diagonal background."""
+    """(model, sector, schedule): a preset, a jittered preset, a JSON or a chorded JSON
+    model at n <= 6 and one gate of any `_GATES` kind that compiles there, parallel or
+    serial. No gate compiles on the nmr preset, whose pulses are sigma_x. A jittered
+    preset moves each energy of the preset ladder by up to 0.05, off the commensurate
+    phases that can hide a wrong construction. Chorded models are drawn twice as often
+    as each other source: a plain JSON model rarely has both a chord and a diagonal
+    background."""
     n = draw(st.sampled_from([2, 4, 6]))
-    source = draw(st.sampled_from(["preset", "json"] + ["chorded"] * 2 * (n > 2)))
-    if source == "preset":
-        model = preset_model(draw(st.sampled_from([p for p in PRESET_NAMES if p != "nmr"])), n)
+    source = draw(st.sampled_from(["preset", "jittered", "json"] + ["chorded"] * 2 * (n > 2)))
+    if source in ("preset", "jittered"):
+        epsilon = default_epsilon(n)
+        if source == "jittered":
+            epsilon = tuple(e + draw(st.floats(-0.05, 0.05)) for e in epsilon)
+        name = draw(st.sampled_from([p for p in PRESET_NAMES if p != "nmr"]))
+        model = preset_model(name, n, epsilon)
     else:
         model = draw(json_models(n, chorded=source == "chorded"))
     sector, parallel = draw(st.sampled_from([SYMMETRIC, ANTISYMMETRIC])), draw(st.booleans())

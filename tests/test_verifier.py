@@ -475,7 +475,8 @@ class TestVerdictContract:
         monkeypatch.setattr(np.linalg, "eigh", lambda h: sizes.append(h.shape[-1]) or eigh(h))
         monkeypatch.setattr(evolution, "_exponential",
                             lambda *args: owners.append(args[3]) or rebuild(*args))
-        monkeypatch.setattr(evolution, "_phases", lambda e, t: phased.append(t) or phases(e, t))
+        monkeypatch.setattr(evolution, "_phases",
+                            lambda e, peak, t: phased.append(t) or phases(e, peak, t))
         monkeypatch.setattr(evolution, "_check_defects",
                             lambda d: defects.append(np.size(d)) or check(d))
         rep = verify_circuit(gates, XXZ, mode=mode, ratio=ratio)
