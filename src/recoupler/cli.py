@@ -93,13 +93,6 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _tolerances(args) -> tuple[float, float]:
-    tf, tl = args.tol_fidelity, args.tol_leakage
-    if not (0 <= tf < math.inf and 0 <= tl < math.inf):  # JSON output has no Infinity
-        raise ValidationError("tolerances must be finite and non-negative")
-    return tf, tl
-
-
 def _ratio(args) -> float | None:
     if args.mode == "realistic":
         if args.ratio is None or not 0 < args.ratio < math.inf:
@@ -147,10 +140,9 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     model = _load_model_arg(args.model)
     gates = _load_circuit(args.circuit)
-    tf, tl = _tolerances(args)
     kwargs = dict(
         sector=_SECTORS[args.sector], mode=args.mode, ratio=_ratio(args),
-        parallel=not args.serial, tol_fidelity=tf, tol_leakage=tl,
+        parallel=not args.serial, tol_fidelity=args.tol_fidelity, tol_leakage=args.tol_leakage,
     )
     reports = [verify_gate(g, model, **kwargs) for g in gates]
     reports.append(verify_circuit(gates, model, **kwargs))

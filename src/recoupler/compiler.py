@@ -34,6 +34,7 @@ logical target and step counts. `LogicalGate`, `gate_from_dict`, `compile_gate`,
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -76,6 +77,11 @@ class LogicalGate:
             raise ValidationError(f"{self.kind} takes {gate.qubits} target(s)")
         if len(self.params) != gate.params:
             raise ValidationError(f"{self.kind} takes {gate.params} parameter(s)")
+        typed = [(t, numbers.Integral) for t in self.targets]
+        typed += [(p, numbers.Real) for p in self.params]
+        if any(isinstance(v, bool) or not isinstance(v, kind) for v, kind in typed):
+            raise ValidationError(f"{self.kind} takes integer targets and real parameters,"
+                                  f" got {self.targets} and {self.params}")
         if not all(math.isfinite(p) for p in self.params):
             raise ValidationError(f"{self.kind} parameters must be finite, got {self.params}")
         if gate.qubits == 2 and self.targets[1] != self.targets[0] + 1:

@@ -106,9 +106,9 @@ def decode(spec: CodeSpec, physical_state: np.ndarray):
     """Project back to the code space.
 
     Returns (logical_state, leakage_norm), leakage_norm = ||(I-P) psi|| / ||psi|| from
-    `_code_block`, the logical part renormalized, or (None, 1.0) with no in-code part.
-    The state is scaled to its largest entry before any norm, so huge entries cannot
-    overflow; a non-finite entry raises ValidationError.
+    the entries off the code states, the logical part renormalized, or (None, 1.0) with
+    no in-code part. The state is scaled to its largest entry before any norm, so huge
+    entries cannot overflow; a non-finite entry raises ValidationError.
     """
     psi = np.asarray(physical_state, dtype=complex)
     if psi.shape != (2**spec.n_spins,):
@@ -123,21 +123,28 @@ def decode(spec: CodeSpec, physical_state: np.ndarray):
     # by a power of two: exact, so bit for bit the unscaled result; the bound keeps
     # the factor finite for subnormal input
     psi = psi * 2.0 ** -max(np.frexp(largest)[1], -1000)
-    amps, leakage = _code_block(psi / np.linalg.norm(psi), np.arange(psi.size), spec)
+    psi /= np.linalg.norm(psi)
+    code = code_states(spec)
+    amps, leakage = psi[code], float(np.linalg.norm(np.delete(psi, code)))
     in_norm = np.linalg.norm(amps)
     return (None, 1.0) if in_norm < 1e-12 else (amps / in_norm, leakage)
 
 
-def _code_block(columns: np.ndarray, rows: np.ndarray, spec: CodeSpec) -> tuple[np.ndarray, float]:
-    """(code rows, Frobenius norm of the other rows over sqrt(column count)) of `columns`
-    given on the sorted basis states `rows`: (V^dag U V, ||(I - P) U P||_F / ||P||_F) for
-    U V. A vector is one column; a non-finite block or leakage raises ValidationError."""
-    code = np.searchsorted(rows, code_states(spec))
+def _code_block(columns: np.ndarray, rows: np.ndarray, starts: np.ndarray, cosets: np.ndarray):
+    """(U on the starts, norm of the other rows over sqrt(start count)) from `columns` on the
+    sorted `rows`, coset c's rows holding start cosets[c, j] in slot j (`pauli.coset_rows`):
+    (V^dag U V, ||(I - P) U P||_F / ||P||_F) for code starts. Non-finite raises ValidationError."""
+    here = np.searchsorted(rows, starts)
     outside = np.ones(len(rows), dtype=bool)
-    outside[code] = False
-    block = columns[code]
-    leakage = float(np.linalg.norm(columns[outside]) / np.sqrt(columns[0].size))
-    if not (np.isfinite(block).all() and math.isfinite(leakage)):
+    outside[here] = False
+    if len(cosets) == 1:  # slot j is start j
+        block = columns[here]
+    else:  # a start's row holds its coset's starts: zero between cosets
+        block = np.zeros((starts.size, starts.size), dtype=complex)
+        block[cosets[:, :, None], cosets[:, None, :]] = columns[here[cosets]]
+    leakage = float(np.linalg.norm(columns[outside]) / np.sqrt(starts.size))
+    # the block holds entries of the columns, and a non-finite other row makes the leakage so
+    if not (np.isfinite(columns).all() and math.isfinite(leakage)):
         raise ValidationError("restrict: the code block or its leakage is not finite")
     return block, leakage
 

@@ -29,17 +29,17 @@ share it across durations. So one eigendecomposition is made per distinct
 generator with X masks, all blocks of one size in one batched eigh; each
 distinct group rebuilds only its phases from it, and is applied to a column
 array wherever it stands. Every term maps
-r to r ^ x with x in S, the span of all the schedule's X masks (rank R), so U
-is zero wherever r ^ c is not in S. `apply_schedule`, under the dense spin
-cap, evolves 2**R column slots per row, slot j the start state rep ^ span[j]
-of the row's coset (`pauli.coset_offsets`), and scatters them into U at the
-end. A verdict needs only U V on the 2**(n/2) code states, so it evolves just
-the rows code ^ S (the code states themselves for every XXZ and one-qubit
-gate), within the byte budget of one dense matrix at the spin cap, not the cap
-itself, and returns its code block and leakage. The code states are basis
-states, so V^dag U V is the code rows of U V and the leakage the norm of the
-others (`encoding._code_block`), read from a verdict's rows or, by `restrict`,
-from all of U. `propagator` stays the dense exponential of one generator.
+r to r ^ x with x in S, the span of all the schedule's X masks, so U moves a
+start state only within its coset of S: each row of the column array holds one
+slot per start in its own coset (`pauli.coset_rows`). The full U, under the
+dense spin cap, starts from the register, 2**R slots a row for S of rank R. A
+verdict needs only U V on the 2**(n/2) code states, so it starts from them and
+evolves the rows code ^ S (the code states themselves for every XXZ and
+one-qubit gate), |S & C| slots a row for C the span of the pair flips, within
+the byte budget of one dense matrix at the spin cap, not the cap itself.
+`encoding._code_block` splits either into U on the starts, zero between
+cosets, and the leakage, the norm of the other rows; `restrict` reads a given
+U V the same way. `propagator` stays the dense exponential of one generator.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .model import (
     toggled_generator,
 )
 from .pauli import PauliSum, Terms, check_bytes, check_dense, coset_blocks, coset_index
-from .pauli import coset_offsets, coset_rows, diagonal, scaled_sum, split_central, to_matrix
+from .pauli import coset_rows, diagonal, scaled_sum, split_central, to_matrix
 from .pauli import x_basis, x_span
 
 _TARGET_RE = re.compile(r"^(t_z|r_z)\((\d+)\)$|^zz\((\d+),(\d+)\)$")
@@ -278,7 +278,7 @@ def apply_schedule(
 
     `mode`/`ratio` override the per-step mode tags when given.
     """
-    return _evolve(schedule, model, mode, ratio)
+    return _evolve(schedule, model, mode, ratio)[0]
 
 
 def _evolve(
@@ -287,9 +287,9 @@ def _evolve(
     mode: str | None,
     ratio: float | None,
     sector: str | None = None,
-) -> np.ndarray | tuple[np.ndarray, float]:
-    """U, or, given a sector, the verdict's (code block V^dag U V, leakage), split off
-    the rows of the code columns U V that the schedule can reach.
+) -> tuple[np.ndarray, float]:
+    """(U on the starts, leakage) of the rows the starts reach: the register for the
+    full U, or, given a sector, the code states for a verdict's (V^dag U V, leakage).
 
     Each distinct group is keyed, and its generator built and checked if the key
     is new, in order of first appearance and before any exponential, so the
@@ -329,10 +329,9 @@ def _evolve(
     bases, full = [x_basis(h) for h in generators], x_basis(*generators)
     starts = np.arange(2**n) if sector is None else code_states(CodeSpec(sector, n))
     # at most 2**n states, so the checks above already bound these arrays
-    reps, slot = coset_offsets(full, starts)  # start i is reps[i] ^ span[slot[i]]
-    rows = coset_rows(n, full, reps)
+    rows, cosets = coset_rows(n, full, starts)  # coset c's rows hold start cosets[c, j] in slot j
     held = sum(2 ** len(bases[k]) for k in key_of)  # every group's unitaries are held at once
-    nbytes = 16 * rows.size * max(starts.size, held)
+    nbytes = 16 * rows.size * max(cosets.shape[1], held)
     check_bytes(n, nbytes, f"evolving {rows.size} reachable rows")
     # per key with energies (E, max |E|, pattern): a diagonal key's E per row, a key built per
     # pattern its central E and pattern per coset; per key with X masks its blocks until eigh
@@ -376,11 +375,8 @@ def _evolve(
                 central, peak, pattern = energies[key_of[g]]
                 ug = ug[pattern] * _phases(central, peak, times[g])[:, None, None]
             unitaries[g] = at[key_of[g]], ug
-    width = 2 ** len(full)  # row r's slot j is the start state reps[r] ^ span[j] of its coset
-    if sector is not None:  # a verdict's column i is start i
-        slot, width = np.arange(starts.size), starts.size
-    columns = np.zeros((rows.size, width), dtype=complex)
-    columns[np.searchsorted(rows, starts), slot] = 1.0
+    columns = np.zeros((rows.size, cosets.shape[1]), dtype=complex)
+    columns[np.searchsorted(rows, starts)[cosets], np.arange(cosets.shape[1])] = 1.0
     # a block group gathers rows into block order, then multiplies back; where[r] is r's slot
     spare, where, slots = np.empty_like(columns), np.arange(rows.size), np.arange(rows.size)
     scale = np.empty(rows.size, dtype=complex)
@@ -394,11 +390,7 @@ def _evolve(
         np.matmul(u, spare.reshape(*at.shape, -1), out=columns.reshape(*at.shape, -1))
         where[at.ravel()] = slots
     columns = np.take(columns, where, axis=0, out=spare, mode="clip")
-    if sector is not None:
-        return _code_block(columns, rows, CodeSpec(sector, n))
-    u = np.zeros((rows.size, rows.size), dtype=complex)  # zero where r ^ c is not in the span
-    np.put_along_axis(u, reps[:, None] ^ x_span(full), columns, axis=1)
-    return u
+    return _code_block(columns, rows, starts, cosets)
 
 
 def restrict(u: np.ndarray, spec: CodeSpec) -> tuple[np.ndarray, float]:
@@ -413,7 +405,8 @@ def restrict(u: np.ndarray, spec: CodeSpec) -> tuple[np.ndarray, float]:
     if u.shape != (dim, dim):
         raise DimensionError(f"restrict takes {dim} x {dim}, got {u.shape}")
     with np.errstate(invalid="ignore"):  # inf * 0 is NaN: `_code_block` reports it
-        return _code_block(u @ code_isometry(spec), np.arange(dim), spec)
+        uv = u @ code_isometry(spec)
+    return _code_block(uv, np.arange(dim), code_states(spec), np.arange(uv.shape[1])[None])
 
 
 # -- JSON --------------------------------------------------------------------

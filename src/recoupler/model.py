@@ -181,7 +181,10 @@ class ExchangeModel:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", tuple(float(e) for e in self.epsilon))
+        try:
+            object.__setattr__(self, "epsilon", tuple(float(e) for e in self.epsilon))
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"epsilon must be a sequence of numbers, got {self.epsilon!r}")
         object.__setattr__(self, "couplings", MappingProxyType(dict(self.couplings)))
         object.__setattr__(self, "controllable", frozenset(self.controllable))
         family = _FAMILIES.get(self.kind) if isinstance(self.kind, str) else None
@@ -397,7 +400,7 @@ def model_from_dict(data: dict) -> ExchangeModel:
             raise ValueError(f"n_spins: {exc}")
         if "preset" in data:
             eps = data.get("epsilon")
-            eps = None if eps is None else json_number(eps, many=True)
+            eps = None if eps is None else [float(e) for e in json_number(eps, many=True)]
             return preset_model(data["preset"], n_spins, eps)
         couplings = {
             (json_index(c["i"]), json_index(c["j"])): Coupling(
@@ -409,7 +412,7 @@ def model_from_dict(data: dict) -> ExchangeModel:
         return ExchangeModel(
             kind=data["kind"],
             n_spins=n_spins,
-            epsilon=json_number(data["epsilon"], many=True),
+            epsilon=[float(e) for e in json_number(data["epsilon"], many=True)],
             couplings=couplings,
             controllable=frozenset(TermHandle.parse(h) for h in handles),
             name=json_of(data.get("name", ""), str, "'name' as a string"),

@@ -329,25 +329,18 @@ def x_span(basis: dict[int, int]) -> np.ndarray:
     return span
 
 
-def coset_offsets(basis: dict[int, int], states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(reps, offsets) with states[i] = reps[i] ^ x_span(basis)[offsets[i]]: reps[i] the
-    state of its coset with every pivot bit clear, offsets[i] its pivot bits compressed."""
-    reps = np.array(states, dtype=np.int64)
-    offsets = np.zeros(reps.shape, dtype=np.int64)  # zeros_like dispatches in Python
-    for j, bit in enumerate(sorted(basis)):
-        on = reps >> bit & 1
-        reps ^= on * basis[bit]
-        offsets |= on << j
-    return reps, offsets
-
-
-def coset_rows(n: int, basis: dict[int, int], reps: np.ndarray) -> np.ndarray:
-    """Every n-spin basis state, sorted, of the cosets of the span of `basis` whose
-    pivot-clear states (`coset_offsets`) are `reps`."""
+def coset_rows(n: int, basis: dict[int, int], starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cosets): the sorted n-spin states of the cosets of the span S of `basis` that
+    hold `starts`, and per coset a row of its starts' indices in order. Each coset must hold
+    as many: the register does, and so does a code c0 ^ C, which meets each in c ^ (S & C)."""
+    reps = np.array(starts, dtype=np.int64)  # each start's coset by its pivot-clear state
+    for bit, vec in basis.items():  # a reduced vector holds no other pivot: one walk clears all
+        reps ^= (reps >> bit & 1) * vec
     mark = np.zeros(2**n, dtype=bool)  # deduplicates and sorts without a sort
     mark[reps] = True
-    mark[(np.flatnonzero(mark)[:, None] ^ x_span(basis)).ravel()] = True
-    return np.flatnonzero(mark)
+    firsts = np.flatnonzero(mark)
+    mark[(firsts[:, None] ^ x_span(basis)).ravel()] = True
+    return np.flatnonzero(mark), np.argsort(reps, kind="stable").reshape(firsts.size, -1)
 
 
 def diagonal(s: PauliSum | Terms, rows: np.ndarray) -> np.ndarray:

@@ -100,7 +100,11 @@ def _verdict(
     label, subject, compile_fn, target_fn, model, sector, mode, ratio, parallel,
     tol_fidelity, tol_leakage,
 ) -> VerificationReport:
-    """Compile, evolve to the code block and leakage, compare; a RecouplerError fails it."""
+    """Compile, evolve to the code block and leakage, compare; a RecouplerError fails it.
+    Tolerances must be finite and non-negative (a report holds them, and JSON has no
+    NaN or Infinity), else ValidationError."""
+    if not (0 <= tol_fidelity < math.inf and 0 <= tol_leakage < math.inf):
+        raise ValidationError("tolerances must be finite and non-negative")
     ratio_text = "None" if ratio is None else f"{ratio:g}"
     mode_label = mode if mode == "ideal" else f"realistic(r={ratio_text})"
     try:

@@ -486,6 +486,22 @@ class TestCompileCircuitErrors:
         with pytest.raises(ValidationError, match="parameters must be finite"):
             circuit_from_list([{"gate": "heis_zz", "targets": [0, 1], "time": bad}])
 
+    @pytest.mark.parametrize("kind, targets, params", [
+        ("cphase", (1.0, 2.0), ()),
+        ("rx", ("a",), (1.0,)),
+        ("rx", (True,), (1.0,)),
+        ("rx", (1,), ("1.0",)),
+        ("rz", (1,), (True,)),
+        ("euler", (1,), (0.5, 1j, 0.2)),
+    ])
+    def test_wrong_typed_targets_and_params_rejected(self, kind, targets, params):
+        with pytest.raises(ValidationError, match=f"^{kind} takes integer targets and real"):
+            LogicalGate(kind, targets, params)
+
+    def test_numpy_integers_and_reals_are_targets_and_params(self):
+        gate = LogicalGate("rx", (np.int64(1),), (np.float64(0.3),))
+        assert verify_gate(gate, XXZ).passed
+
 
 SECTOR_CASES = {
     "rx": (rx(1, 0.5), XXZ_ANTI),

@@ -25,6 +25,7 @@ from recoupler import (
     to_matrix,
 )
 from recoupler.encoding import _code_block, code_states
+from recoupler.pauli import coset_rows, x_basis, x_span
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -300,7 +301,7 @@ class TestIsometryOracle:
             return b, np.linalg.norm(uv - v @ b) / np.sqrt(k)
 
         # U is unitary on the code states and some others, the identity elsewhere, so
-        # U V is zero outside those rows, which `_code_block` takes as a verdict's rows
+        # U V is zero outside those rows, which `_code_block` takes as one coset's rows
         code = code_states(spec)
         others = np.setdiff1d(np.arange(dim), code)
         some = np.union1d(code, rng.choice(others, size=len(others) // 3))
@@ -308,10 +309,28 @@ class TestIsometryOracle:
             u = np.eye(dim, dtype=complex)
             u[np.ix_(rows, rows)] = _unitary(rng, rows.size)
             want_b, want_leak = oracle(u)
-            for got_b, got_leak in (restrict(u, spec), _code_block((u @ v)[rows], rows, spec)):
+            one = np.arange(k)[None]
+            for got_b, got_leak in (restrict(u, spec), _code_block((u @ v)[rows], rows, code, one)):
                 assert np.array_equal(got_b, want_b)
                 # the Frobenius norm's summation order follows the BLAS kernel
                 assert got_leak == pytest.approx(want_leak, rel=0, abs=1e-14)
+        # U is unitary on each coset of a span S that holds code states and zero between
+        # them, so a row of coset c holds in slot j only the column of start cosets[c, j]
+        letters = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(2)]
+        basis = x_basis(PauliSum(n, dict.fromkeys(letters, 1.0)))
+        span, (rows, cosets) = x_span(basis), coset_rows(n, basis, code)
+        u = np.eye(dim, dtype=complex)
+        for held in cosets:
+            coset = code[held[0]] ^ span
+            u[np.ix_(coset, coset)] = _unitary(rng, span.size)
+        columns = np.zeros((rows.size, cosets.shape[1]), dtype=complex)
+        for held in cosets:
+            at = np.searchsorted(rows, code[held[0]] ^ span)
+            columns[at] = u[np.ix_(rows[at], code[held])]
+        want_b, want_leak = oracle(u)
+        got_b, got_leak = _code_block(columns, rows, code, cosets)
+        assert np.array_equal(got_b, want_b)
+        assert got_leak == pytest.approx(want_leak, rel=0, abs=1e-14)
 
     def test_wrong_shapes_raise_dimension_error(self):
         spec = CodeSpec(SYMMETRIC, 4)

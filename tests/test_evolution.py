@@ -39,7 +39,7 @@ from recoupler import (
     to_matrix,
     toggled_generator,
 )
-from recoupler.encoding import _code_block
+from recoupler.encoding import _code_block, code_states
 from recoupler.evolution import _evolve, _exponential, _generator
 from recoupler.pauli import coset_blocks, coset_index, x_basis
 from recoupler.verifier import STANDARD_GATES
@@ -543,7 +543,7 @@ class TestRestrict:
             uv[[2, 1], [0, 1]] = 1.0
             uv[row, 1] = bad
             with pytest.raises(ValidationError, match="not finite"):
-                _code_block(uv, np.arange(4), spec)
+                _code_block(uv, np.arange(4), code_states(spec), np.arange(2)[None])
             u = np.eye(4, dtype=complex)
             u[row, 1] = bad
             with pytest.raises(ValidationError, match="not finite"):

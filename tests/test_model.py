@@ -161,6 +161,17 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ExchangeModel("xy", 2, (1,), {}, frozenset())
 
+    @pytest.mark.parametrize("bad", [["a", 1, 1, 1], [None, 1, 1, 1], 5, [10**400, 1, 1, 1]])
+    def test_wrong_typed_epsilon_rejected(self, bad):
+        with pytest.raises(ValidationError, match="^epsilon must be a sequence of numbers, got "):
+            preset_model("xy", 4, bad)
+
+    def test_wrong_typed_json_epsilon_keeps_its_message(self):
+        for data in ({"preset": "xy", "epsilon": ["a", 1, 1, 1]},
+                     {"kind": "xy", "n_spins": 2, "epsilon": [None, 1], "couplings": []}):
+            with pytest.raises(ValidationError, match="^malformed model JSON: "):
+                model_from_dict(data)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_epsilon_rejected(self, bad):
         with pytest.raises(ValidationError, match="epsilon must be finite"):

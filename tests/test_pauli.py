@@ -17,7 +17,7 @@ from recoupler import (
     to_matrix,
     toggled_generator,
 )
-from recoupler.pauli import coset_blocks, coset_index, coset_offsets, coset_rows, split_central
+from recoupler.pauli import coset_blocks, coset_index, coset_rows, split_central
 from recoupler.pauli import x_basis, x_span
 
 I2 = np.eye(2)
@@ -299,9 +299,11 @@ def every_block(s):
     return coset_split(s, np.arange(2**s.n), x_basis(s))
 
 
-def rows_of(n, basis, starts):
-    """coset_rows of the cosets that hold `starts`, from their pivot-clear states."""
-    return coset_rows(n, basis, coset_offsets(basis, np.array(starts))[0])
+def affine_starts(rng, n):
+    """A random affine space c0 ^ C of n-spin states in random order, as a code is: each
+    coset of a span meets it in as many states, as `coset_rows` requires of its starts."""
+    c = x_span(x_basis(_random_sum(rng, n, terms=int(rng.integers(0, 3)))))
+    return rng.permutation(c ^ int(rng.integers(0, 2**n)))
 
 
 class TestCosetBlocks:
@@ -320,8 +322,8 @@ class TestCosetBlocks:
             for _ in range(12):
                 s = _random_sum(rng, n, terms=int(rng.integers(0, 6)))
                 wider = x_basis(s, _random_sum(rng, n, terms=int(rng.integers(0, 3))))
-                starts = rng.integers(0, 2**n, size=int(rng.integers(1, 4)))
-                rows = rows_of(n, wider, starts)
+                starts = affine_starts(rng, n)
+                rows = coset_rows(n, wider, starts)[0]
                 at, blocks = coset_split(s, rows, x_basis(s))
                 states = rows[at]
                 assert sorted(states.ravel()) == list(rows), s
@@ -340,29 +342,29 @@ class TestCosetBlocks:
             for bit, vec in basis.items():
                 assert vec >> bit & 1 and all(not other >> bit & 1 for other in basis.values()
                                               if other != vec)
-            span = rows_of(n, basis, [0])
+            span = coset_rows(n, basis, np.zeros(1, dtype=np.int64))[0]
             assert len(set(span.tolist())) == span.size == 2 ** len(basis)
             masks = {sum(1 << i for i, c in enumerate(k) if c in "XY") for t in sums for k in t.terms}
             assert masks <= set(span.tolist())
-            starts = rng.integers(0, 2**n, size=3)
-            rows = rows_of(n, basis, starts)
+            starts = affine_starts(rng, n)
+            rows = coset_rows(n, basis, starts)[0]
             assert rows.tolist() == sorted(set((starts[:, None] ^ span).ravel().tolist()))
 
-    def test_coset_offsets_name_each_state_by_its_representative_and_slot(self):
+    def test_coset_rows_give_each_coset_a_row_of_its_starts_in_start_order(self):
         rng = np.random.default_rng(20)
         for n in range(1, 7):
             basis = x_basis(*[_random_sum(rng, n, terms=int(rng.integers(0, 4))) for _ in range(2)])
-            states = np.arange(2**n)
-            reps, offsets = coset_offsets(basis, states)
             span = x_span(basis)
-            assert np.array_equal(reps ^ span[offsets], states)
-            pivots = sum(1 << bit for bit in basis)
-            assert not (reps & pivots).any()
-            # one representative per coset, and each coset's states fill its 2**r slots once
-            for rep in np.unique(reps):
-                coset = states[reps == rep]
-                assert sorted(coset.tolist()) == sorted((rep ^ span).tolist())
-                assert sorted(offsets[reps == rep].tolist()) == list(range(span.size))
+            for starts in (np.arange(2**n), affine_starts(rng, n)):
+                rows, cosets = coset_rows(n, basis, starts)
+                assert rows.tolist() == sorted(set((starts[:, None] ^ span).ravel().tolist()))
+                assert sorted(cosets.ravel().tolist()) == list(range(starts.size))
+                assert len({min(starts[held[0]] ^ span) for held in cosets}) == len(cosets)
+                for held in cosets:  # every start of the coset, in start order
+                    coset = starts[held[0]] ^ span
+                    assert held.tolist() == np.flatnonzero(np.isin(starts, coset)).tolist()
+            # the register's cosets each hold all 2**r of their states
+            assert coset_rows(n, basis, np.arange(2**n))[1].shape == (2**n // span.size, span.size)
 
     def test_central_terms_are_a_number_per_coset_and_the_rest_sees_only_rep_and_seen(self):
         rng = np.random.default_rng(21)

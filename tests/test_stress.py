@@ -373,8 +373,9 @@ def _assert_row_verdicts_match_dense(monkeypatch, model, sector, gates, schedule
     spec = CodeSpec(sector, model.n_spins)
     seen = []
     split = evolution._code_block
-    monkeypatch.setattr(evolution, "_code_block", lambda columns, rows, s: seen.append(rows.size)
-                        or split(columns, rows, s))
+    monkeypatch.setattr(evolution, "_code_block",
+                        lambda columns, rows, *rest: seen.append(rows.size)
+                        or split(columns, rows, *rest))
     for hard, mode, ratio in ((False, "ideal", None), (True, "ideal", None),
                               (False, "realistic", 10.0)):
         def compiled(subject, *_):

@@ -16,6 +16,7 @@ from recoupler import (
     PulseStep,
     apply_schedule,
     RecouplerError,
+    ValidationError,
     compile_circuit,
     compile_gate,
     cost_report,
@@ -108,6 +109,17 @@ class TestVerifyGate:
             "ValidationError: realistic mode needs a finite positive strength ratio"
         )
         assert (missing.step_count_serial, missing.step_count_parallel) == (0, 0)
+
+    @pytest.mark.parametrize("verify", [verify_gate, verify_circuit])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_tolerances_must_be_finite_and_non_negative(self, verify, bad):
+        # a report holds its tolerances, and JSON has no NaN or Infinity
+        subject = LogicalGate("rx", (1,), (1.1,))
+        subject = [subject] if verify is verify_circuit else subject
+        for tolerances in ({"tol_fidelity": bad}, {"tol_leakage": bad}):
+            with pytest.raises(ValidationError,
+                               match="^tolerances must be finite and non-negative$"):
+                verify(subject, XXZ, **tolerances)
 
     def test_verify_circuit(self):
         gates = [LogicalGate("rx", (1,), (0.7,)), LogicalGate("cphase", (1, 2))]
@@ -379,15 +391,20 @@ class TestVerdictContract:
             assert rep.passed or mode == "realistic"
             assert peak < 16 * 2**20, f"{gate.kind}: peak {peak / 2**20:.1f} MB"
 
-    @pytest.mark.parametrize("mode,ratio,bound_mb", [("ideal", None, 90), ("realistic", 100.0, 80)])
-    def test_twenty_spin_rz_peak_memory(self, monkeypatch, mode, ratio, bound_mb):
+    @pytest.mark.parametrize("preset,gate,mode,ratio,bound_mb", [
+        ("xy", "rz", "ideal", None, 90), ("xy", "rz", "realistic", 100.0, 80),
+        ("spin_dots", "cphase", "ideal", None, 40), ("xy", "cphase", "realistic", 100.0, 40),
+    ])
+    def test_twenty_spin_rz_peak_memory(self, monkeypatch, preset, gate, mode, ratio, bound_mb):
         # rz's pulse groups hold 512 x 512 blocks; the ideal P(+a) and P(-a) share one
-        # block build and eigh, the realistic ones differ by the background's sign
+        # block build and eigh, the realistic ones differ by the background's sign. The
+        # cphase rows are code ^ S, twice the code states, but each holds only the starts
+        # of its own coset of S
         monkeypatch.delenv("RECOUPLER_MAX_SPINS", raising=False)
-        model = preset_model("xy", 20)
+        model = preset_model(preset, 20)
         tracemalloc.start()
         try:
-            rep = verify_gate(STANDARD_GATES["rz"], model, mode=mode, ratio=ratio)
+            rep = verify_gate(STANDARD_GATES[gate], model, mode=mode, ratio=ratio)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -405,12 +422,13 @@ class TestVerdictContract:
         assert rep.reason.startswith("CapacityError: 40 spins: a code block of 2^20 x 2^20")
         assert peak < 2**20, f"peak {peak / 2**20:.1f} MB"
         # a budget of 16 * 4**4 bytes holds the 4**4-entry code block of 8 spins, and the
-        # 16 code-state rows of an XXZ verdict, but not the 32 rows of xy cphase
+        # 16 code-state rows of an XXZ verdict, but not the 32 rows of xy cphase, each
+        # with the 10 entries of its groups' unitaries
         monkeypatch.setenv("RECOUPLER_MAX_SPINS", "4")
         assert verify_gate(STANDARD_GATES["cphase"], preset_model("electrons_on_helium", 8)).passed
         rep = verify_gate(STANDARD_GATES["cphase"], preset_model("xy", 8))
         assert rep.reason == (
-            "CapacityError: 8 spins: evolving 32 reachable rows needs 8192 bytes,"
+            "CapacityError: 8 spins: evolving 32 reachable rows needs 5120 bytes,"
             " over the 4096-byte budget of a dense 4-spin matrix (RECOUPLER_MAX_SPINS)"
         )
 
