@@ -182,8 +182,6 @@ def _parse_ratios(text: str) -> list[float]:
         if not r > 0:
             raise ValidationError(f"ratio must be positive, got {part}")
         out.append(r)
-    if not out:
-        raise ValidationError("empty ratio list")
     return out
 
 

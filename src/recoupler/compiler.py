@@ -73,6 +73,13 @@ class LogicalGate:
 
     def __post_init__(self):
         gate = _gate(self.kind)
+        wrong = ValidationError(f"{self.kind} takes integer targets and real parameters,"
+                                f" got {self.targets} and {self.params}")
+        try:  # stored as tuples, so a gate hashes and prints one way
+            object.__setattr__(self, "targets", tuple(self.targets))
+            object.__setattr__(self, "params", tuple(self.params))
+        except TypeError:
+            raise wrong from None
         if len(self.targets) != gate.qubits:
             raise ValidationError(f"{self.kind} takes {gate.qubits} target(s)")
         if len(self.params) != gate.params:
@@ -80,8 +87,7 @@ class LogicalGate:
         typed = [(t, numbers.Integral) for t in self.targets]
         typed += [(p, numbers.Real) for p in self.params]
         if any(isinstance(v, bool) or not isinstance(v, kind) for v, kind in typed):
-            raise ValidationError(f"{self.kind} takes integer targets and real parameters,"
-                                  f" got {self.targets} and {self.params}")
+            raise wrong
         if not all(math.isfinite(p) for p in self.params):
             raise ValidationError(f"{self.kind} parameters must be finite, got {self.params}")
         if gate.qubits == 2 and self.targets[1] != self.targets[0] + 1:

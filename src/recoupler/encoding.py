@@ -137,11 +137,8 @@ def _code_block(columns: np.ndarray, rows: np.ndarray, starts: np.ndarray, coset
     here = np.searchsorted(rows, starts)
     outside = np.ones(len(rows), dtype=bool)
     outside[here] = False
-    if len(cosets) == 1:  # slot j is start j
-        block = columns[here]
-    else:  # a start's row holds its coset's starts: zero between cosets
-        block = np.zeros((starts.size, starts.size), dtype=complex)
-        block[cosets[:, :, None], cosets[:, None, :]] = columns[here[cosets]]
+    block = np.zeros((starts.size, starts.size), dtype=complex)  # zero between cosets
+    block[cosets[:, :, None], cosets[:, None, :]] = columns[here[cosets]]
     leakage = float(np.linalg.norm(columns[outside]) / np.sqrt(starts.size))
     # the block holds entries of the columns, and a non-finite other row makes the leakage so
     if not (np.isfinite(columns).all() and math.isfinite(leakage)):

@@ -329,7 +329,7 @@ def _evolve(
     bases, full = [x_basis(h) for h in generators], x_basis(*generators)
     starts = np.arange(2**n) if sector is None else code_states(CodeSpec(sector, n))
     # at most 2**n states, so the checks above already bound these arrays
-    rows, cosets = coset_rows(n, full, starts)  # coset c's rows hold start cosets[c, j] in slot j
+    rows, cosets = coset_rows(full, starts)  # coset c's rows hold start cosets[c, j] in slot j
     held = sum(2 ** len(bases[k]) for k in key_of)  # every group's unitaries are held at once
     nbytes = 16 * rows.size * max(cosets.shape[1], held)
     check_bytes(n, nbytes, f"evolving {rows.size} reachable rows")

@@ -279,10 +279,6 @@ def scaled_sum(parts: Iterable[tuple[PauliSum, complex]]) -> Terms:
     return scaled[0] if len(scaled) == 1 else Terms(*map(np.concatenate, zip(_NO_TERMS, *scaled)))
 
 
-def _arrays(s: PauliSum | Terms) -> Terms:
-    return s if isinstance(s, Terms) else s.arrays
-
-
 def rotate(matrix: np.ndarray, letters: str, angle: float):
     """M <- exp(-i angle P) M = cos(angle) M - i sin(angle) P M in place, P the string
     of `letters`, a signed permutation: (P M)[r] = i**|x&z| (-1)**|(r^x)&z| M[r^x].
@@ -301,7 +297,7 @@ def rotate(matrix: np.ndarray, letters: str, angle: float):
     matrix += turned
 
 
-def x_basis(*sums: PauliSum | Terms) -> dict[int, int]:
+def x_basis(*sums: Terms) -> dict[int, int]:
     """Reduced GF(2) basis of the span of the X masks of `sums`.
 
     Maps each pivot bit to its basis vector; no other vector has that bit set,
@@ -310,7 +306,7 @@ def x_basis(*sums: PauliSum | Terms) -> dict[int, int]:
     mask is reduced once, in any order.
     """
     basis: dict[int, int] = {}
-    for x in {x for s in sums for x in _arrays(s).x.tolist()}:
+    for x in {x for s in sums for x in s.x.tolist()}:
         for bit, vec in basis.items():
             x ^= vec * (x >> bit & 1)
         if x:
@@ -329,30 +325,29 @@ def x_span(basis: dict[int, int]) -> np.ndarray:
     return span
 
 
-def coset_rows(n: int, basis: dict[int, int], starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cosets): the sorted n-spin states of the cosets of the span S of `basis` that
-    hold `starts`, and per coset a row of its starts' indices in order. Each coset must hold
-    as many: the register does, and so does a code c0 ^ C, which meets each in c ^ (S & C)."""
+def coset_rows(basis: dict[int, int], starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cosets): the sorted states of the cosets of the span S of `basis` that hold
+    `starts`, and per coset a row of its starts' indices in order. Each coset must hold as
+    many: the register does, and so does a code c0 ^ C, which meets each in c ^ (S & C)."""
     reps = np.array(starts, dtype=np.int64)  # each start's coset by its pivot-clear state
     for bit, vec in basis.items():  # a reduced vector holds no other pivot: one walk clears all
         reps ^= (reps >> bit & 1) * vec
-    mark = np.zeros(2**n, dtype=bool)  # deduplicates and sorts without a sort
-    mark[reps] = True
-    firsts = np.flatnonzero(mark)
-    mark[(firsts[:, None] ^ x_span(basis)).ravel()] = True
-    return np.flatnonzero(mark), np.argsort(reps, kind="stable").reshape(firsts.size, -1)
+    ordered = np.sort(reps)  # np.unique would import numpy.ma, for a mask check
+    firsts = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    rows = np.sort((firsts[:, None] ^ x_span(basis)).ravel())  # disjoint cosets: no repeats
+    return rows, np.argsort(reps, kind="stable").reshape(firsts.size, -1)
 
 
-def diagonal(s: PauliSum | Terms, rows: np.ndarray) -> np.ndarray:
+def diagonal(s: Terms, rows: np.ndarray) -> np.ndarray:
     """E(r) = sum_t c_t (-1)^|r & z_t| at `rows`: to_matrix(s) of a sum with no X masks."""
-    _, zs, coeffs = _arrays(s)
+    _, zs, coeffs = s
     return (1.0 - 2.0 * (np.bitwise_count(rows[:, None] & zs) & 1)) @ coeffs.real
 
 
-def split_central(s: PauliSum | Terms, basis: dict[int, int]) -> tuple[Terms, Terms, int]:
+def split_central(s: Terms, basis: dict[int, int]) -> tuple[Terms, Terms, int]:
     """(central, rest, seen): the diagonal terms even on every vector of `basis`, a number per
     coset, and the others, whose block at a pivot-clear rep depends on rep & seen alone."""
-    xs, zs, coeffs = _arrays(s)
+    xs, zs, coeffs = s
     central = (xs == 0) & ~(np.bitwise_count(zs[:, None] & np.int64([*basis.values()])) & 1).any(1)
     rest = Terms(xs[~central], zs[~central], coeffs[~central])
     seen = int(np.bitwise_or.reduce(rest.z, initial=0)) & ~sum(1 << bit for bit in basis)
@@ -369,11 +364,11 @@ def coset_index(rows: np.ndarray, basis: dict[int, int]) -> tuple[np.ndarray, np
     return at, states
 
 
-def coset_blocks(s: PauliSum | Terms, states: np.ndarray, basis: dict[int, int]) -> np.ndarray:
+def coset_blocks(s: Terms, states: np.ndarray, basis: dict[int, int]) -> np.ndarray:
     """blocks[c] = to_matrix(s) restricted to rows and columns states[c], for states laid
     out as `coset_index` gives them and X masks of `s` in the span of `basis`."""
     pivots = sorted(basis)
-    xs, zs, coeffs = _arrays(s)
+    xs, zs, coeffs = s
     coords = sum(((xs >> bit & 1) << j for j, bit in enumerate(pivots)), np.zeros_like(xs))
     weights = coeffs * _PHASE_ARRAY[np.bitwise_count(xs & zs) & 3]
     signs = 1.0 - 2.0 * (np.bitwise_count(states & zs[:, None, None]) & 1)  # term, coset, offset

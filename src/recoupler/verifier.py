@@ -12,6 +12,7 @@ one matrix: the identity for a gate, one running product for a circuit.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import asdict, dataclass
 
@@ -101,9 +102,10 @@ def _verdict(
     tol_fidelity, tol_leakage,
 ) -> VerificationReport:
     """Compile, evolve to the code block and leakage, compare; a RecouplerError fails it.
-    Tolerances must be finite and non-negative (a report holds them, and JSON has no
-    NaN or Infinity), else ValidationError."""
-    if not (0 <= tol_fidelity < math.inf and 0 <= tol_leakage < math.inf):
+    Tolerances must be finite and non-negative reals, not bools (a report holds them, and
+    JSON has no NaN or Infinity), else ValidationError."""
+    if not all(isinstance(t, numbers.Real) and not isinstance(t, bool) and 0 <= t < math.inf
+               for t in (tol_fidelity, tol_leakage)):
         raise ValidationError("tolerances must be finite and non-negative")
     ratio_text = "None" if ratio is None else f"{ratio:g}"
     mode_label = mode if mode == "ideal" else f"realistic(r={ratio_text})"

@@ -275,6 +275,9 @@ class TestSweep:
     def test_unparsable_ratio_exit_2(self, model_file, capsys):
         assert main(["sweep", "--model", model_file, "--ratios", "10,abc"]) == 2
         assert capsys.readouterr().err == "error: bad ratio 'abc'\n"
+        for empty in ("", ","):  # every split part is a ratio, and an empty one is no number
+            assert main(["sweep", "--model", model_file, "--ratios", empty]) == 2
+            assert capsys.readouterr().err == "error: bad ratio ''\n"
 
     def test_nan_ratio_exit_2(self, model_file, capsys):
         assert main(["sweep", "--model", model_file, "--ratios", "nan"]) == 2

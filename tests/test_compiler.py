@@ -493,10 +493,19 @@ class TestCompileCircuitErrors:
         ("rx", (1,), ("1.0",)),
         ("rz", (1,), (True,)),
         ("euler", (1,), (0.5, 1j, 0.2)),
+        ("rx", 1, (1.0,)),
+        ("rx", (1,), 1.0),
     ])
     def test_wrong_typed_targets_and_params_rejected(self, kind, targets, params):
         with pytest.raises(ValidationError, match=f"^{kind} takes integer targets and real"):
             LogicalGate(kind, targets, params)
+
+    def test_listed_targets_and_params_are_stored_as_tuples(self):
+        gate = LogicalGate("rx", [1], [1.0])
+        assert (gate.targets, gate.params) == ((1,), (1.0,))
+        assert gate.describe() == "rx(1)@(1,)"
+        assert gate == LogicalGate("rx", (1,), (1.0,))
+        assert hash(gate) == hash(LogicalGate("rx", (1,), (1.0,)))
 
     def test_numpy_integers_and_reals_are_targets_and_params(self):
         gate = LogicalGate("rx", (np.int64(1),), (np.float64(0.3),))

@@ -1,5 +1,8 @@
 """Edge cases the main suites do not reach: the all-zero euler gate, custom
-phase angles, serial realistic convergence, and malformed schedule targets."""
+phase angles, serial realistic convergence, malformed schedule targets, and
+the message of each input error that no other test raises."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from recoupler import (
     ANTISYMMETRIC,
     CodeSpec,
+    ControllabilityError,
     FREE_EVOLUTION,
     LogicalGate,
     PulseSchedule,
@@ -15,10 +19,15 @@ from recoupler import (
     ValidationError,
     WindowTarget,
     apply_schedule,
+    circuit_from_list,
     compile_gate,
+    decode,
     fidelity,
+    j_plus,
+    model_from_dict,
     preset_model,
     restrict,
+    schedule_from_dict,
     verify_gate,
 )
 from recoupler.compiler import _cphase_xxz, _cphase_xy
@@ -130,3 +139,61 @@ class TestLargerRegisters:
         rz_sched = compile_gate(LogicalGate("rz", (2,), (1.4,)), model)
         assert rz_sched.step_count_parallel == 4
         assert rz_sched.step_count_serial == 6  # two spectator pulses per window
+
+
+def _without_free_evolution(model):
+    return dataclasses.replace(model, controllable=model.controllable - {FREE_EVOLUTION})
+
+
+def _heisenberg_with_uncoupled_middle_pair():
+    couplings = [{"i": i, "j": i + 1, "jx": j, "jy": j, "jz": j}
+                 for i, j in ((1, 0.5), (2, 0.0), (3, 0.5))]
+    return model_from_dict({
+        "kind": "heisenberg", "n_spins": 4, "epsilon": [1.6, 1.4, 1.2, 1.0],
+        "couplings": couplings,
+        "controllable": ["heis(1,2)", "heis(2,3)", "heis(3,4)", "free_evolution"],
+    })
+
+
+_WINDOW = PulseStep(FREE_EVOLUTION, duration=1.0)
+_UNEQUAL_PULSES = (PulseStep(j_plus(1, 2), angle=0.3), PulseStep(j_plus(3, 4), angle=0.6))
+_NMR_PAIR = {"kind": "nmr_ising", "n_spins": 2, "epsilon": [1.0, 2.0]}
+
+
+class TestErrorMessages:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: circuit_from_list([{"gate": "rx", "targets": [0, 1], "angle": 1}]),
+         ValidationError, "rx takes 1 target(s)"),
+        (lambda: LogicalGate("rx", (1,), (1.0, 2.0)), ValidationError, "rx takes 1 parameter(s)"),
+        (lambda: schedule_from_dict({"groups": [[{"handle": "j_plus(1,2)", "angle": 1.0,
+                                                  "mode": "fast"}]]}),
+         ValidationError, "bad mode 'fast'"),
+        (lambda: schedule_from_dict({"groups": [[]]}), ValidationError, "group 0 is empty"),
+        (lambda: apply_schedule(PulseSchedule(((_WINDOW,),)),
+                                _without_free_evolution(preset_model("xy", 4))),
+         ControllabilityError, "free evolution is not controllable in model 'xy'"),
+        (lambda: apply_schedule(PulseSchedule((_UNEQUAL_PULSES,)), preset_model("xy", 4),
+                                mode="realistic", ratio=10.0),
+         ValidationError, "realistic parallel steps must share a pulse duration"),
+        (lambda: apply_schedule(PulseSchedule(((_WINDOW,),)), preset_model("xy", 4), mode="bogus"),
+         ValidationError, "bad mode 'bogus'"),
+        (lambda: model_from_dict({**_NMR_PAIR, "couplings": [{"i": 1, "j": 3, "jz": 0.25}]}),
+         ValidationError, "pair (1,3) out of range for n=2"),
+        (lambda: model_from_dict({**_NMR_PAIR, "couplings": [{"i": 1, "j": 2, "jz": 0.25}],
+                                  "controllable": ["sigma_x(9)"]}),
+         ValidationError, "controllable handle sigma_x(9) out of range"),
+        (lambda: CodeSpec(SYMMETRIC, 3), ValidationError, "n_spins must be even and positive"),
+        (lambda: decode(CodeSpec(SYMMETRIC, 2), np.zeros(4)),
+         ValidationError, "cannot decode the zero vector"),
+        (lambda: fidelity(np.eye(4), np.eye(3), CodeSpec(SYMMETRIC, 2)),
+         ValidationError, "target shape (3, 3), expected (2,2)"),
+    ])
+    def test_each_input_error_states_its_message(self, call, error, message):
+        with pytest.raises(error) as exc:
+            call()
+        assert str(exc.value) == message
+
+    def test_a_heisenberg_pair_without_coupling_fails_the_cphase_verdict(self):
+        rep = verify_gate(LogicalGate("cphase", (1, 2)), _heisenberg_with_uncoupled_middle_pair())
+        assert not rep.passed
+        assert rep.reason == "ValidationError: pair (2,3) has no exchange coupling"

@@ -317,8 +317,8 @@ class TestIsometryOracle:
         # U is unitary on each coset of a span S that holds code states and zero between
         # them, so a row of coset c holds in slot j only the column of start cosets[c, j]
         letters = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(2)]
-        basis = x_basis(PauliSum(n, dict.fromkeys(letters, 1.0)))
-        span, (rows, cosets) = x_span(basis), coset_rows(n, basis, code)
+        basis = x_basis(PauliSum(n, dict.fromkeys(letters, 1.0)).arrays)
+        span, (rows, cosets) = x_span(basis), coset_rows(basis, code)
         u = np.eye(dim, dtype=complex)
         for held in cosets:
             coset = code[held[0]] ^ span

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 
@@ -6,7 +7,9 @@ import pytest
 
 from recoupler import (
     PRESET_NAMES,
+    SYMMETRIC,
     CapacityError,
+    CodeSpec,
     DimensionError,
     PauliSum,
     UnsupportedGeneratorError,
@@ -17,6 +20,7 @@ from recoupler import (
     to_matrix,
     toggled_generator,
 )
+from recoupler.encoding import code_states
 from recoupler.pauli import coset_blocks, coset_index, coset_rows, split_central
 from recoupler.pauli import x_basis, x_span
 
@@ -291,18 +295,18 @@ def coset_split(s, rows, basis):
     """(at, blocks) of `s` over the cosets of the span of `basis` = x_basis(s) in `rows`:
     `coset_index`, then `coset_blocks` of its states, as `_evolve` composes them."""
     at, states = coset_index(rows, basis)
-    return at, coset_blocks(s, states, basis)
+    return at, coset_blocks(s.arrays, states, basis)
 
 
 def every_block(s):
     """coset_split over every basis state."""
-    return coset_split(s, np.arange(2**s.n), x_basis(s))
+    return coset_split(s, np.arange(2**s.n), x_basis(s.arrays))
 
 
 def affine_starts(rng, n):
     """A random affine space c0 ^ C of n-spin states in random order, as a code is: each
     coset of a span meets it in as many states, as `coset_rows` requires of its starts."""
-    c = x_span(x_basis(_random_sum(rng, n, terms=int(rng.integers(0, 3)))))
+    c = x_span(x_basis(_random_sum(rng, n, terms=int(rng.integers(0, 3))).arrays))
     return rng.permutation(c ^ int(rng.integers(0, 2**n)))
 
 
@@ -321,10 +325,10 @@ class TestCosetBlocks:
         for n in range(1, 7):
             for _ in range(12):
                 s = _random_sum(rng, n, terms=int(rng.integers(0, 6)))
-                wider = x_basis(s, _random_sum(rng, n, terms=int(rng.integers(0, 3))))
+                wider = x_basis(s.arrays, _random_sum(rng, n, terms=int(rng.integers(0, 3))).arrays)
                 starts = affine_starts(rng, n)
-                rows = coset_rows(n, wider, starts)[0]
-                at, blocks = coset_split(s, rows, x_basis(s))
+                rows = coset_rows(wider, starts)[0]
+                at, blocks = coset_split(s, rows, x_basis(s.arrays))
                 states = rows[at]
                 assert sorted(states.ravel()) == list(rows), s
                 assert set(starts) <= set(rows), s
@@ -338,25 +342,26 @@ class TestCosetBlocks:
         rng = np.random.default_rng(19)
         for n in range(1, 7):
             sums = [_random_sum(rng, n, terms=int(rng.integers(0, 5))) for _ in range(3)]
-            basis = x_basis(*sums)
+            basis = x_basis(*(t.arrays for t in sums))
             for bit, vec in basis.items():
                 assert vec >> bit & 1 and all(not other >> bit & 1 for other in basis.values()
                                               if other != vec)
-            span = coset_rows(n, basis, np.zeros(1, dtype=np.int64))[0]
+            span = coset_rows(basis, np.zeros(1, dtype=np.int64))[0]
             assert len(set(span.tolist())) == span.size == 2 ** len(basis)
             masks = {sum(1 << i for i, c in enumerate(k) if c in "XY") for t in sums for k in t.terms}
             assert masks <= set(span.tolist())
             starts = affine_starts(rng, n)
-            rows = coset_rows(n, basis, starts)[0]
+            rows = coset_rows(basis, starts)[0]
             assert rows.tolist() == sorted(set((starts[:, None] ^ span).ravel().tolist()))
 
     def test_coset_rows_give_each_coset_a_row_of_its_starts_in_start_order(self):
         rng = np.random.default_rng(20)
         for n in range(1, 7):
-            basis = x_basis(*[_random_sum(rng, n, terms=int(rng.integers(0, 4))) for _ in range(2)])
+            sums = [_random_sum(rng, n, terms=int(rng.integers(0, 4))) for _ in range(2)]
+            basis = x_basis(*(t.arrays for t in sums))
             span = x_span(basis)
             for starts in (np.arange(2**n), affine_starts(rng, n)):
-                rows, cosets = coset_rows(n, basis, starts)
+                rows, cosets = coset_rows(basis, starts)
                 assert rows.tolist() == sorted(set((starts[:, None] ^ span).ravel().tolist()))
                 assert sorted(cosets.ravel().tolist()) == list(range(starts.size))
                 assert len({min(starts[held[0]] ^ span) for held in cosets}) == len(cosets)
@@ -364,7 +369,21 @@ class TestCosetBlocks:
                     coset = starts[held[0]] ^ span
                     assert held.tolist() == np.flatnonzero(np.isin(starts, coset)).tolist()
             # the register's cosets each hold all 2**r of their states
-            assert coset_rows(n, basis, np.arange(2**n))[1].shape == (2**n // span.size, span.size)
+            assert coset_rows(basis, np.arange(2**n))[1].shape == (2**n // span.size, span.size)
+
+    def test_coset_rows_allocate_nothing_register_sized(self):
+        # 16 code states of 8 spins and one flip of spins 25 and 26: n = 26, where a
+        # mark per register state would take 64 MiB
+        code, flip = code_states(CodeSpec(SYMMETRIC, 8)), 1 << 24 | 1 << 25
+        tracemalloc.start()
+        try:
+            rows, cosets = coset_rows({25: flip}, code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak} bytes"
+        assert rows.tolist() == sorted([*code.tolist(), *(code ^ flip).tolist()])
+        assert cosets.tolist() == [[i] for i in np.argsort(code)]
 
     def test_central_terms_are_a_number_per_coset_and_the_rest_sees_only_rep_and_seen(self):
         rng = np.random.default_rng(21)
@@ -372,8 +391,8 @@ class TestCosetBlocks:
         for n in range(1, 7):
             for _ in range(12):
                 s = _random_sum(rng, n, terms=int(rng.integers(1, 9)))
-                basis = x_basis(s)
-                central, rest, seen = split_central(s, basis)
+                basis = x_basis(s.arrays)
+                central, rest, seen = split_central(s.arrays, basis)
                 assert len(central.x) + len(rest.x) == len(s.arrays.x), s
                 assert not central.x.any() and not seen & sum(1 << bit for bit in basis), s
                 _, states = coset_index(np.arange(2**n), basis)
@@ -408,8 +427,8 @@ class TestCosetBlocks:
         # X on spin 1 pairs state 0 with state 1, which the rows leave out
         spin_1, spin_2 = PauliSum(2, {"XI": 1.0}), PauliSum(2, {"IX": 1.0})
         with pytest.raises(ValidationError, match="rows are not a union of cosets of the span"):
-            coset_index(np.array([0]), x_basis(spin_1))
+            coset_index(np.array([0]), x_basis(spin_1.arrays))
         with pytest.raises(ValidationError, match="rows are not a union of cosets of the span"):
-            coset_index(np.array([0, 1]), x_basis(spin_2))
-        at, blocks = coset_split(spin_2, np.array([1, 3]), x_basis(spin_2))
+            coset_index(np.array([0, 1]), x_basis(spin_2.arrays))
+        at, blocks = coset_split(spin_2, np.array([1, 3]), x_basis(spin_2.arrays))
         assert at.tolist() == [[0, 1]] and np.array_equal(blocks, [[[0, 1], [1, 0]]])

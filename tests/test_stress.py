@@ -318,9 +318,9 @@ def test_block_propagation_matches_dense_and_expm(family):
         if family == "json_flip_flop":
             drawn = flip_flop_json_model(rng)
             background = background_hamiltonian(drawn)
-            basis = x_basis(background)
+            basis = x_basis(background.arrays)
             states = coset_index(np.arange(2**background.n), basis)[1]
-            blocks = coset_blocks(background, states, basis)
+            blocks = coset_blocks(background.arrays, states, basis)
             assert blocks.shape[-1] == 2  # T_23 couples pairs
         else:
             drawn = random_model(rng, family)[0]
@@ -601,8 +601,8 @@ def test_diagonal_windows_between_block_groups_match_expm(preset, mode):
             window = dataclasses.replace(random_window(rng, model, mode), duration=float(duration))
             groups += [random_pulse_group(rng, model, mode), (window,)]
         sched = PulseSchedule(groups)
-        assert not any(x_basis(h) for h, _ in group_generators(PulseSchedule(groups[1::2]),
-                                                                model, mode, ratio))
+        windows = group_generators(PulseSchedule(groups[1::2]), model, mode, ratio)
+        assert not any(x_basis(h.arrays) for h, _ in windows)
         want = ordered_product(sched, model, mode, ratio, _expm)
         label = f"{preset} n={n} {mode}"
         assert np.abs(apply_schedule(sched, model, mode, ratio) - want).max() < 1e-12, label

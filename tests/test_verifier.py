@@ -111,7 +111,7 @@ class TestVerifyGate:
         assert (missing.step_count_serial, missing.step_count_parallel) == (0, 0)
 
     @pytest.mark.parametrize("verify", [verify_gate, verify_circuit])
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, "a", True, None, 1j])
     def test_tolerances_must_be_finite_and_non_negative(self, verify, bad):
         # a report holds its tolerances, and JSON has no NaN or Infinity
         subject = LogicalGate("rx", (1,), (1.1,))
