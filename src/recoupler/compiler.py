@@ -368,6 +368,7 @@ def compile_circuit(
     Groups are stored in matrix order, so the last gate's groups come first. The
     metadata key `exact_cphase` records whether the circuit holds a `cz` gate.
     """
+    gates = list(gates)  # read once: an iterator would leave the metadata empty
     compiled = []
     for idx, gate in enumerate(gates):
         try:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .model import build_R, build_T
-from .pauli import PauliSum, site_letters, to_matrix
+from .pauli import PauliSum, check_bytes, site_letters, to_matrix
 
 SYMMETRIC = "axial_symmetric"
 ANTISYMMETRIC = "axial_antisymmetric"
@@ -83,6 +83,7 @@ def code_states(spec: CodeSpec) -> np.ndarray:
 def code_isometry(spec: CodeSpec) -> np.ndarray:
     """2^n x 2^k isometry whose columns are the logical basis states."""
     dim, k = 2**spec.n_spins, 2**spec.n_logical
+    check_bytes(spec.n_spins, 16 * dim * k, f"a 2^{spec.n_spins} x 2^{spec.n_logical} isometry")
     v = np.zeros((dim, k), dtype=complex)
     v[code_states(spec), np.arange(k)] = 1.0
     return v
@@ -97,6 +98,7 @@ def encode(spec: CodeSpec, logical_state: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(psi).all():
         raise ValidationError("logical state has a non-finite entry")
+    check_bytes(spec.n_spins, 16 * 2**spec.n_spins, f"a state of 2^{spec.n_spins} entries")
     out = np.zeros(2**spec.n_spins, dtype=complex)
     out[code_states(spec)] = psi
     return out

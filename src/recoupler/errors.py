@@ -10,7 +10,7 @@ class DimensionError(RecouplerError):
 
 
 class CapacityError(RecouplerError):
-    """Dense realization would exceed the configured spin maximum."""
+    """An array would exceed the byte budget RECOUPLER_MAX_SPINS sets."""
 
 
 class ValidationError(RecouplerError):

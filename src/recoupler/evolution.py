@@ -31,12 +31,12 @@ distinct group rebuilds only its phases from it, and is applied to a column
 array wherever it stands. Every term maps
 r to r ^ x with x in S, the span of all the schedule's X masks, so U moves a
 start state only within its coset of S: each row of the column array holds one
-slot per start in its own coset (`pauli.coset_rows`). The full U, under the
-dense spin cap, starts from the register, 2**R slots a row for S of rank R. A
-verdict needs only U V on the 2**(n/2) code states, so it starts from them and
-evolves the rows code ^ S (the code states themselves for every XXZ and
-one-qubit gate), |S & C| slots a row for C the span of the pair flips, within
-the byte budget of one dense matrix at the spin cap, not the cap itself.
+slot per start in its own coset (`pauli.coset_rows`). The full U starts from
+the register, 2**R slots a row for S of rank R. A verdict needs only U V on
+the 2**(n/2) code states, so it starts from them and evolves the rows code ^ S
+(the code states themselves for every XXZ and one-qubit gate), |S & C| slots a
+row for C the span of the pair flips. Either checks the U it returns, then the
+rows it evolves, against one byte budget (`pauli.check_bytes`).
 `encoding._code_block` splits either into U on the starts, zero between
 cosets, and the leakage, the norm of the other rows; `restrict` reads a given
 U V the same way. `propagator` stays the dense exponential of one generator.
@@ -65,7 +65,7 @@ from .model import (
     read_json,
     toggled_generator,
 )
-from .pauli import PauliSum, Terms, check_bytes, check_dense, coset_blocks, coset_index
+from .pauli import PauliSum, Terms, check_bytes, coset_blocks, coset_index
 from .pauli import coset_rows, diagonal, scaled_sum, split_central, to_matrix
 from .pauli import x_basis, x_span
 
@@ -216,6 +216,7 @@ def propagator(h: PauliSum, t: float) -> np.ndarray:
     """exp(-i h t) via Hermitian eigendecomposition of the dense generator."""
     if not isinstance(h, PauliSum):
         raise ValidationError(f"propagator takes a PauliSum generator, got {type(h).__name__}")
+    check_bytes(h.n, 16 * 4**h.n, f"a dense 2^{h.n} x 2^{h.n} matrix")  # before the int64 masks
     _checked(h.arrays)
     return _exponential(*np.linalg.eigh(to_matrix(h)), t)
 
@@ -310,10 +311,8 @@ def _evolve(
     strength = ratio * scale if "realistic" in modes else None
     if strength == math.inf:
         raise ValidationError(f"realistic pulse strength {ratio:g} x {scale:g} overflows")
-    if sector is None:
-        check_dense(n)
-    else:
-        check_bytes(n, 16 * 2**n, f"a code block of 2^{n // 2} x 2^{n // 2} entries")
+    what, side = ("a unitary", n) if sector is None else ("a code block", n // 2)
+    check_bytes(n, 16 * 4**side, f"{what} of 2^{side} x 2^{side} entries")  # the U returned
     background = background_hamiltonian(model)
     distinct: dict[tuple[PulseStep, ...], int] = {}
     order = [distinct.setdefault(group, len(distinct)) for group in schedule.groups]

@@ -71,22 +71,15 @@ def _anticommute(a: _Key, b: _Key) -> bool:
 
 
 def max_spins() -> int:
-    """Dense-matrix spin cap, overridable via RECOUPLER_MAX_SPINS."""
+    """The spin cap, overridable via RECOUPLER_MAX_SPINS; it sets `check_bytes`' budget."""
     text = os.environ.get("RECOUPLER_MAX_SPINS", "12")
     if not text.strip().removeprefix("+").isdecimal() or int(text) < 1:
         raise ValidationError(f"RECOUPLER_MAX_SPINS must be a positive integer, got {text!r}")
     return int(text)
 
 
-def check_dense(n: int):
-    """CapacityError unless a dense 2**n x 2**n matrix fits under the spin cap."""
-    cap = max_spins()
-    if n > cap:
-        raise CapacityError(f"{n} spins exceeds dense cap {cap} (RECOUPLER_MAX_SPINS)")
-
-
 def check_bytes(n: int, nbytes: int, what: str):
-    """CapacityError unless `nbytes` fit in the size of one dense matrix at the spin cap."""
+    """CapacityError unless `nbytes` fit in one dense matrix at the spin cap: the one rule."""
     cap = max_spins()
     budget = 16 * 4**cap
     if nbytes > budget:
@@ -263,7 +256,7 @@ def to_matrix(s: PauliSum) -> np.ndarray:
     Each term i**|x&z| X^x Z^z is a signed permutation: column r goes to row
     r ^ x with value coeff * i**|x&z| * (-1)**|r&z|.
     """
-    check_dense(s.n)
+    check_bytes(s.n, 16 * 4**s.n, f"a dense 2^{s.n} x 2^{s.n} matrix")
     dim = 2**s.n
     out = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)

@@ -49,7 +49,7 @@ from .pauli import PauliSum, conjugate, rotate, site_letters, to_matrix
 def _overlap(block: np.ndarray, u_target: np.ndarray) -> float:
     dim = len(block)
     if u_target.shape != (dim, dim):
-        raise ValidationError(f"target shape {u_target.shape}, expected ({dim},{dim})")
+        raise ValidationError(f"target shape {u_target.shape}, expected ({dim}, {dim})")
     return float(abs(np.vdot(u_target, block)) / dim)
 
 
@@ -108,7 +108,7 @@ def _verdict(
                for t in (tol_fidelity, tol_leakage)):
         raise ValidationError("tolerances must be finite and non-negative")
     ratio_text = "None" if ratio is None else f"{ratio:g}"
-    mode_label = mode if mode == "ideal" else f"realistic(r={ratio_text})"
+    mode_label = f"realistic(r={ratio_text})" if mode == "realistic" else mode
     try:
         schedule = compile_fn(subject, model, sector, parallel)
         block, leak = _evolve(schedule, model, mode, ratio, sector)
@@ -143,6 +143,7 @@ def verify_circuit(
     tol_leakage: float = 1e-8,
 ) -> VerificationReport:
     """The same verdict for a gate list in time order, against the product target."""
+    gates = list(gates)  # read once: the label, the schedule and the target see one list
     names = ", ".join(g.describe() for g in gates) or "<empty>"
     return _verdict(
         f"circuit[{names}]", gates, compile_circuit, target_circuit, model, sector, mode,

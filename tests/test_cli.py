@@ -561,7 +561,12 @@ class TestOutOfRangeModels:
         sched = tmp_path / "s.json"
         sched.write_text(json.dumps({"groups": [[{"handle": "j_plus(1,2)", "angle": 0.5}]]}))
         assert main(["simulate", "--model", "preset:xy:40", "--schedule", str(sched)]) == 2
-        TestMalformedJsonInput._one_error_line(capsys, "40 spins exceeds dense cap 12")
+        TestMalformedJsonInput._one_error_line(
+            capsys,
+            "error: 40 spins: a unitary of 2^40 x 2^40 entries needs 19342813113834066795298816"
+            " bytes, over the 268435456-byte budget of a dense 12-spin matrix"
+            " (RECOUPLER_MAX_SPINS)\n",
+        )
 
     def test_overflowing_realistic_strength_reason(self, rx_file, tmp_path, capsys):
         path = tmp_path / "m.json"

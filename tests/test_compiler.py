@@ -361,6 +361,14 @@ class TestCircuit:
         assert sched.step_count_serial == 6 + 1 + 14
         assert verify_circuit(gates, XXZ).passed
 
+    @pytest.mark.parametrize("wrap", [iter, lambda gates: (g for g in gates)])
+    def test_iterator_compiles_like_the_list(self, wrap):
+        gates = [LogicalGate("rx", (1,), (1.1,)), LogicalGate("cz", (1, 2))]
+        sched = compile_circuit(wrap(gates), XXZ)
+        assert sched == compile_circuit(gates, XXZ)
+        assert sched.metadata["gates"] == ["rx(1.1)@(1,)", "cz@(1, 2)"]
+        assert sched.metadata["exact_cphase"] is True
+
     def test_euler_cphase_euler_bound(self):
         gates = [
             LogicalGate("euler", (1,), (0.5, 1.2, -0.8)),

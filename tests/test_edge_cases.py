@@ -1,6 +1,7 @@
 """Edge cases the main suites do not reach: the all-zero euler gate, custom
-phase angles, serial realistic convergence, malformed schedule targets, and
-the message of each input error that no other test raises."""
+phase angles, serial realistic convergence, malformed schedule targets, the
+message of each input error that no other test raises, and the one byte
+budget that every register-sized array checks."""
 
 import dataclasses
 
@@ -9,10 +10,12 @@ import pytest
 
 from recoupler import (
     ANTISYMMETRIC,
+    CapacityError,
     CodeSpec,
     ControllabilityError,
     FREE_EVOLUTION,
     LogicalGate,
+    PauliSum,
     PulseSchedule,
     PulseStep,
     SYMMETRIC,
@@ -20,14 +23,18 @@ from recoupler import (
     WindowTarget,
     apply_schedule,
     circuit_from_list,
+    code_isometry,
     compile_gate,
     decode,
+    encode,
     fidelity,
     j_plus,
     model_from_dict,
     preset_model,
+    propagator,
     restrict,
     schedule_from_dict,
+    to_matrix,
     verify_gate,
 )
 from recoupler.compiler import _cphase_xxz, _cphase_xy
@@ -186,7 +193,7 @@ class TestErrorMessages:
         (lambda: decode(CodeSpec(SYMMETRIC, 2), np.zeros(4)),
          ValidationError, "cannot decode the zero vector"),
         (lambda: fidelity(np.eye(4), np.eye(3), CodeSpec(SYMMETRIC, 2)),
-         ValidationError, "target shape (3, 3), expected (2,2)"),
+         ValidationError, "target shape (3, 3), expected (2, 2)"),
     ])
     def test_each_input_error_states_its_message(self, call, error, message):
         with pytest.raises(error) as exc:
@@ -197,3 +204,31 @@ class TestErrorMessages:
         rep = verify_gate(LogicalGate("cphase", (1, 2)), _heisenberg_with_uncoupled_middle_pair())
         assert not rep.passed
         assert rep.reason == "ValidationError: pair (2,3) has no exchange coupling"
+
+
+def _verdict(n):
+    """An rx verdict on `xy`, a refusal raised: a verdict reports it as its reason."""
+    report = verify_gate(LogicalGate("rx", (1,), (1.1,)), preset_model("xy", n))
+    if not report.passed:
+        assert report.reason.startswith("CapacityError: ")
+        raise CapacityError(report.reason.removeprefix("CapacityError: "))
+
+
+class TestOneCapacityRule:
+    """Every register-sized array is checked against one budget, 16 * 4**cap bytes."""
+
+    @pytest.mark.parametrize("call, fits, over", [
+        (lambda n: to_matrix(PauliSum(n, {"Z" * n: 1.0})), 4, 5),
+        (lambda n: apply_schedule(PulseSchedule((), {}), preset_model("xy", n)), 4, 6),
+        (_verdict, 8, 10),  # the 2^(n/2) x 2^(n/2) code block
+        (lambda n: encode(CodeSpec(SYMMETRIC, n), np.ones(2 ** (n // 2))), 8, 10),
+        (lambda n: code_isometry(CodeSpec(SYMMETRIC, n)), 4, 6),  # 2^n x 2^(n/2)
+        (lambda n: propagator(PauliSum(n, {"Z" * n: 1.0}), 1.0), 4, 5),
+    ], ids=["to_matrix", "apply_schedule", "verify_gate", "encode", "code_isometry",
+            "propagator"])
+    def test_refused_one_size_over_the_budget(self, monkeypatch, call, fits, over):
+        monkeypatch.setenv("RECOUPLER_MAX_SPINS", "4")
+        call(fits)
+        with pytest.raises(CapacityError, match=rf"^{over} spins: .* needs \d+ bytes, over the"
+                           r" 4096-byte budget of a dense 4-spin matrix \(RECOUPLER_MAX_SPINS\)$"):
+            call(over)

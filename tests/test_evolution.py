@@ -158,11 +158,19 @@ class TestApplySchedule:
 
     def test_spin_cap_checked_before_allocation(self, monkeypatch):
         # 2**40 basis states: the identity alone would not fit in memory
-        with pytest.raises(CapacityError, match="40 spins exceeds dense cap 12"):
+        with pytest.raises(CapacityError) as exc:
             apply_schedule(PulseSchedule((), {}), preset_model("xy", 40))
+        assert str(exc.value) == (
+            "40 spins: a unitary of 2^40 x 2^40 entries needs 19342813113834066795298816 bytes,"
+            " over the 268435456-byte budget of a dense 12-spin matrix (RECOUPLER_MAX_SPINS)"
+        )
         monkeypatch.setenv("RECOUPLER_MAX_SPINS", "2")
-        with pytest.raises(CapacityError, match="4 spins exceeds dense cap 2"):
+        with pytest.raises(CapacityError) as exc:
             apply_schedule(PulseSchedule((), {}), preset_model("xy", 4))
+        assert str(exc.value) == (
+            "4 spins: a unitary of 2^4 x 2^4 entries needs 4096 bytes,"
+            " over the 256-byte budget of a dense 2-spin matrix (RECOUPLER_MAX_SPINS)"
+        )
 
     def test_groups_update_the_columns_without_temporaries(self):
         # one spare buffer beside the columns: no gather or product array per group

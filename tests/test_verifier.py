@@ -111,6 +111,21 @@ class TestVerifyGate:
         assert (missing.step_count_serial, missing.step_count_parallel) == (0, 0)
 
     @pytest.mark.parametrize("verify", [verify_gate, verify_circuit])
+    def test_bad_mode_keeps_its_own_label(self, verify):
+        subject = LogicalGate("rx", (1,), (1.1,))
+        report = verify([subject] if verify is verify_circuit else subject,
+                        preset_model("xy", 4), mode="bogus")
+        assert not report.passed and report.mode == "bogus"
+        assert report.reason == "ValidationError: bad mode 'bogus'"
+
+    @pytest.mark.parametrize("wrap", [iter, lambda gates: (g for g in gates)])
+    def test_iterator_verifies_like_the_list(self, wrap):
+        gates = [LogicalGate("rx", (1,), (1.1,)), LogicalGate("cz", (1, 2))]
+        report = verify_circuit(wrap(gates), XXZ)
+        assert report == verify_circuit(gates, XXZ)
+        assert report.passed and report.step_count_serial == 1 + 14
+
+    @pytest.mark.parametrize("verify", [verify_gate, verify_circuit])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, "a", True, None, 1j])
     def test_tolerances_must_be_finite_and_non_negative(self, verify, bad):
         # a report holds its tolerances, and JSON has no NaN or Infinity
